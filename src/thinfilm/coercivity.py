@@ -18,7 +18,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import polyops, stencils
-from .errors import SupportError
+from .elliptic import _require_compact_support
 
 BOUNDARY_TOL = 1e-8  # |margin| below this counts as zero at interval endpoints
 _SQRT3 = np.sqrt(3.0)
@@ -164,15 +164,6 @@ def make_report(p):
         intervals=range_closed_form(p),
         numeric_margin=lambda alpha: symbol_margin(p, alpha),
     )
-
-
-def _require_compact_support(w, edge=4, rel=1e-12):
-    v = np.abs(w.values)
-    scale = v.max()
-    if scale == 0.0:
-        return
-    if v[:edge].max() > rel * scale or v[-edge:].max() > rel * scale:
-        raise SupportError("test function must vanish near the grid boundary")
 
 
 def quadratic_form_check(p, alpha, w):

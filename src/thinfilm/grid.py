@@ -10,6 +10,7 @@ the composite solution/initial-data/right-hand-side norms built from them,
 and left-edge expansion-coefficient extraction.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,16 @@ DEFAULT_S_MIN = -12.0
 DEFAULT_S_MAX = 4.0
 DEFAULT_N = 1025
 FIT_BAND = 2.0
+
+
+@functools.lru_cache(maxsize=64)
+def _coords(s_min, s_max, n):
+    """Read-only (s, e^s, e^{-s}, e^{-2s}) of one grid, computed once."""
+    s = np.linspace(s_min, s_max, n)
+    out = (s, np.exp(s), np.exp(-s), np.exp(-2.0 * s))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,11 +54,21 @@ class LogGrid:
 
     @property
     def s(self):
-        return np.linspace(self.s_min, self.s_max, self.n)
+        return _coords(self.s_min, self.s_max, self.n)[0]
 
     @property
     def x(self):
-        return np.exp(self.s)
+        return _coords(self.s_min, self.s_max, self.n)[1]
+
+    @property
+    def inv_x(self):
+        """e^{-s} = 1/x, evaluated as exp(-s)."""
+        return _coords(self.s_min, self.s_max, self.n)[2]
+
+    @property
+    def inv_x2(self):
+        """e^{-2s} = 1/x^2, evaluated as exp(-2 s)."""
+        return _coords(self.s_min, self.s_max, self.n)[3]
 
     def refine(self, factor=2):
         """Same span with (n-1)*factor intervals; existing nodes are kept."""

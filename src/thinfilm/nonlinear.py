@@ -50,14 +50,14 @@ def to_v(u):
 
 def _dx(values, grid):
     # d/dx = e^{-s} d/ds
-    return np.exp(-grid.s) * stencils.apply_derivative(values, 1, grid.h)
+    return grid.inv_x * stencils.apply_derivative(values, 1, grid.h)
 
 
 def _dx2(values, grid):
     # d^2/dx^2 = e^{-2s} (D^2 - D)
     d1 = stencils.apply_derivative(values, 1, grid.h)
     d2 = stencils.apply_derivative(values, 2, grid.h)
-    return np.exp(-2.0 * grid.s) * (d2 - d1)
+    return grid.inv_x2 * (d2 - d1)
 
 
 def lipschitz_guard(v, threshold=LIPSCHITZ_THRESHOLD):

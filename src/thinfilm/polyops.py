@@ -103,10 +103,9 @@ def apply_symbol(p, w):
 def apply_operator(w, commutations=0):
     """(commuted) operator applied on the grid: e^{-s} P(D) w + e^{-2s} Q(D) w."""
     p, q = symbol_pair(commutations)
-    s = w.grid.s
+    grid = w.grid
     return gridmod.GridFunction(
-        w.grid,
-        np.exp(-s) * apply_symbol(p, w).values + np.exp(-2 * s) * apply_symbol(q, w).values)
+        grid, grid.inv_x * apply_symbol(p, w).values + grid.inv_x2 * apply_symbol(q, w).values)
 
 
 def commutation_residual(variant, w, edge_skip=8):

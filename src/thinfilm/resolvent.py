@@ -8,6 +8,7 @@ decaying far field to zero. Solves go through a banded LU factorization
 that can be reused across right-hand sides.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,16 @@ class DiscreteOperator:
 
     def closure_rows(self):
         return (0, 1, self.n - 2, self.n - 1)
+
+    @functools.cached_property
+    def entries(self):
+        """Read-only (row, column, value) arrays of the stored entries, row by row."""
+        row = np.concatenate([np.full(len(w), i) for i, (_, w) in enumerate(self.rows)])
+        col = np.concatenate([np.arange(start, start + len(w)) for start, w in self.rows])
+        val = np.concatenate([w for _, w in self.rows]).astype(float)
+        for a in (row, col, val):
+            a.flags.writeable = False
+        return row, col, val
 
     def apply(self, w):
         """Row-wise product; closure rows evaluate their residual relation."""
@@ -118,7 +129,7 @@ class Factorization:
         self.op = op
         self.lam = float(lam)
         n = op.n
-        closure = set(op.closure_rows())
+        row, col, val = op.entries
         # Two-sided equilibration with exact powers of two: interior rows
         # carry factors up to e^{-2 s_min}/h^4 and the solution components
         # span the x^2 contact-line scale, either of which would otherwise
@@ -126,24 +137,17 @@ class Factorization:
         def pow2(v):
             return 2.0 ** (-np.floor(np.log2(v)))
 
-        row_scale = np.ones(n)
-        full_rows = []
-        for i, (start, weights) in enumerate(op.rows):
-            w = weights.astype(float).copy()
-            if i not in closure:
-                w[i - start] += self.lam
-            row_scale[i] = pow2(np.max(np.abs(w)))
-            full_rows.append((start, w * row_scale[i]))
+        w = val.copy()
+        w[(row == col) & ~np.isin(row, op.closure_rows())] += self.lam
+        row_max = np.zeros(n)
+        np.maximum.at(row_max, row, np.abs(w))
+        row_scale = pow2(row_max)
+        w *= row_scale[row]
         col_max = np.zeros(n)
-        for i, (start, w) in enumerate(full_rows):
-            col_max[start:start + len(w)] = np.maximum(
-                col_max[start:start + len(w)], np.abs(w))
+        np.maximum.at(col_max, col, np.abs(w))
         col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
         ab = np.zeros((2 * KL + KU + 1, n))
-        for i, (start, w) in enumerate(full_rows):
-            for k, wv in enumerate(w):
-                j = start + k
-                ab[KL + KU + i - j, j] = wv * col_scale[j]
+        ab[KL + KU + row - col, col] = w * col_scale[col]
         self._band = ab[KL:].copy()  # scaled matrix for residual matvecs
         lu, piv, info = _gbtrf(ab, KL, KU)
         if info != 0:
@@ -215,9 +219,8 @@ def interior_residual(op, lam, u, g, edge_skip=8):
     au = polyops.apply_operator(u)
     res = lam * u.values + au.values - g.values
     absu = np.abs(u.values)
-    den = np.empty(op.n)
-    for i, (start, w) in enumerate(op.rows):
-        den[i] = np.abs(w) @ absu[start:start + len(w)]
+    row, col, val = op.entries
+    den = np.bincount(row, weights=np.abs(val) * absu[col], minlength=op.n)
     den += lam * absu + np.abs(g.values) + 1e-300
     sl = slice(edge_skip, op.n - edge_skip)
     return float(np.max(np.abs(res[sl]) / den[sl]))

@@ -5,6 +5,8 @@ with one-sided closures, and a fourth-order cumulative quadrature. Everything
 here operates on plain numpy arrays; grid semantics live in ``grid``.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import GridError
@@ -76,19 +78,32 @@ def center_weights(m):
     return fd_weights(np.arange(-half, half + 1), 0.0, m)
 
 
+@functools.lru_cache(maxsize=64)
+def _plan(n, m):
+    """(centered weights, half width, boundary rows) of d^m/ds^m on n nodes, h = 1.
+
+    Built once per (n, m); boundary rows are (row, slice, weights). The
+    weight arrays are shared by every caller, so they are read-only.
+    """
+    center = center_weights(m)
+    rows = tuple((i, slice(start, start + len(bw)), bw)
+                 for i, start, bw in boundary_rows(n, m))
+    for w in (center, *(bw for _, _, bw in rows)):
+        w.flags.writeable = False
+    return center, len(center) // 2, rows
+
+
 def apply_derivative(values, m, h):
     """Fourth-order d^m/ds^m of uniformly sampled values, m in 1..4."""
     if m not in _CENTER_POINTS:
         raise ValueError(f"derivative order {m} not in 1..4")
     values = np.asarray(values, dtype=float)
     n = values.size
-    _check_size(n, m)
-    w = center_weights(m)
-    half = len(w) // 2
+    w, half, rows = _plan(n, m)
     out = np.empty(n)
     out[half:n - half] = np.correlate(values, w, mode="valid")
-    for i, start, bw in boundary_rows(n, m):
-        out[i] = bw @ values[start:start + len(bw)]
+    for i, sl, bw in rows:
+        out[i] = bw @ values[sl]
     out /= h**m
     return out
 

@@ -17,6 +17,23 @@ def test_loggrid_validation():
     assert np.allclose(np.diff(g.s), g.h)
 
 
+@pytest.mark.parametrize("name", ["s", "x"])
+def test_coordinates_stay_class_properties(name):
+    assert isinstance(gridmod.LogGrid.__dict__[name], property)
+
+
+def test_cached_coordinates_match_fresh_and_are_read_only():
+    g = gridmod.LogGrid(-12.0, 4.0, 513)
+    s = np.linspace(g.s_min, g.s_max, g.n)
+    fresh = {"s": s, "x": np.exp(s), "inv_x": np.exp(-s), "inv_x2": np.exp(-2.0 * s)}
+    for name, want in fresh.items():
+        got = getattr(g, name)
+        assert got is getattr(gridmod.LogGrid(-12.0, 4.0, 513), name)
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+
+
 def test_gridfunction_immutable_and_checked(default_grid):
     w = gridmod.monomial(default_grid, 1)
     with pytest.raises(AttributeError):

@@ -35,6 +35,49 @@ def test_assembled_rows_match_independent_application(fine_grid):
     assert np.max(np.abs(via_rows - via_stencils)[interior]) / scale < 1e-6
 
 
+def _loop_band(op, lam):
+    """Row-by-row band fill the vectorized Factorization must reproduce."""
+    n = op.n
+    closure = set(op.closure_rows())
+
+    def pow2(v):
+        return 2.0 ** (-np.floor(np.log2(v)))
+
+    row_scale = np.ones(n)
+    full_rows = []
+    for i, (start, weights) in enumerate(op.rows):
+        w = weights.astype(float).copy()
+        if i not in closure:
+            w[i - start] += lam
+        row_scale[i] = pow2(np.max(np.abs(w)))
+        full_rows.append((start, w * row_scale[i]))
+    col_max = np.zeros(n)
+    for start, w in full_rows:
+        col_max[start:start + len(w)] = np.maximum(col_max[start:start + len(w)], np.abs(w))
+    col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
+    kl, ku = resolvent.KL, resolvent.KU
+    ab = np.zeros((2 * kl + ku + 1, n))
+    for i, (start, w) in enumerate(full_rows):
+        for k, wv in enumerate(w):
+            j = start + k
+            ab[kl + ku + i - j, j] = wv * col_scale[j]
+    return ab[kl:], row_scale, col_scale
+
+
+@pytest.mark.parametrize("n", [64, 513])
+@pytest.mark.parametrize("lam", [0.1, 100.0])
+def test_vectorized_band_matches_row_loop(n, lam):
+    op = resolvent.assemble(gridmod.LogGrid(-12.0, 4.0, n))
+    fac = resolvent.Factorization(op, lam)
+    band, row_scale, col_scale = _loop_band(op, lam)
+    assert np.array_equal(fac._band, band)
+    assert np.array_equal(fac._row_scale, row_scale)
+    assert np.array_equal(fac._col_scale, col_scale)
+    for a in op.entries:
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_kernel_rows_shrink_at_stencil_order():
     errs = []
     for n in (65, 129, 257):

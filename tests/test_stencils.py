@@ -45,6 +45,33 @@ def test_derivative_annihilates_constants(m):
     assert np.max(np.abs(out)) < 1e-8
 
 
+def _uncached_derivative(values, m, h):
+    """apply_derivative rebuilt from freshly generated weights on every call."""
+    n = values.size
+    w = stencils.center_weights(m)
+    half = len(w) // 2
+    out = np.empty(n)
+    out[half:n - half] = np.correlate(values, w, mode="valid")
+    for i, start, bw in stencils.boundary_rows(n, m):
+        out[i] = bw @ values[start:start + len(bw)]
+    out /= h**m
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 513, 1025])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cached_plan_matches_fresh_weights(m, n):
+    values = np.random.default_rng(n + m).standard_normal(n)
+    h = 16.0 / (n - 1)
+    want = _uncached_derivative(values, m, h)
+    for _ in range(2):  # the first call builds the plan, the second reuses it
+        assert np.array_equal(stencils.apply_derivative(values, m, h), want)
+    center, _, rows = stencils._plan(n, m)
+    for weights in (center, *(bw for _, _, bw in rows)):
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+
 def test_derivative_too_small_grid():
     with pytest.raises(GridError):
         stencils.apply_derivative(np.zeros(6), 4, 0.1)
