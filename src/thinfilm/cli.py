@@ -2,7 +2,7 @@
 
 Subcommands: coercivity, norms, resolvent, linear-evolve, nonlinear-evolve,
 validate, sweep. Every artifact embeds the resolved configuration and its
-content hash; outputs are bit-identical for identical config and seed.
+content hash; outputs are bit-identical for identical config.
 Exit codes: 0 success, 1 malformed config, 2 validation failure,
 3 numerical-guard failure.
 """

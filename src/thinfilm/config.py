@@ -15,22 +15,20 @@ from .errors import ConfigError
 
 _SCHEMA = {
     "grid": {"s_min": float, "s_max": float, "n": int},
-    "solver": {"dt": float, "T": float, "lambdas": "floats", "store_every": int},
+    "solver": {"dt": float, "T": float, "store_every": int},
     "norms": {"N": int, "k": int, "delta": float, "alpha": float},
     "nonlinear": {"eps": float, "taper": str, "picard_tol": float,
                   "picard_max": int, "lipschitz_threshold": float},
     "output": {"dir": str, "snapshots": "floats", "u0": str, "u0_csv": str},
-    "run": {"seed": int},
 }
 
 _DEFAULTS = {
     "grid": {"s_min": -12.0, "s_max": 4.0, "n": 1025},
-    "solver": {"dt": 1e-2, "T": 1.0, "lambdas": (1.0,), "store_every": 1},
+    "solver": {"dt": 1e-2, "T": 1.0, "store_every": 1},
     "norms": {"N": 1, "k": 3, "delta": 0.25, "alpha": 0.25},
     "nonlinear": {"eps": 1e-3, "taper": "exp", "picard_tol": 1e-10,
                   "picard_max": 25, "lipschitz_threshold": 0.5},
     "output": {"dir": ".", "snapshots": (), "u0": "x3_decay", "u0_csv": ""},
-    "run": {"seed": 0},
 }
 
 _U0_CATALOG = ("x3_decay", "kernel_x", "kernel_x2", "wave_shift", "zero")
@@ -79,8 +77,6 @@ class ExperimentConfig:
             raise ConfigError("solver.T", "more than 1e6 steps requested")
         if s["store_every"] < 1:
             raise ConfigError("solver.store_every", "must be at least 1")
-        if any(lam <= 0 for lam in s["lambdas"]):
-            raise ConfigError("solver.lambdas", "must be positive")
         nm = self.values["norms"]
         if not 0 < nm["delta"] < 0.5:
             raise ConfigError("norms.delta", "must lie in (0, 1/2)")
@@ -102,8 +98,6 @@ class ExperimentConfig:
         out = self.values["output"]
         if out["u0"] not in _U0_CATALOG:
             raise ConfigError("output.u0", f"unknown profile (choose from {_U0_CATALOG})")
-        if self.values["run"]["seed"] < 0:
-            raise ConfigError("run.seed", "must be non-negative")
 
     def resolved(self):
         """Flat, JSON-friendly echo of every setting."""

@@ -1,9 +1,11 @@
-"""Implicit-Euler evolution of the linear problem.
+"""Implicit-Euler evolution, linear or with an inner Picard iteration.
 
-Each step solves (u - u_prev)/dt + A u = f_avg through the banded resolvent
-factorization with lambda = 1/dt; the factorization is built once per run.
-The run monitors the commuted energy |(D-1)u|_{a}^2 (and its k-th
-D-derivative) and records expansion-coefficient tracks.
+Each step solves (u - u_prev)/dt + A u = f_avg + N(u) through the banded
+resolvent factorization with lambda = 1/dt; the factorization is built once
+per run. The linear problem is N = 0 with a single solve per step; a
+nonlinear model iterates the same solve to a fixed point. The run monitors
+the commuted energy |(D-1)u|_{a}^2 (and its k-th D-derivative) and records
+expansion-coefficient tracks.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import resolvent, stencils
-from .errors import GridError
+from .errors import GridError, PicardError
 
 ENERGY_SLACK = 1e-10
 
@@ -24,7 +26,6 @@ class EvolutionState:
     steps: list                 # (t, GridFunction), including t = 0
     energy_log: list            # dicts: tilde_sq, tilde_dk_sq, user norms
     coefficient_tracks: np.ndarray  # (len(steps), 3): u1, u2, u3
-    config: dict
     flags: list = field(default_factory=list)
     picard_counts: list = field(default_factory=list)
     lipschitz_track: list = field(default_factory=list)
@@ -104,19 +105,43 @@ def step(op, u_prev, f_avg, dt, factorization=None):
     return fac.solve(gridmod.GridFunction(op.grid, rhs))
 
 
-def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1):
+def _picard_step(op, u_prev, f_avg, dt, fac, model, j):
+    """Iterate u = step(u_prev, f_avg + N(u)) from u_prev to picard_tol; (u, solves)."""
+    iterate = u_prev
+    for count in range(1, model.picard_max + 1):
+        g = model.N(iterate)
+        if f_avg is not None:
+            g = f_avg + g
+        u_next = step(op, u_prev, g, dt, factorization=fac)
+        delta = float(np.max(np.abs(u_next.values - iterate.values)))
+        iterate = u_next
+        if delta < model.picard_tol:
+            return iterate, count
+    raise PicardError(f"Picard stalled at step {j} (delta {delta:.3e}); "
+                      "perturbation too large for the small-data regime")
+
+
+def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=None):
     """Implicit-Euler trajectory with energy and coefficient bookkeeping.
 
-    With f = None the monitored energy must not increase beyond a 1e-10
-    relative slack per step; violations are recorded as flags and the run
-    continues (boundary truncation can pollute energies near rounding).
+    Linear (nonlinear = None): one solve per step. With f = None the monitored
+    energy must not increase beyond a 1e-10 relative slack per step;
+    violations are recorded as flags and the run continues (boundary
+    truncation can pollute energies near rounding).
+
+    Nonlinear: each step iterates the solve on ``nonlinear.N``, then
+    ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
+    record it and ``nonlinear.records(t, u)`` (initial-data norm, Y0).
     """
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise GridError("T must be an integer number of steps")
     if n_steps > 10**6:
         raise GridError("too many steps")
+    if store_every < 1:
+        raise GridError("store_every must be at least 1")
     fac = resolvent.Factorization(op, 1.0 / dt)
+    state = EvolutionState(steps=[], energy_log=[], coefficient_tracks=[])
 
     def log_entry(u):
         e0, ek = tilde_energies(u, alpha, k)
@@ -126,30 +151,33 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1):
                 gridmod.weighted_norm(u, spec)
         return entry
 
+    def store(t, u, entry):
+        state.steps.append((t, u))
+        state.energy_log.append(entry)
+        state.coefficient_tracks.append(leading_coefficients(u))
+        if nonlinear is not None:
+            init_norm, y0 = nonlinear.records(t, u)
+            state.lipschitz_track.append(sup_vx)
+            state.init_norm_track.append(init_norm)
+            state.contact_line_track.append(y0)
+
     u = u0
-    first = log_entry(u0)
-    steps = [(0.0, u0)]
-    energy_log = [first]
-    tracks = [leading_coefficients(u0)]
-    flags = []
-    prev_e0 = first["tilde_sq"]
+    sup_vx = None if nonlinear is None else nonlinear.guard(u0, 0)
+    entry = log_entry(u0)
+    store(0.0, u0, entry)
     for j in range(1, n_steps + 1):
         f_avg = None if f is None else average_rhs(f, j, dt)
-        u_new = step(op, u, f_avg, dt, factorization=fac)
-        entry = log_entry(u_new)
-        if f is None and entry["tilde_sq"] > prev_e0 * (1.0 + ENERGY_SLACK) + 1e-300:
-            flags.append(f"energy increase at step {j}: "
-                         f"{prev_e0:.6e} -> {entry['tilde_sq']:.6e}")
-        prev_e0 = entry["tilde_sq"]
-        u = u_new
+        if nonlinear is None:
+            u = step(op, u, f_avg, dt, factorization=fac)
+            prev_e0, entry = entry["tilde_sq"], log_entry(u)
+            if f is None and entry["tilde_sq"] > prev_e0 * (1.0 + ENERGY_SLACK) + 1e-300:
+                state.flags.append(f"energy increase at step {j}: "
+                                   f"{prev_e0:.6e} -> {entry['tilde_sq']:.6e}")
+        else:
+            u, count = _picard_step(op, u, f_avg, dt, fac, nonlinear, j)
+            state.picard_counts.append(count)
+            sup_vx = nonlinear.guard(u, j)
         if j % store_every == 0 or j == n_steps:
-            steps.append((j * dt, u))
-            energy_log.append(entry)
-            tracks.append(leading_coefficients(u))
-    return EvolutionState(
-        steps=steps,
-        energy_log=energy_log,
-        coefficient_tracks=np.array(tracks),
-        config={"dt": dt, "T": T, "alpha": alpha, "k": k},
-        flags=flags,
-    )
+            store(j * dt, u, entry if nonlinear is None else log_entry(u))
+    state.coefficient_tracks = np.array(state.coefficient_tracks)
+    return state

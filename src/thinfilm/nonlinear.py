@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
+from . import evolution, resolvent, stencils
 from . import grid as gridmod
-from . import resolvent, stencils
-from .errors import GridError, GuardError, PicardError
-from .evolution import EvolutionState, leading_coefficients, tilde_energies
+from .errors import GuardError
 
 LIPSCHITZ_THRESHOLD = 0.5
 PICARD_TOL = 1e-10
@@ -104,6 +103,37 @@ def eval_nonlinearity(u, threshold=LIPSCHITZ_THRESHOLD):
     return gridmod.GridFunction(grid, _dx((x**3 + x * x) * bracket, grid))
 
 
+@dataclass
+class NonlinearModel:
+    """What evolution.run needs for the nonlinear problem u_t + A u = N(u)."""
+
+    picard_tol: float = PICARD_TOL
+    picard_max: int = PICARD_MAX
+    threshold: float = LIPSCHITZ_THRESHOLD
+    norm_N: int = 1
+    norm_k: int = 3
+    delta: float = 0.25
+
+    def N(self, u):
+        return eval_nonlinearity(u, self.threshold)
+
+    def guard(self, u, j):
+        """sup |v_x| after step j (0: initial data); GuardError when it fails."""
+        rep = lipschitz_guard(to_v(u), self.threshold)
+        if rep.ok:
+            return rep.sup_vx
+        if j == 0:
+            raise GuardError("initial data fails the Lipschitz guard "
+                             f"(sup |v_x| = {rep.sup_vx:.4f})")
+        raise GuardError(f"Lipschitz guard tripped at step {j} "
+                         f"(sup |v_x| = {rep.sup_vx:.4f})")
+
+    def records(self, t, u):
+        """(composite initial-data norm, contact line Y0 = 6t + v(0+))."""
+        init_norm = gridmod.composite_init_norm(u, self.norm_N, self.norm_k, self.delta)
+        return init_norm, 6.0 * t + contact_line_shift(u)
+
+
 def run_nonlinear(u0, dt, T, picard_tol=PICARD_TOL, picard_max=PICARD_MAX,
                   threshold=LIPSCHITZ_THRESHOLD, alpha=0.25, k=2,
                   norm_N=1, norm_k=3, delta=0.25, store_every=1):
@@ -113,79 +143,9 @@ def run_nonlinear(u0, dt, T, picard_tol=PICARD_TOL, picard_max=PICARD_MAX,
     max-norm drops below picard_tol. Non-convergence raises PicardError
     (data outside the small-perturbation regime).
     """
-    grid = u0.grid
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise GridError("T must be an integer number of steps")
-    op = resolvent.assemble(grid)
-    fac = resolvent.Factorization(op, 1.0 / dt)
-    lam = 1.0 / dt
-
-    def metrics(t, u):
-        coeffs = leading_coefficients(u)
-        e0, ek = tilde_energies(u, alpha, k)
-        init_norm = gridmod.composite_init_norm(u, norm_N, norm_k, delta)
-        y0 = 6.0 * t + contact_line_shift(u)
-        return coeffs, {"tilde_sq": e0, "tilde_dk_sq": ek}, init_norm, y0
-
-    rep = lipschitz_guard(to_v(u0), threshold)
-    if not rep.ok:
-        raise GuardError(f"initial data fails the Lipschitz guard (sup |v_x| = {rep.sup_vx:.4f})")
-    coeffs, entry, init_norm, y0 = metrics(0.0, u0)
-
-    steps = [(0.0, u0)]
-    energy_log = [entry]
-    tracks = [coeffs]
-    lip = [rep.sup_vx]
-    contact = [y0]
-    init_norms = [init_norm]
-    picard_counts = []
-    flags = []
-
-    u = u0
-    for j in range(1, n_steps + 1):
-        base = lam * u.values
-        iterate = u
-        count = 0
-        while True:
-            count += 1
-            rhs = gridmod.GridFunction(grid, base + eval_nonlinearity(iterate, threshold).values)
-            u_next = fac.solve(rhs)
-            delta_it = float(np.max(np.abs(u_next.values - iterate.values)))
-            iterate = u_next
-            if delta_it < picard_tol:
-                break
-            if count >= picard_max:
-                raise PicardError(
-                    f"Picard stalled at step {j} (delta {delta_it:.3e}); "
-                    "perturbation too large for the small-data regime")
-        picard_counts.append(count)
-        u = iterate
-        rep = lipschitz_guard(to_v(u), threshold)
-        if not rep.ok:
-            raise GuardError(f"Lipschitz guard tripped at step {j} "
-                             f"(sup |v_x| = {rep.sup_vx:.4f})")
-        if j % store_every == 0 or j == n_steps:
-            coeffs, entry, init_norm, y0 = metrics(j * dt, u)
-            steps.append((j * dt, u))
-            energy_log.append(entry)
-            tracks.append(coeffs)
-            lip.append(rep.sup_vx)
-            contact.append(y0)
-            init_norms.append(init_norm)
-    return EvolutionState(
-        steps=steps,
-        energy_log=energy_log,
-        coefficient_tracks=np.array(tracks),
-        config={"dt": dt, "T": T, "alpha": alpha, "k": k,
-                "picard_tol": picard_tol, "threshold": threshold,
-                "norm": (norm_N, norm_k, delta)},
-        flags=flags,
-        picard_counts=picard_counts,
-        lipschitz_track=lip,
-        contact_line_track=contact,
-        init_norm_track=init_norms,
-    )
+    model = NonlinearModel(picard_tol, picard_max, threshold, norm_N, norm_k, delta)
+    return evolution.run(resolvent.assemble(u0.grid), u0, None, dt, T, alpha=alpha, k=k,
+                         store_every=store_every, nonlinear=model)
 
 
 def contact_line_shift(u, band=2.0):

@@ -82,25 +82,20 @@ def assemble(grid):
     p, q = polyops.symbol_pair(0)
     pc, qc = p.coefficients(), q.coefficients()
 
-    pattern_cache = {}
-
     def pattern(offset_of_node, width):
         # Stencil combination sum_m c_m D^m over a `width`-node window,
         # evaluated at the given offset inside the window. Off-center
         # 7-node windows would drop to third order for D^4, so those rows
         # get 8 nodes instead.
-        key = (offset_of_node, width)
-        if key not in pattern_cache:
-            offsets = np.arange(width, dtype=float) - offset_of_node
-            prow = np.zeros(width)
-            qrow = np.zeros(width)
-            for m in range(5):
-                wm = (stencils.fd_weights(offsets, 0.0, m) / h**m if m else
-                      (offsets == 0).astype(float))
-                prow += pc[m] * wm
-                qrow += qc[m] * wm
-            pattern_cache[key] = (prow, qrow)
-        return pattern_cache[key]
+        offsets = np.arange(width, dtype=float) - offset_of_node
+        prow = np.zeros(width)
+        qrow = np.zeros(width)
+        for m in range(5):
+            wm = (stencils.fd_weights(offsets, 0.0, m) / h**m if m else
+                  (offsets == 0).astype(float))
+            prow += pc[m] * wm
+            qrow += qc[m] * wm
+        return prow, qrow
 
     rows = [None] * n
     w0, w1 = _left_closure_weights(grid)
@@ -108,15 +103,13 @@ def assemble(grid):
     rows[1] = (0, np.concatenate(([0.0, 1.0], -w1)))
     rows[n - 2] = (n - 2, np.array([1.0, 0.0]))
     rows[n - 1] = (n - 1, np.array([1.0]))
-    s = grid.s
-    for i in range(2, n - 2):
-        start = min(max(i - 3, 0), n - 7)
-        width = 7
-        if i - start != 3:
-            start = 0 if i < 4 else n - 8
-            width = 8
-        prow, qrow = pattern(i - start, width)
-        rows[i] = (start, np.exp(-s[i]) * prow + np.exp(-2 * s[i]) * qrow)
+    # rows 2 and n-3 sit off center in 8-node windows; the rest are centered
+    for i, start, offset in ((2, 0, 2), (n - 3, n - 8, 5)):
+        prow, qrow = pattern(offset, 8)
+        rows[i] = (start, grid.inv_x[i] * prow + grid.inv_x2[i] * qrow)
+    prow, qrow = pattern(3, 7)
+    centered = grid.inv_x[3:n - 3, None] * prow + grid.inv_x2[3:n - 3, None] * qrow
+    rows[3:n - 3] = [(i - 3, w) for i, w in enumerate(centered, start=3)]
     return DiscreteOperator(grid, rows)
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from thinfilm import cli, config
+from thinfilm import cli, config, evolution, nonlinear, resolvent
 from thinfilm import grid as gridmod
 from thinfilm.errors import ConfigError
 
@@ -151,6 +151,63 @@ def test_malformed_config_messages(tmp_path, capsys):
     bad3 = write_config(tmp_path / "bad3.ini", "[solver]\ndt = -1\n")
     assert cli.main(["linear-evolve", "--config", bad3]) == 1
     assert "solver.dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[solver]\nlambdas = 1.0\n", "solver.lambdas"),
+    ("[run]\nseed = 0\n", "run"),  # the [run] section is gone altogether
+])
+def test_removed_config_keys_are_rejected(tmp_path, capsys, text, key):
+    path = write_config(tmp_path / "old.ini", text)
+    with pytest.raises(ConfigError) as exc:
+        config.load(path)
+    assert exc.value.key == key
+    assert cli.main(["linear-evolve", "--config", path]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def _data_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+
+
+def test_trajectory_csv_off_cadence_matches_api(tmp_path):
+    # T = 0.07 with store_every = 2 stores steps 0, 2, 4, 6 and the final step 7
+    cfg_path = write_config(tmp_path / "exp.ini", f"""
+[grid]
+n = 257
+[solver]
+dt = 1e-2
+T = 0.07
+store_every = 2
+[output]
+dir = {tmp_path / 'run'}
+u0 = wave_shift
+""")
+    cfg = config.load(cfg_path)
+    grid = gridmod.LogGrid(-12.0, 4.0, 257)
+    u0 = config.initial_profile(cfg, grid)
+    nm = cfg["norms"]
+    times = [0.0, 0.02, 0.04, 0.06, 0.07]
+
+    assert cli.main(["linear-evolve", "--config", cfg_path]) == 0
+    state = evolution.run(resolvent.assemble(grid), u0, None, 1e-2, 0.07,
+                          alpha=nm["alpha"], k=nm["k"], store_every=2)
+    want = [[t, e["tilde_sq"], e["tilde_dk_sq"], *c]
+            for t, e, c in zip(state.times, state.energy_log, state.coefficient_tracks)]
+    assert _data_rows(tmp_path / "run" / "linear_trajectory.csv") == want
+    assert state.times.tolist() == pytest.approx(times, abs=1e-12)
+
+    assert cli.main(["nonlinear-evolve", "--config", cfg_path]) == 0
+    state = nonlinear.run_nonlinear(u0, 1e-2, 0.07, alpha=nm["alpha"], norm_N=nm["N"],
+                                    norm_k=nm["k"], delta=nm["delta"], store_every=2)
+    steps = [int(round(t / 1e-2)) for t in state.times]
+    assert steps == [0, 2, 4, 6, 7]
+    want = [[t, norm, c[0], c[1], sup, y0, 0 if j == 0 else state.picard_counts[j - 1]]
+            for t, norm, c, sup, y0, j in zip(
+                state.times, state.init_norm_track, state.coefficient_tracks,
+                state.lipschitz_track, state.contact_line_track, steps)]
+    assert _data_rows(tmp_path / "run" / "nonlinear_trajectory.csv") == want
 
 
 def test_validate_command(tmp_path, capsys):

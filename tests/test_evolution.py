@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from thinfilm import evolution, resolvent
+from thinfilm import evolution, nonlinear, resolvent
 from thinfilm import grid as gridmod
+from thinfilm.errors import GridError
 
 KERNEL_GRID = gridmod.LogGrid(-12.0, 9.0, 1345)
 
@@ -135,3 +136,48 @@ def test_leading_coefficients_known_field():
     assert u1 == pytest.approx(0.13, abs=1e-10)
     assert u2 == pytest.approx(0.53, abs=1e-4)
     assert u3 == pytest.approx(-0.577, abs=2e-3)
+
+
+SMALL_GRID = gridmod.LogGrid(-12.0, 4.0, 257)
+
+
+def _run_linear(dt, T, store_every):
+    return evolution.run(resolvent.assemble(SMALL_GRID), gridmod.zero(SMALL_GRID), None,
+                         dt, T, store_every=store_every)
+
+
+def _run_nonlinear(dt, T, store_every):
+    return nonlinear.run_nonlinear(gridmod.zero(SMALL_GRID), dt, T, store_every=store_every)
+
+
+@pytest.mark.parametrize("driver", [_run_linear, _run_nonlinear])
+@pytest.mark.parametrize("dt, T, store_every, message", [
+    (1e-2, 0.015, 1, "integer number of steps"),
+    (1e-7, 0.2, 1, "too many steps"),
+    (1e-2, 0.05, 0, "store_every"),
+])
+def test_run_rejects_bad_step_requests(driver, dt, T, store_every, message):
+    with pytest.raises(GridError, match=message):
+        driver(dt, T, store_every)
+
+
+def test_picard_with_zero_nonlinearity_is_the_linear_step(default_grid):
+    class Linear(nonlinear.NonlinearModel):
+        def N(self, u):
+            return gridmod.zero(u.grid)
+
+    x = default_grid.x
+    w = 1e-3 * x**2 * np.exp(-x)
+    u0 = gridmod.GridFunction(default_grid, w)
+
+    def f(t):
+        return gridmod.GridFunction(default_grid, np.exp(-t) * w)
+
+    op = resolvent.assemble(default_grid)
+    lin = evolution.run(op, u0, f, 1e-2, 0.1, store_every=5)
+    pic = evolution.run(op, u0, f, 1e-2, 0.1, store_every=5, nonlinear=Linear())
+    assert all(np.array_equal(a.values, b.values) for (_, a), (_, b) in zip(lin.steps, pic.steps))
+    assert np.array_equal(lin.coefficient_tracks, pic.coefficient_tracks)
+    # the second pass reproduces the first exactly
+    assert pic.picard_counts == [2] * 10
+    assert len(pic.lipschitz_track) == len(pic.contact_line_track) == len(pic.steps) == 3

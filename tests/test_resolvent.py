@@ -3,7 +3,7 @@ import pytest
 
 from thinfilm import evolution
 from thinfilm import grid as gridmod
-from thinfilm import polyops, resolvent
+from thinfilm import polyops, resolvent, stencils
 from thinfilm.errors import CompatibilityError, GridError, SolverError
 
 
@@ -76,6 +76,49 @@ def test_vectorized_band_matches_row_loop(n, lam):
     for a in op.entries:
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def _loop_rows(grid):
+    """Row-by-row operator the vectorized assemble must reproduce."""
+    n, h, s = grid.n, grid.h, grid.s
+    p, q = polyops.symbol_pair(0)
+    pc, qc = p.coefficients(), q.coefficients()
+
+    def pattern(offset_of_node, width):
+        offsets = np.arange(width, dtype=float) - offset_of_node
+        prow = np.zeros(width)
+        qrow = np.zeros(width)
+        for m in range(5):
+            wm = (stencils.fd_weights(offsets, 0.0, m) / h**m if m else
+                  (offsets == 0).astype(float))
+            prow += pc[m] * wm
+            qrow += qc[m] * wm
+        return prow, qrow
+
+    rows = [None] * n
+    w0, w1 = resolvent._left_closure_weights(grid)
+    rows[0] = (0, np.concatenate(([1.0, 0.0], -w0)))
+    rows[1] = (0, np.concatenate(([0.0, 1.0], -w1)))
+    rows[n - 2] = (n - 2, np.array([1.0, 0.0]))
+    rows[n - 1] = (n - 1, np.array([1.0]))
+    for i in range(2, n - 2):
+        start = min(max(i - 3, 0), n - 7)
+        width = 7
+        if i - start != 3:
+            start = 0 if i < 4 else n - 8
+            width = 8
+        prow, qrow = pattern(i - start, width)
+        rows[i] = (start, np.exp(-s[i]) * prow + np.exp(-2 * s[i]) * qrow)
+    return resolvent.DiscreteOperator(grid, rows)
+
+
+@pytest.mark.parametrize("n", [64, 513])
+def test_vectorized_assemble_matches_row_loop(n):
+    grid = gridmod.LogGrid(-12.0, 4.0, n)
+    got = resolvent.assemble(grid).entries
+    want = _loop_rows(grid).entries
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_kernel_rows_shrink_at_stencil_order():
