@@ -51,23 +51,11 @@ def leading_coefficients(u, band_u1=2.0, band_u2=(3.0, 6.0), band_u3=(7.0, 9.5))
     not swamp the x^2 and x^3 signals.
     """
     grid = u.grid
-    s = grid.s
-
-    def band_fit(values, lead, lo, hi):
-        mask = (s >= grid.s_min + lo) & (s <= grid.s_min + hi)
-        if mask.sum() < 8:
-            raise GridError("coefficient-track band too coarse")
-        z = values[mask] * np.exp(-lead * s[mask])
-        xb = np.exp(s[mask])
-        a = np.stack([np.ones(mask.sum()), xb, xb * xb], axis=1)
-        coef, _, _, _ = np.linalg.lstsq(a, z, rcond=None)
-        return coef[0]
-
     u1 = gridmod.extract_coefficients(u, 1, fit_band=band_u1)[0]
     tu = gridmod.shifted_derivative(u, 1.0)
-    u2 = band_fit(tu.values, 2.0, *band_u2)
+    u2 = gridmod.fit_powers(tu.values * np.exp(-2.0 * grid.s), grid, *band_u2, 3)[0]
     cu = gridmod.shifted_derivative(tu, 2.0)
-    u3 = band_fit(cu.values, 3.0, *band_u3) / 2.0
+    u3 = gridmod.fit_powers(cu.values * np.exp(-3.0 * grid.s), grid, *band_u3, 3)[0] / 2.0
     return float(u1), float(u2), float(u3)
 
 
@@ -133,6 +121,8 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=
     ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
     record it and ``nonlinear.records(t, u)`` (initial-data norm, Y0).
     """
+    if dt <= 0:
+        raise GridError("dt must be positive")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise GridError("T must be an integer number of steps")

@@ -186,28 +186,45 @@ def shifted_derivative(w, a):
     return GridFunction(w.grid, stencils.apply_derivative(w.values, 1, w.grid.h) - a * w.values)
 
 
-def _fit_expansion(values, grid, order, fit_band):
-    """Least-squares expansion coefficients c_1..c_order of sum c_j x^j.
+@functools.lru_cache(maxsize=64)
+def _fit_matrix(s_min, s_max, n, lo, hi, terms):
+    """Band s_min+lo <= s <= s_min+hi as a node slice, and the read-only L with
+    coefficients = y[sl] @ L.T of the least-squares fit of sum_{j<terms} c_j x^j.
 
-    Rows are scaled by e^{-s}, which realizes the e^{-2s} weighting of the
-    squared residual; columns are normalized before the solve.
+    L is the pseudo-inverse of the column-normalized design [1, x, ...,
+    x^(terms-1)], with the normalization divided back out.
     """
-    if grid.s_min > -6.0:
+    if s_min > -6.0:
         raise GridError("grid does not resolve x << 1 (need s_min <= -6)")
-    s = grid.s
-    mask = s <= grid.s_min + fit_band
-    if mask.sum() < max(8, order + 2):
+    s, x = _coords(s_min, s_max, n)[:2]
+    nodes = np.flatnonzero((s >= s_min + lo) & (s <= s_min + hi))
+    if nodes.size < max(8, terms + 2):
         raise GridError("fit band too coarse near the contact line")
-    sb = s[mask]
-    a = np.stack([np.exp((j - 1) * sb) for j in range(1, order + 1)], axis=1)
-    b = np.exp(-sb) * values[mask]
+    sl = slice(nodes[0], nodes[-1] + 1)
+    a = x[sl, None] ** np.arange(terms)
     scale = np.max(np.abs(a), axis=0)
-    if not np.all(scale > 0):
+    if not np.all(scale > 0) or np.linalg.matrix_rank(a / scale) < terms:
         raise GridError("singular fit matrix near the contact line")
-    coef, _, rank, _ = np.linalg.lstsq(a / scale, b, rcond=None)
-    if rank < order:
-        raise GridError("singular fit matrix near the contact line")
-    return coef / scale
+    L = np.linalg.pinv(a / scale) / scale[:, None]
+    L.flags.writeable = False
+    return sl, L
+
+
+def fit_powers(y, grid, lo, hi, terms):
+    """Coefficients c_0..c_{terms-1} of sum c_j x^j fitted to y on the band
+    s_min+lo <= s <= s_min+hi; y is one field or a (steps, n) stack."""
+    sl, L = _fit_matrix(grid.s_min, grid.s_max, grid.n, lo, hi, terms)
+    # one matrix-vector product per row: a stacked fit equals its per-row fits bitwise
+    return (L @ y[..., sl, None])[..., 0]
+
+
+def _fit_expansion(values, grid, order, fit_band):
+    """Coefficients c_1..c_order of sum c_j x^j on the left band, per row of values.
+
+    Dividing by x turns the e^{-2s}-weighted fit of sum c_j x^j into a plain
+    fit of sum c_j x^{j-1}.
+    """
+    return fit_powers(grid.inv_x * values, grid, -np.inf, fit_band, order)
 
 
 def extract_coefficients(w, order, fit_band=FIT_BAND):
@@ -227,22 +244,31 @@ def subtract_expansion(w, sub, fit_band=FIT_BAND):
     if sub == 0:
         return w
     coeffs = extract_coefficients(w, min(sub, 3), fit_band=fit_band)
-    out = w.values.copy()
+    return GridFunction(w.grid, _minus_expansion(w.values, coeffs, w.grid))
+
+
+def _minus_expansion(values, coeffs, grid):
+    """values - c_1 x - c_2 x^2 - ..., one term at a time."""
+    out = values.copy()
     for j, c in enumerate(coeffs, start=1):
-        out -= c * np.exp(j * w.grid.s)
-    return GridFunction(w.grid, out)
+        out -= c * np.exp(j * grid.s)
+    return out
+
+
+def _norm_sq(values, k, alpha, grid):
+    """|values|_{k,alpha}^2 = sum_{j<=k} trapezoid(e^{-2 alpha s} (d^j values/ds^j)^2)."""
+    weight = np.exp(-2.0 * alpha * grid.s)
+    total = 0.0
+    for j in range(k + 1):
+        dj = values if j == 0 else ds_any(values, j, grid.h)
+        total += stencils.trapezoid(weight * dj * dj, grid.h)
+    return max(total, 0.0)
 
 
 def weighted_norm(w, spec, fit_band=FIT_BAND):
     """|w|_{k,alpha}, trapezoid quadrature, expansion subtracted when sub > 0."""
     v = subtract_expansion(w, spec.sub, fit_band=fit_band) if spec.sub else w
-    grid = w.grid
-    weight = np.exp(-2.0 * spec.alpha * grid.s)
-    total = 0.0
-    for j in range(spec.k + 1):
-        dj = v.values if j == 0 else ds_any(v.values, j, grid.h)
-        total += stencils.trapezoid(weight * dj * dj, grid.h)
-    return float(np.sqrt(max(total, 0.0)))
+    return float(np.sqrt(_norm_sq(v.values, spec.k, spec.alpha, w.grid)))
 
 
 def index_sets(N, delta):
@@ -278,13 +304,10 @@ def composite_init_norm(w, N, k, delta, fit_band=FIT_BAND):
     if N > 2:
         raise GridError("composite norms implemented for N <= 2 only")
     coeffs = _fit_expansion(w.values, w.grid, _TRACK_ORDER, fit_band)
-    powers = [np.exp(j * w.grid.s) for j in range(1, _TRACK_ORDER + 1)]
     kn = k + 4 * N + 1
     total = 0.0
     for sub, alpha in _init_terms(N, k, delta):
-        v = w.values.copy()
-        for j in range(min(sub, _TRACK_ORDER)):
-            v -= coeffs[j] * powers[j]
+        v = _minus_expansion(w.values, coeffs[:sub], w.grid)
         total += weighted_norm(GridFunction(w.grid, v), NormSpec(kn, alpha))**2
     return float(np.sqrt(total))
 
@@ -316,28 +339,10 @@ def _time_derivative(values, dt, order):
 _TRACK_ORDER = 5  # sol norms with N = 2 subtract expansion terms up to x^5
 
 
-def _tracked_coefficients(values, grid, fit_band):
-    coeffs = np.empty((values.shape[0], _TRACK_ORDER))
-    for i in range(values.shape[0]):
-        coeffs[i] = _fit_expansion(values[i], grid, _TRACK_ORDER, fit_band)
-    return coeffs
-
-
 def _norm_series(values, coeffs, grid, kn, alpha, sub):
-    """|w(t) - sum_{j<=sub} c_j(t) x^j|_{kn,alpha} at every stored step."""
-    weight = np.exp(-2.0 * alpha * grid.s)
-    powers = [np.exp(j * grid.s) for j in range(1, _TRACK_ORDER + 1)]
-    out = np.empty(values.shape[0])
-    for i in range(values.shape[0]):
-        v = values[i].copy()
-        for j in range(min(sub, _TRACK_ORDER)):
-            v -= coeffs[i, j] * powers[j]
-        total = 0.0
-        for j in range(kn + 1):
-            dj = v if j == 0 else ds_any(v, j, grid.h)
-            total += stencils.trapezoid(weight * dj * dj, grid.h)
-        out[i] = max(total, 0.0)
-    return out
+    """|w(t) - sum_{j<=sub} c_j(t) x^j|_{kn,alpha}^2 at every stored step."""
+    return np.array([_norm_sq(_minus_expansion(v, c[:sub], grid), kn, alpha, grid)
+                     for v, c in zip(values, coeffs)])
 
 
 def _sup(series):
@@ -367,7 +372,7 @@ def composite_sol_norm(traj, N, k, delta, fit_band=FIT_BAND):
     times, values, grid = _traj_arrays(traj)
     dt = times[1] - times[0]
     first, second = index_sets(N, delta)
-    coeffs = _tracked_coefficients(values, grid, fit_band)
+    coeffs = _fit_expansion(values, grid, _TRACK_ORDER, fit_band)
     under = _underline(values, grid)
     under_coeffs = _underline_coeffs(coeffs)
 
@@ -420,7 +425,7 @@ def composite_rhs_norm(traj, N, k, delta, fit_band=FIT_BAND):
         raise GridError("composite norms implemented for N <= 2 only")
     times, values, grid = _traj_arrays(traj)
     dt = times[1] - times[0]
-    coeffs = _tracked_coefficients(values, grid, fit_band)
+    coeffs = _fit_expansion(values, grid, _TRACK_ORDER, fit_band)
     under = _underline(values, grid)
     under_coeffs = _underline_coeffs(coeffs)
 

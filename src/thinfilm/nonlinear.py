@@ -150,13 +150,7 @@ def run_nonlinear(u0, dt, T, picard_tol=PICARD_TOL, picard_max=PICARD_MAX,
 
 def contact_line_shift(u, band=2.0):
     """v(0+): constant term of a quadratic-in-x fit of v on the left band."""
-    grid = u.grid
-    v = to_v(u).values
-    mask = grid.s <= grid.s_min + band
-    xb = grid.x[mask]
-    a = np.stack([np.ones_like(xb), xb, xb * xb], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(a, v[mask], rcond=None)
-    return float(coef[0])
+    return float(gridmod.fit_powers(to_v(u).values, u.grid, -np.inf, band, 3)[0])
 
 
 def reconstruct(u, t, y_grid, upsample=8):
