@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from . import grid as gridmod
 from .errors import ConfigError
 
 _SCHEMA = {
@@ -66,6 +67,8 @@ class ExperimentConfig:
         g = self.values["grid"]
         if not g["s_min"] < g["s_max"]:
             raise ConfigError("grid.s_min", "must be below grid.s_max")
+        if g["s_min"] > gridmod.RESOLVED_S_MIN:
+            raise ConfigError("grid.s_min", f"must be at most {gridmod.RESOLVED_S_MIN:g}")
         if g["n"] < 64:
             raise ConfigError("grid.n", "need at least 64 nodes")
         s = self.values["solver"]
@@ -119,7 +122,11 @@ def load(path):
     """Read and validate an INI-style configuration file."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (T vs t)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        key = ".".join(filter(None, (getattr(exc, "section", None), getattr(exc, "option", None))))
+        raise ConfigError(key or str(path), " ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(str(path), "cannot read configuration file")
     values = {}
@@ -136,8 +143,6 @@ def load(path):
 
 def initial_profile(cfg, grid_obj):
     """Initial data selected by output.u0 (or output.u0_csv when set)."""
-    from . import grid as gridmod
-
     path = cfg["output"]["u0_csv"]
     if path:
         data = np.loadtxt(path, delimiter=",", skiprows=1)

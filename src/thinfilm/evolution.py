@@ -123,6 +123,8 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=
     """
     if dt <= 0:
         raise GridError("dt must be positive")
+    if T <= 0:
+        raise GridError("T must be positive")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise GridError("T must be an integer number of steps")

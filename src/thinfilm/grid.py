@@ -22,6 +22,7 @@ DEFAULT_S_MIN = -12.0
 DEFAULT_S_MAX = 4.0
 DEFAULT_N = 1025
 FIT_BAND = 2.0
+RESOLVED_S_MIN = -6.0  # contact-line fits need s_min at or below this (x << 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,8 +195,8 @@ def _fit_matrix(s_min, s_max, n, lo, hi, terms):
     L is the pseudo-inverse of the column-normalized design [1, x, ...,
     x^(terms-1)], with the normalization divided back out.
     """
-    if s_min > -6.0:
-        raise GridError("grid does not resolve x << 1 (need s_min <= -6)")
+    if s_min > RESOLVED_S_MIN:
+        raise GridError(f"grid does not resolve x << 1 (need s_min <= {RESOLVED_S_MIN:g})")
     s, x = _coords(s_min, s_max, n)[:2]
     nodes = np.flatnonzero((s >= s_min + lo) & (s <= s_min + hi))
     if nodes.size < max(8, terms + 2):

@@ -4,11 +4,12 @@ The operator rows discretize e^{-s} p(d/ds) + e^{-2s} q(d/ds) with the
 fourth-order stencils; the first two rows tie the solution to a three-term
 expansion c1 x + c2 x^2 + c3 x^3 fitted over nodes 2..6 (the admissible
 contact-line behavior), and the last two clamp the super-algebraically
-decaying far field to zero. Solves go through a banded LU factorization
-that can be reused across right-hand sides.
+decaying far field to zero. The operator is its (row, column, value) arrays;
+`product` is its one matrix-vector product, for `DiscreteOperator.apply`, the
+refinement of the banded solves and the row magnitudes of `interior_residual`.
+Solves go through a banded LU factorization reusable across right-hand sides.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +26,24 @@ KU = 6  # super-diagonals: left closure row reaches node 6
 _gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0, dtype=np.float64),))
 
 
+def product(row, col, val, y):
+    """A y for the entries (row, col, val); each row is summed left to right from 0."""
+    return np.bincount(row, weights=val * y[col], minlength=y.size)
+
+
 @dataclass
 class DiscreteOperator:
-    """Banded rows of the spatial operator plus boundary closure rows.
+    """Stored entries of the spatial operator, row by row with ascending columns.
 
-    ``rows`` maps row index to (start, weights); rows 0 and 1 hold the
+    ``row``, ``col`` and ``val`` are read-only. Rows 0 and 1 hold the
     expansion-match closure, rows n-2 and n-1 the far-field clamp, and they
     carry zero right-hand side in any solve.
     """
 
     grid: gridmod.LogGrid
-    rows: list
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
 
     @property
     def n(self):
@@ -44,22 +52,9 @@ class DiscreteOperator:
     def closure_rows(self):
         return (0, 1, self.n - 2, self.n - 1)
 
-    @functools.cached_property
-    def entries(self):
-        """Read-only (row, column, value) arrays of the stored entries, row by row."""
-        row = np.concatenate([np.full(len(w), i) for i, (_, w) in enumerate(self.rows)])
-        col = np.concatenate([np.arange(start, start + len(w)) for start, w in self.rows])
-        val = np.concatenate([w for _, w in self.rows]).astype(float)
-        for a in (row, col, val):
-            a.flags.writeable = False
-        return row, col, val
-
     def apply(self, w):
         """Row-wise product; closure rows evaluate their residual relation."""
-        out = np.empty(self.n)
-        for i, (start, weights) in enumerate(self.rows):
-            out[i] = weights @ w.values[start:start + len(weights)]
-        return gridmod.GridFunction(self.grid, out)
+        return gridmod.GridFunction(self.grid, product(self.row, self.col, self.val, w.values))
 
 
 def _left_closure_weights(grid):
@@ -82,11 +77,11 @@ def assemble(grid):
     p, q = polyops.symbol_pair(0)
     pc, qc = p.coefficients(), q.coefficients()
 
-    def pattern(offset_of_node, width):
+    def stencil_rows(rows, offset_of_node, width):
         # Stencil combination sum_m c_m D^m over a `width`-node window,
-        # evaluated at the given offset inside the window. Off-center
-        # 7-node windows would drop to third order for D^4, so those rows
-        # get 8 nodes instead.
+        # evaluated at the given offset inside the window and scaled by
+        # e^{-s} and e^{-2s} of each row. Off-center 7-node windows would
+        # drop to third order for D^4, so those rows get 8 nodes instead.
         offsets = np.arange(width, dtype=float) - offset_of_node
         prow = np.zeros(width)
         qrow = np.zeros(width)
@@ -95,22 +90,21 @@ def assemble(grid):
                   (offsets == 0).astype(float))
             prow += pc[m] * wm
             qrow += qc[m] * wm
-        return prow, qrow
+        return (grid.inv_x[rows, None] * prow + grid.inv_x2[rows, None] * qrow).ravel()
 
-    rows = [None] * n
+    # rows 0, 1: closure over nodes 0..6; rows 2 and n-3 off center in 8-node
+    # windows; rows 3..n-4 centered on 7 nodes; rows n-2, n-1: the clamp
     w0, w1 = _left_closure_weights(grid)
-    rows[0] = (0, np.concatenate(([1.0, 0.0], -w0)))
-    rows[1] = (0, np.concatenate(([0.0, 1.0], -w1)))
-    rows[n - 2] = (n - 2, np.array([1.0, 0.0]))
-    rows[n - 1] = (n - 1, np.array([1.0]))
-    # rows 2 and n-3 sit off center in 8-node windows; the rest are centered
-    for i, start, offset in ((2, 0, 2), (n - 3, n - 8, 5)):
-        prow, qrow = pattern(offset, 8)
-        rows[i] = (start, grid.inv_x[i] * prow + grid.inv_x2[i] * qrow)
-    prow, qrow = pattern(3, 7)
-    centered = grid.inv_x[3:n - 3, None] * prow + grid.inv_x2[3:n - 3, None] * qrow
-    rows[3:n - 3] = [(i - 3, w) for i, w in enumerate(centered, start=3)]
-    return DiscreteOperator(grid, rows)
+    row = np.repeat(np.arange(n), [7, 7, 8] + [7] * (n - 6) + [8, 2, 1])
+    col = np.concatenate((np.tile(np.arange(7), 2), np.arange(8),
+                          (np.arange(n - 6)[:, None] + np.arange(7)).ravel(),
+                          np.arange(n - 8, n), [n - 2, n - 1, n - 1]))
+    val = np.concatenate(([1.0, 0.0], -w0, [0.0, 1.0], -w1, stencil_rows(2, 2, 8),
+                          stencil_rows(slice(3, n - 3), 3, 7), stencil_rows(n - 3, 5, 8),
+                          [1.0, 0.0, 1.0]))
+    for a in (row, col, val):
+        a.flags.writeable = False
+    return DiscreteOperator(grid, row, col, val)
 
 
 class Factorization:
@@ -122,7 +116,7 @@ class Factorization:
         self.op = op
         self.lam = float(lam)
         n = op.n
-        row, col, val = op.entries
+        row, col = op.row, op.col
         # Two-sided equilibration with exact powers of two: interior rows
         # carry factors up to e^{-2 s_min}/h^4 and the solution components
         # span the x^2 contact-line scale, either of which would otherwise
@@ -130,7 +124,7 @@ class Factorization:
         def pow2(v):
             return 2.0 ** (-np.floor(np.log2(v)))
 
-        w = val.copy()
+        w = op.val.copy()
         w[(row == col) & ~np.isin(row, op.closure_rows())] += self.lam
         row_max = np.zeros(n)
         np.maximum.at(row_max, row, np.abs(w))
@@ -139,43 +133,33 @@ class Factorization:
         col_max = np.zeros(n)
         np.maximum.at(col_max, col, np.abs(w))
         col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
+        w *= col_scale[col]
         ab = np.zeros((2 * KL + KU + 1, n))
-        ab[KL + KU + row - col, col] = w * col_scale[col]
-        self._band = ab[KL:].copy()  # scaled matrix for residual matvecs
+        ab[KL + KU + row - col, col] = w
         lu, piv, info = _gbtrf(ab, KL, KU)
         if info != 0:
             raise SolverError(f"banded factorization failed (info={info}); "
                               "lambda outside validity or broken closure rows")
         self._lu = lu
         self._piv = piv
+        self._val = w  # the scaled entries, for the refinement residual
         self._row_scale = row_scale
         self._col_scale = col_scale
 
-    def _matvec(self, y):
-        # banded product with the scaled matrix (rows KL.. of ab storage)
-        n = self.op.n
-        out = np.zeros(n)
-        for d in range(-KL, KU + 1):
-            diag = self._band[KU - d]
-            if d >= 0:
-                out[:n - d] += diag[d:] * y[d:]
-            else:
-                out[-d:] += diag[:n + d] * y[:n + d]
-        return out
+    def _back_substitute(self, b):
+        y, info = _gbtrs(self._lu, KL, KU, b, self._piv)
+        if info != 0:
+            raise SolverError(f"banded back-substitution failed (info={info})")
+        return y
 
     def solve_values(self, rhs_interior):
         b = rhs_interior * self._row_scale
         for i in self.op.closure_rows():
             b[i] = 0.0
-        y, info = _gbtrs(self._lu, KL, KU, b, self._piv)
-        if info != 0:
-            raise SolverError(f"banded back-substitution failed (info={info})")
+        y = self._back_substitute(b)
         # one step of iterative refinement in working precision
-        r = b - self._matvec(y)
-        dy, info = _gbtrs(self._lu, KL, KU, r, self._piv)
-        if info == 0:
-            y = y + dy
-        return y * self._col_scale
+        r = b - product(self.op.row, self.op.col, self._val, y)
+        return (y + self._back_substitute(r)) * self._col_scale
 
     def solve(self, g):
         return gridmod.GridFunction(self.op.grid, self.solve_values(g.values))
@@ -212,8 +196,7 @@ def interior_residual(op, lam, u, g, edge_skip=8):
     au = polyops.apply_operator(u)
     res = lam * u.values + au.values - g.values
     absu = np.abs(u.values)
-    row, col, val = op.entries
-    den = np.bincount(row, weights=np.abs(val) * absu[col], minlength=op.n)
+    den = product(op.row, op.col, np.abs(op.val), absu)
     den += lam * absu + np.abs(g.values) + 1e-300
     sl = slice(edge_skip, op.n - edge_skip)
     return float(np.max(np.abs(res[sl]) / den[sl]))

@@ -152,6 +152,26 @@ def test_malformed_config_messages(tmp_path, capsys):
     assert cli.main(["linear-evolve", "--config", bad3]) == 1
     assert "solver.dt" in capsys.readouterr().err
 
+    # every [grid] command fits near the contact line, which needs s_min <= -6
+    bad4 = write_config(tmp_path / "bad4.ini", "[grid]\ns_min = -3\nn = 129\n")
+    assert cli.main(["linear-evolve", "--config", bad4]) == 1
+    assert "grid.s_min" in capsys.readouterr().err
+    assert config.ExperimentConfig({"grid": {"s_min": gridmod.RESOLVED_S_MIN}})
+
+
+@pytest.mark.parametrize("text, key", [
+    ("n = 257\n", "bad.ini"),                      # no section header: the file is named
+    ("[grid]\nn = 257\nn = 129\n", "grid.n"),      # repeated key
+    ("[grid]\nn = 257\n[grid]\n", "grid"),         # repeated section
+])
+def test_unparsable_config_is_a_config_error(tmp_path, capsys, text, key):
+    path = write_config(tmp_path / "bad.ini", text)
+    with pytest.raises(ConfigError) as exc:
+        config.load(path)
+    assert exc.value.key.endswith(key)
+    assert cli.main(["linear-evolve", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("error: config key")
+
 
 @pytest.mark.parametrize("text, key", [
     ("[solver]\nlambdas = 1.0\n", "solver.lambdas"),

@@ -157,6 +157,8 @@ def _run_nonlinear(dt, T, store_every):
     (1e-2, 0.05, 0, "store_every"),
     (0.0, 0.05, 1, "dt must be positive"),
     (-0.01, 0.05, 1, "dt must be positive"),
+    (1e-2, 0.0, 1, "T must be positive"),
+    (1e-2, -0.01, 1, "T must be positive"),
 ])
 def test_run_rejects_bad_step_requests(driver, dt, T, store_every, message):
     with pytest.raises(GridError, match=message):

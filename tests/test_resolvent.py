@@ -35,51 +35,9 @@ def test_assembled_rows_match_independent_application(fine_grid):
     assert np.max(np.abs(via_rows - via_stencils)[interior]) / scale < 1e-6
 
 
-def _loop_band(op, lam):
-    """Row-by-row band fill the vectorized Factorization must reproduce."""
-    n = op.n
-    closure = set(op.closure_rows())
-
-    def pow2(v):
-        return 2.0 ** (-np.floor(np.log2(v)))
-
-    row_scale = np.ones(n)
-    full_rows = []
-    for i, (start, weights) in enumerate(op.rows):
-        w = weights.astype(float).copy()
-        if i not in closure:
-            w[i - start] += lam
-        row_scale[i] = pow2(np.max(np.abs(w)))
-        full_rows.append((start, w * row_scale[i]))
-    col_max = np.zeros(n)
-    for start, w in full_rows:
-        col_max[start:start + len(w)] = np.maximum(col_max[start:start + len(w)], np.abs(w))
-    col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
-    kl, ku = resolvent.KL, resolvent.KU
-    ab = np.zeros((2 * kl + ku + 1, n))
-    for i, (start, w) in enumerate(full_rows):
-        for k, wv in enumerate(w):
-            j = start + k
-            ab[kl + ku + i - j, j] = wv * col_scale[j]
-    return ab[kl:], row_scale, col_scale
-
-
-@pytest.mark.parametrize("n", [64, 513])
-@pytest.mark.parametrize("lam", [0.1, 100.0])
-def test_vectorized_band_matches_row_loop(n, lam):
-    op = resolvent.assemble(gridmod.LogGrid(-12.0, 4.0, n))
-    fac = resolvent.Factorization(op, lam)
-    band, row_scale, col_scale = _loop_band(op, lam)
-    assert np.array_equal(fac._band, band)
-    assert np.array_equal(fac._row_scale, row_scale)
-    assert np.array_equal(fac._col_scale, col_scale)
-    for a in op.entries:
-        with pytest.raises(ValueError):
-            a[0] = 0
-
-
 def _loop_rows(grid):
-    """Row-by-row operator the vectorized assemble must reproduce."""
+    """Row-by-row operator the vectorized assemble must reproduce, flattened
+    to (row, column, value) arrays."""
     n, h, s = grid.n, grid.h, grid.s
     p, q = polyops.symbol_pair(0)
     pc, qc = p.coefficients(), q.coefficients()
@@ -111,16 +69,112 @@ def _loop_rows(grid):
             width = 8
         prow, qrow = pattern(i - start, width)
         rows[i] = (start, np.exp(-s[i]) * prow + np.exp(-2 * s[i]) * qrow)
-    return resolvent.DiscreteOperator(grid, rows)
+    row = np.concatenate([np.full(len(w), i) for i, (_, w) in enumerate(rows)])
+    col = np.concatenate([np.arange(start, start + len(w)) for start, w in rows])
+    val = np.concatenate([w for _, w in rows]).astype(float)
+    return row, col, val
 
 
 @pytest.mark.parametrize("n", [64, 513])
 def test_vectorized_assemble_matches_row_loop(n):
     grid = gridmod.LogGrid(-12.0, 4.0, n)
-    got = resolvent.assemble(grid).entries
-    want = _loop_rows(grid).entries
-    for a, b in zip(got, want):
+    op = resolvent.assemble(grid)
+    for a, b in zip((op.row, op.col, op.val), _loop_rows(grid)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for a in (op.row, op.col, op.val):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def _loop_band(grid, lam):
+    """Row-by-row band fill the vectorized Factorization must reproduce:
+    the gbtrf-ready band, the scaled entries and the two scales."""
+    row, col, val = _loop_rows(grid)
+    n = grid.n
+    closure = {0, 1, n - 2, n - 1}
+
+    def pow2(v):
+        return 2.0 ** (-np.floor(np.log2(v)))
+
+    row_scale = np.ones(n)
+    full_rows = []
+    for i in range(n):
+        mine = row == i
+        start, w = col[mine][0], val[mine].copy()
+        if i not in closure:
+            w[i - start] += lam
+        row_scale[i] = pow2(np.max(np.abs(w)))
+        full_rows.append((start, w * row_scale[i]))
+    col_max = np.zeros(n)
+    for start, w in full_rows:
+        col_max[start:start + len(w)] = np.maximum(col_max[start:start + len(w)], np.abs(w))
+    col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
+    kl, ku = resolvent.KL, resolvent.KU
+    ab = np.zeros((2 * kl + ku + 1, n))
+    for i, (start, w) in enumerate(full_rows):
+        for k, wv in enumerate(w):
+            j = start + k
+            ab[kl + ku + i - j, j] = wv * col_scale[j]
+    return ab, row_scale, col_scale
+
+
+@pytest.mark.parametrize("n", [64, 513])
+@pytest.mark.parametrize("lam", [0.1, 100.0])
+def test_vectorized_band_matches_row_loop(n, lam):
+    grid = gridmod.LogGrid(-12.0, 4.0, n)
+    fac = resolvent.Factorization(resolvent.assemble(grid), lam)
+    ab, row_scale, col_scale = _loop_band(grid, lam)
+    lu, _, info = resolvent._gbtrf(ab, resolvent.KL, resolvent.KU)
+    assert info == 0
+    assert np.array_equal(fac._lu, lu)
+    assert np.array_equal(fac._row_scale, row_scale)
+    assert np.array_equal(fac._col_scale, col_scale)
+
+
+@pytest.mark.parametrize("n", [64, 513])
+@pytest.mark.parametrize("lam", [0.1, 100.0])
+def test_refinement_product_keeps_the_diagonal_summation_order(n, lam):
+    # The banded product the refinement residual used before the operator
+    # became (row, column, value) arrays: diagonal by diagonal, from the
+    # lowest sub-diagonal up, so each row is summed left to right from 0.0.
+    # The hashed benchmark outputs depend on this order.
+    grid = gridmod.LogGrid(-12.0, 4.0, n)
+    kl, ku = resolvent.KL, resolvent.KU
+    band = _loop_band(grid, lam)[0][kl:]
+
+    def diagonal_loop(y):
+        out = np.zeros(n)
+        for d in range(-kl, ku + 1):
+            diag = band[ku - d]
+            if d >= 0:
+                out[:n - d] += diag[d:] * y[d:]
+            else:
+                out[-d:] += diag[:n + d] * y[:n + d]
+        return out
+
+    op = resolvent.assemble(grid)
+    fac = resolvent.Factorization(op, lam)
+    y = np.random.default_rng(n).standard_normal(n) * 10.0 ** np.linspace(-8, 3, n)
+    got = resolvent.product(op.row, op.col, fac._val, y)
+    assert got.tobytes() == diagonal_loop(y).tobytes()
+
+
+def test_failed_refinement_raises(fine_grid, monkeypatch):
+    op = resolvent.assemble(fine_grid)
+    fac = resolvent.Factorization(op, 1.0)
+    _, g = manufactured(fine_grid, 1.0)
+    calls = []
+    gbtrs = resolvent._gbtrs
+
+    def fail_second(*args):
+        calls.append(None)
+        y, info = gbtrs(*args)
+        return y, (-3 if len(calls) == 2 else info)
+
+    monkeypatch.setattr(resolvent, "_gbtrs", fail_second)
+    with pytest.raises(SolverError, match="back-substitution"):
+        fac.solve(g)
+    assert len(calls) == 2
 
 
 def test_kernel_rows_shrink_at_stencil_order():
