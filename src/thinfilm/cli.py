@@ -241,28 +241,52 @@ def cmd_sweep(args):
     if args.param != "dt":
         print("error: only --param dt sweeps are supported", file=sys.stderr)
         return EXIT_CONFIG
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        print(f"error: --values must be comma-separated numbers, got {args.values!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    if not all(np.isfinite(v) and v > 0 for v in values):
+        print(f"error: --values must be positive time steps, got {args.values!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if len(values) < 3:
         print("error: need at least three values for a Richardson summary", file=sys.stderr)
         return EXIT_CONFIG
-    workers = int(os.environ.get("THINFILM_WORKERS", "1"))
+    raw_workers = os.environ.get("THINFILM_WORKERS", "1")
+    try:
+        workers = int(raw_workers)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"error: THINFILM_WORKERS must be a positive integer, got {raw_workers!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     u0 = config.initial_profile(cfg, grid)
     op = resolvent.assemble(grid)
     T = cfg["solver"]["T"]
 
     def one(dt):
-        return evolution.run(op, u0, None, dt, T).final().values
+        # only the final state is read: store t = 0 and t = T, check the energy every step
+        return evolution.run(op, u0, None, dt, T, store_every=evolution.MAX_STEPS)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            finals = list(pool.map(one, values))
+            states = list(pool.map(one, values))
     else:
-        finals = [one(dt) for dt in values]
+        states = [one(dt) for dt in values]
+    for dt, state in zip(values, states):
+        if state.flags:
+            print(f"completed with {len(state.flags)} energy flags at dt={dt:g}",
+                  file=sys.stderr)
+    finals = [state.final().values for state in states]
     diffs = [float(np.max(np.abs(finals[i] - finals[i + 1])))
              for i in range(len(finals) - 1)]
-    orders = [float(np.log2(diffs[i] / diffs[i + 1])) if diffs[i + 1] > 0 else float("nan")
-              for i in range(len(diffs) - 1)]
+    # null where the finals coincide: strict JSON has no NaN or infinity
+    orders = [float(np.log2(diffs[i] / diffs[i + 1])) if diffs[i] > 0 and diffs[i + 1] > 0
+              else None for i in range(len(diffs) - 1)]
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
     payload = {"param": "dt", "values": values, "final_state_diffs": diffs,

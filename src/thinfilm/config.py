@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from . import evolution
 from . import grid as gridmod
 from .errors import ConfigError
 
@@ -76,8 +77,8 @@ class ExperimentConfig:
             raise ConfigError("solver.dt", "must be positive")
         if s["T"] <= 0:
             raise ConfigError("solver.T", "must be positive")
-        if s["T"] / s["dt"] > 1e6:
-            raise ConfigError("solver.T", "more than 1e6 steps requested")
+        if s["T"] / s["dt"] > evolution.MAX_STEPS:
+            raise ConfigError("solver.T", f"more than {evolution.MAX_STEPS} steps requested")
         if s["store_every"] < 1:
             raise ConfigError("solver.store_every", "must be at least 1")
         nm = self.values["norms"]

@@ -8,6 +8,7 @@ the commuted energy |(D-1)u|_{a}^2 (and its k-th D-derivative) and records
 expansion-coefficient tracks.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import resolvent, stencils
 from .errors import GridError, PicardError
 
 ENERGY_SLACK = 1e-10
+MAX_STEPS = 10**6  # step cap of one run; as store_every, it stores t = 0 and t = T only
 
 
 @dataclass
@@ -40,6 +42,13 @@ class EvolutionState:
         return self.steps[-1][1]
 
 
+@functools.lru_cache(maxsize=4)
+def _d_minus_1(u):
+    """(D-1)u of the last few fields, keyed by identity (a GridFunction is
+    immutable), so the energy and coefficient monitors of a stored step share it."""
+    return gridmod.shifted_derivative(u, 1.0)
+
+
 def leading_coefficients(u, band_u1=2.0, band_u2=(3.0, 6.0), band_u3=(7.0, 9.5)):
     """Expansion coefficients (u1, u2, u3) tuned for evolving fields.
 
@@ -52,10 +61,10 @@ def leading_coefficients(u, band_u1=2.0, band_u2=(3.0, 6.0), band_u3=(7.0, 9.5))
     """
     grid = u.grid
     u1 = gridmod.extract_coefficients(u, 1, fit_band=band_u1)[0]
-    tu = gridmod.shifted_derivative(u, 1.0)
-    u2 = gridmod.fit_powers(tu.values * np.exp(-2.0 * grid.s), grid, *band_u2, 3)[0]
+    tu = _d_minus_1(u)
+    u2 = gridmod.fit_powers(tu.values * grid.exp(-2.0), grid, *band_u2, 3)[0]
     cu = gridmod.shifted_derivative(tu, 2.0)
-    u3 = gridmod.fit_powers(cu.values * np.exp(-3.0 * grid.s), grid, *band_u3, 3)[0] / 2.0
+    u3 = gridmod.fit_powers(cu.values * grid.exp(-3.0), grid, *band_u3, 3)[0] / 2.0
     return float(u1), float(u2), float(u3)
 
 
@@ -73,8 +82,8 @@ def average_rhs(f, j, dt):
 def tilde_energies(u, alpha, k):
     """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature."""
     grid = u.grid
-    tu = gridmod.shifted_derivative(u, 1.0).values
-    weight = np.exp(-2.0 * alpha * grid.s)
+    tu = _d_minus_1(u).values
+    weight = grid.exp(-2.0 * alpha)
     e0 = stencils.trapezoid(weight * tu * tu, grid.h)
     dk = gridmod.ds_any(tu, k, grid.h)
     ek = stencils.trapezoid(weight * dk * dk, grid.h)
@@ -128,7 +137,7 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise GridError("T must be an integer number of steps")
-    if n_steps > 10**6:
+    if n_steps > MAX_STEPS:
         raise GridError("too many steps")
     if store_every < 1:
         raise GridError("store_every must be at least 1")

@@ -35,6 +35,14 @@ def _coords(s_min, s_max, n):
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _exp_s(s_min, s_max, n, a):
+    """Read-only e^{a s} of one grid, computed once per (grid, a)."""
+    w = np.exp(a * _coords(s_min, s_max, n)[0])
+    w.flags.writeable = False
+    return w
+
+
 @dataclass(frozen=True)
 class LogGrid:
     """Uniform grid in s = ln x."""
@@ -70,6 +78,10 @@ class LogGrid:
     def inv_x2(self):
         """e^{-2s} = 1/x^2, evaluated as exp(-2 s)."""
         return _coords(self.s_min, self.s_max, self.n)[3]
+
+    def exp(self, a):
+        """e^{a s}: the norm weights x^a, read-only and computed once per (grid, a)."""
+        return _exp_s(self.s_min, self.s_max, self.n, a)
 
     def refine(self, factor=2):
         """Same span with (n-1)*factor intervals; existing nodes are kept."""
@@ -252,13 +264,13 @@ def _minus_expansion(values, coeffs, grid):
     """values - c_1 x - c_2 x^2 - ..., one term at a time."""
     out = values.copy()
     for j, c in enumerate(coeffs, start=1):
-        out -= c * np.exp(j * grid.s)
+        out -= c * grid.exp(j)
     return out
 
 
 def _norm_sq(values, k, alpha, grid):
     """|values|_{k,alpha}^2 = sum_{j<=k} trapezoid(e^{-2 alpha s} (d^j values/ds^j)^2)."""
-    weight = np.exp(-2.0 * alpha * grid.s)
+    weight = grid.exp(-2.0 * alpha)
     total = 0.0
     for j in range(k + 1):
         dj = values if j == 0 else ds_any(values, j, grid.h)

@@ -125,7 +125,7 @@ class Factorization:
             return 2.0 ** (-np.floor(np.log2(v)))
 
         w = op.val.copy()
-        w[(row == col) & ~np.isin(row, op.closure_rows())] += self.lam
+        w[(row == col) & (row >= 2) & (row <= n - 3)] += self.lam  # not the closure rows
         row_max = np.zeros(n)
         np.maximum.at(row_max, row, np.abs(w))
         row_scale = pow2(row_max)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -238,32 +239,96 @@ def test_validate_command(tmp_path, capsys):
     assert payload["checks"]["traveling_wave_order"]["pass"]
 
 
-def test_sweep_command(tmp_path, capsys):
-    cfg = write_config(tmp_path / "exp.ini", f"""
+def _sweep_config(tmp_path, u0="x3_decay"):
+    return write_config(tmp_path / "exp.ini", f"""
 [grid]
 n = 257
 [solver]
 T = 0.08
 [output]
 dir = {tmp_path / 'run'}
+u0 = {u0}
 """)
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_sweep_command(tmp_path, capsys, monkeypatch):
+    cfg_path = _sweep_config(tmp_path)
+    fits = []
+    leading_coefficients = evolution.leading_coefficients
+
+    def counted(u):
+        fits.append(u)
+        return leading_coefficients(u)
+
+    monkeypatch.setattr(evolution, "leading_coefficients", counted)
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
-                     "--config", cfg]) == 0
-    payload = json.loads((tmp_path / "run" / "sweep_summary.json").read_text())
-    orders = payload["results"]["richardson_orders"]
+                     "--config", cfg_path]) == 0
+    assert len(fits) == 6  # t = 0 and t = T of each of the three runs
+    monkeypatch.undo()
+    results = _strict_json(tmp_path / "run" / "sweep_summary.json")["results"]
+    orders = results["richardson_orders"]
     assert len(orders) == 1
     assert 0.7 <= orders[0] <= 1.3  # backward Euler is first order
 
+    # the summary is the one every stored step would give, bit for bit
+    cfg = config.load(cfg_path)
+    grid = gridmod.LogGrid(-12.0, 4.0, 257)
+    u0, op = config.initial_profile(cfg, grid), resolvent.assemble(grid)
+    finals = [evolution.run(op, u0, None, dt, 0.08, store_every=1).final().values
+              for dt in (2e-2, 1e-2, 5e-3)]
+    diffs = [float(np.max(np.abs(a - b))) for a, b in zip(finals, finals[1:])]
+    assert results["final_state_diffs"] == diffs
+    assert orders == [float(np.log2(diffs[0] / diffs[1]))]
+    assert "energy flags" not in capsys.readouterr().err
+
+
+def test_sweep_summary_is_strict_json_when_finals_coincide(tmp_path, capsys):
+    assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
+                     "--config", _sweep_config(tmp_path, u0="zero")]) == 0
+    results = _strict_json(tmp_path / "run" / "sweep_summary.json")["results"]
+    assert results["final_state_diffs"] == [0.0, 0.0]
+    assert results["richardson_orders"] == [None]
+    assert json.loads(capsys.readouterr().out)["richardson_orders"] == [None]
+
+
+def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
+    energies = itertools.count(1.0)  # rises at every step
+    monkeypatch.setattr(evolution, "tilde_energies", lambda u, alpha, k: (next(energies), 0.0))
+    assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,4e-2",
+                     "--config", _sweep_config(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["completed with 4 energy flags at dt=0.02",
+                   "completed with 8 energy flags at dt=0.01",
+                   "completed with 2 energy flags at dt=0.04"]
+
+
+@pytest.mark.parametrize("values, workers, message", [
+    ("2e-2,abc,5e-3", None, "--values must be comma-separated numbers"),
+    ("2e-2,,5e-3", None, "--values must be comma-separated numbers"),
+    ("2e-2,nan,5e-3", None, "--values must be positive time steps"),
+    ("2e-2,0,5e-3", None, "--values must be positive time steps"),
+    ("2e-2,1e-2,5e-3", "two", "THINFILM_WORKERS must be a positive integer"),
+    ("2e-2,1e-2,5e-3", "0", "THINFILM_WORKERS must be a positive integer"),
+    ("2e-2,1e-2,5e-3", "-2", "THINFILM_WORKERS must be a positive integer"),
+])
+def test_sweep_rejects_bad_input(tmp_path, capsys, monkeypatch, values, workers, message):
+    if workers is not None:
+        monkeypatch.setenv("THINFILM_WORKERS", workers)
+    assert cli.main(["sweep", "--param", "dt", "--values", values,
+                     "--config", _sweep_config(tmp_path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
 
 def test_sweep_worker_pool(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "exp.ini", f"""
-[grid]
-n = 257
-[solver]
-T = 0.08
-[output]
-dir = {tmp_path / 'run'}
-""")
+    cfg = _sweep_config(tmp_path)
     monkeypatch.setenv("THINFILM_WORKERS", "3")
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
                      "--config", cfg]) == 0

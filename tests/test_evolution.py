@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thinfilm import evolution, nonlinear, resolvent
+from thinfilm import evolution, nonlinear, resolvent, stencils
 from thinfilm import grid as gridmod
 from thinfilm.errors import GridError
 
@@ -136,6 +136,59 @@ def test_leading_coefficients_known_field():
     assert u1 == pytest.approx(0.13, abs=1e-10)
     assert u2 == pytest.approx(0.53, abs=1e-4)
     assert u3 == pytest.approx(-0.577, abs=2e-3)
+
+
+def _per_call_tilde_energies(u, alpha, k):
+    """tilde_energies as written before the (D-1)u and weight caches."""
+    grid = u.grid
+    tu = gridmod.shifted_derivative(u, 1.0).values
+    weight = np.exp(-2.0 * alpha * grid.s)
+    e0 = stencils.trapezoid(weight * tu * tu, grid.h)
+    dk = gridmod.ds_any(tu, k, grid.h)
+    ek = stencils.trapezoid(weight * dk * dk, grid.h)
+    return float(e0), float(ek)
+
+
+def _per_call_leading_coefficients(u):
+    """leading_coefficients as written before the (D-1)u and weight caches."""
+    grid = u.grid
+    u1 = gridmod.extract_coefficients(u, 1, fit_band=2.0)[0]
+    tu = gridmod.shifted_derivative(u, 1.0)
+    u2 = gridmod.fit_powers(tu.values * np.exp(-2.0 * grid.s), grid, 3.0, 6.0, 3)[0]
+    cu = gridmod.shifted_derivative(tu, 2.0)
+    u3 = gridmod.fit_powers(cu.values * np.exp(-3.0 * grid.s), grid, 7.0, 9.5, 3)[0] / 2.0
+    return float(u1), float(u2), float(u3)
+
+
+@pytest.mark.parametrize("nonlinear_run", [False, True])
+def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, nonlinear_run):
+    shifts = []
+    shifted_derivative = gridmod.shifted_derivative
+
+    def counted(w, a):
+        shifts.append(a)
+        return shifted_derivative(w, a)
+
+    monkeypatch.setattr(gridmod, "shifted_derivative", counted)
+    x = default_grid.x
+    u0 = gridmod.GridFunction(default_grid, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    if nonlinear_run:
+        state = nonlinear.run_nonlinear(u0, 1e-2, 0.05, alpha=0.75, k=3, store_every=2)
+    else:
+        state = evolution.run(resolvent.assemble(default_grid), u0, None, 1e-2, 0.05,
+                              alpha=0.75, k=3, store_every=2)
+    stored = len(state.steps)
+    assert stored == 4
+    # one (D-1)u per monitored field: every step (linear) or every stored step
+    # (nonlinear); (D-2)(D-1)u only for the stored steps' coefficients
+    assert shifts.count(1.0) == (6 if not nonlinear_run else stored)
+    assert shifts.count(2.0) == stored
+    monkeypatch.undo()
+    for (_, u), entry, coeffs in zip(state.steps, state.energy_log, state.coefficient_tracks):
+        assert (entry["tilde_sq"], entry["tilde_dk_sq"]) == _per_call_tilde_energies(u, 0.75, 3)
+        assert tuple(coeffs) == _per_call_leading_coefficients(u)
+        assert evolution.tilde_energies(u, 0.75, 3) == _per_call_tilde_energies(u, 0.75, 3)
+        assert evolution.leading_coefficients(u) == _per_call_leading_coefficients(u)
 
 
 SMALL_GRID = gridmod.LogGrid(-12.0, 4.0, 257)

@@ -34,6 +34,17 @@ def test_cached_coordinates_match_fresh_and_are_read_only():
             got[0] = 0.0
 
 
+@pytest.mark.parametrize("a", [-0.5, -2.0, -3.0, 1, 2, 2.5])
+def test_cached_exp_weight_matches_fresh_and_is_read_only(a):
+    g = gridmod.LogGrid(-12.0, 4.0, 513)
+    got = g.exp(a)
+    assert got is gridmod.LogGrid(-12.0, 4.0, 513).exp(a)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.exp(a * np.linspace(g.s_min, g.s_max, g.n)))
+    with pytest.raises(ValueError):
+        got[0] = 0.0
+
+
 def test_gridfunction_immutable_and_checked(default_grid):
     w = gridmod.monomial(default_grid, 1)
     with pytest.raises(AttributeError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thinfilm import grid as gridmod
-from thinfilm import nonlinear, validation
+from thinfilm import nonlinear, stencils, validation
 from thinfilm.errors import GuardError
 
 
@@ -45,6 +45,47 @@ def test_nonlinearity_fixed_points(fine_grid):
     shift = wave_shaped(fine_grid, 1e-3, taper=False)
     out = nonlinear.eval_nonlinearity(shift).values
     assert np.max(np.abs(out)) < 1e-12
+
+
+def _eleven_pass_nonlinearity(u):
+    """N(u) as written before D(w m) and dx(w t) were shared: 11 stencil passes."""
+    grid = u.grid
+
+    def dx(values):
+        return grid.inv_x * stencils.apply_derivative(values, 1, grid.h)
+
+    def dx2(values):
+        d1 = stencils.apply_derivative(values, 1, grid.h)
+        d2 = stencils.apply_derivative(values, 2, grid.h)
+        return grid.inv_x2 * (d2 - d1)
+
+    x = grid.x
+    vx = dx(nonlinear.to_v(u).values)
+    mob = 3.0 * x * x + 2.0 * x
+    mob1 = 6.0 * x + 2.0
+    w = vx * (1.0 / (1.0 + vx))
+    z = vx * w
+    lin = dx2(z * mob) + dx(z * mob1) + 6.0 * z
+    t = dx(w * mob)
+    quad = dx(w * t) + w * dx2(w * mob) + w * dx(w * mob1) - w * dx(w * t)
+    return dx((x**3 + x * x) * (lin + quad))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2])  # 1e-3: the criterion-9 initial field
+def test_nonlinearity_matches_eleven_pass_form(default_grid, monkeypatch, eps):
+    u = wave_shaped(default_grid, eps)
+    want = _eleven_pass_nonlinearity(u)
+    passes = []
+    apply_derivative = stencils.apply_derivative
+
+    def counted(values, m, h):
+        passes.append(m)
+        return apply_derivative(values, m, h)
+
+    monkeypatch.setattr(stencils, "apply_derivative", counted)
+    got = nonlinear.eval_nonlinearity(u).values
+    assert np.array_equal(got, want)
+    assert len(passes) == 9
 
 
 def test_nonlinearity_guard(fine_grid):
