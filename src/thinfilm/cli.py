@@ -197,8 +197,10 @@ def cmd_nonlinear_evolve(args):
         film = nonlinear.reconstruct(u, t, np.linspace(6 * t - 0.5, 6 * t + 4.0, 600))
         _write_csv(os.path.join(out_dir, f"film_t{t:g}.csv"), ["y", "h"],
                    list(zip(film.y.tolist(), film.h.tolist())), cfg)
+    rates = [r for r in state.picard_rates if r is not None]
     print(f"nonlinear evolution done: {len(state.steps)} stored steps, "
-          f"max Picard count {max(state.picard_counts)}")
+          f"max Picard count {max(state.picard_counts)}, "
+          f"max Picard rate {f'{max(rates):.2e}' if rates else 'n/a'}")
     return EXIT_OK
 
 

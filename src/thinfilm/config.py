@@ -39,16 +39,18 @@ _U0_CATALOG = ("x3_decay", "kernel_x", "kernel_x2", "wave_shift", "zero")
 def _parse_value(section, key, raw, kind):
     try:
         if kind == "floats":
-            return tuple(float(p) for p in raw.split(",") if p.strip() != "")
-        if kind is int:
+            value = tuple(float(p) for p in raw.split(",") if p.strip() != "")
+        elif kind is int:
             value = int(raw)
         elif kind is float:
             value = float(raw)
         else:
             value = raw.strip()
-        return value
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from exc
+    if kind in (float, "floats") and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{section}.{key}", f"must be finite, got {raw!r}")
+    return value
 
 
 class ExperimentConfig:
@@ -73,9 +75,9 @@ class ExperimentConfig:
         if g["n"] < 64:
             raise ConfigError("grid.n", "need at least 64 nodes")
         s = self.values["solver"]
-        if s["dt"] <= 0:
+        if not s["dt"] > 0:
             raise ConfigError("solver.dt", "must be positive")
-        if s["T"] <= 0:
+        if not s["T"] > 0:
             raise ConfigError("solver.T", "must be positive")
         if s["T"] / s["dt"] > evolution.MAX_STEPS:
             raise ConfigError("solver.T", f"more than {evolution.MAX_STEPS} steps requested")
@@ -95,7 +97,7 @@ class ExperimentConfig:
             raise ConfigError("nonlinear.lipschitz_threshold", "must lie in (0, 1)")
         if nl["picard_max"] < 1:
             raise ConfigError("nonlinear.picard_max", "must be at least 1")
-        if nl["picard_tol"] <= 0:
+        if not nl["picard_tol"] > 0:
             raise ConfigError("nonlinear.picard_tol", "must be positive")
         if nl["taper"] not in ("exp", "none"):
             raise ConfigError("nonlinear.taper", "must be 'exp' or 'none'")

@@ -3,7 +3,12 @@
 Each step solves (u - u_prev)/dt + A u = f_avg + N(u) through the banded
 resolvent factorization with lambda = 1/dt; the factorization is built once
 per run. The linear problem is N = 0 with a single solve per step; a
-nonlinear model iterates the same solve to a fixed point. The run monitors
+nonlinear model iterates the same solve to a fixed point. The iteration
+starts from the extrapolant 2u^n - u^(n-1) (Ascher, Ruuth & Wetton 1995,
+SIAM J. Numer. Anal. 32:797) and stops when its increment, or the error
+estimate theta/(1 - theta) times it with the contraction rate theta carried
+over from step to step (Hairer & Wanner, Solving ODEs II, IV.8), is below
+picard_tol; on small data that is one solve per step. The run monitors
 the commuted energy |(D-1)u|_{a}^2 (and its k-th D-derivative) and records
 expansion-coefficient tracks.
 """
@@ -30,6 +35,7 @@ class EvolutionState:
     coefficient_tracks: np.ndarray  # (len(steps), 3): u1, u2, u3
     flags: list = field(default_factory=list)
     picard_counts: list = field(default_factory=list)
+    picard_rates: list = field(default_factory=list)  # contraction rate used; None: unknown
     lipschitz_track: list = field(default_factory=list)
     contact_line_track: list = field(default_factory=list)
     init_norm_track: list = field(default_factory=list)
@@ -92,8 +98,8 @@ def tilde_energies(u, alpha, k):
 
 def step(op, u_prev, f_avg, dt, factorization=None):
     """One backward-Euler step; f_avg may be None for the homogeneous problem."""
-    if dt <= 0:
-        raise GridError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise GridError("dt must be positive and finite")
     lam = 1.0 / dt
     fac = factorization if factorization is not None else resolvent.Factorization(op, lam)
     rhs = lam * u_prev.values
@@ -102,9 +108,19 @@ def step(op, u_prev, f_avg, dt, factorization=None):
     return fac.solve(gridmod.GridFunction(op.grid, rhs))
 
 
-def _picard_step(op, u_prev, f_avg, dt, fac, model, j):
-    """Iterate u = step(u_prev, f_avg + N(u)) from u_prev to picard_tol; (u, solves)."""
-    iterate = u_prev
+def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
+    """Iterate u = step(u_prev, f_avg + N(u)) to a fixed point; (u, solves, rate).
+
+    The iteration starts from the extrapolant 2 u_prev - u_older (from u_prev
+    when u_older is None) and measures the contraction rate
+    delta_k / delta_(k-1) of its max-norm increments; until it has two
+    increments it uses ``rate``, the last rate measured (None: none yet). It
+    stops when delta < picard_tol, or when rate < 1 and the error estimate
+    rate / (1 - rate) * delta is at most picard_tol. A rate >= 1 only
+    disables the estimate; picard_max iterations raise PicardError.
+    """
+    iterate = u_prev if u_older is None else 2.0 * u_prev - u_older
+    last = None
     for count in range(1, model.picard_max + 1):
         g = model.N(iterate)
         if f_avg is not None:
@@ -112,8 +128,13 @@ def _picard_step(op, u_prev, f_avg, dt, fac, model, j):
         u_next = step(op, u_prev, g, dt, factorization=fac)
         delta = float(np.max(np.abs(u_next.values - iterate.values)))
         iterate = u_next
-        if delta < model.picard_tol:
-            return iterate, count
+        if last:
+            rate = delta / last
+        last = delta
+        if delta < model.picard_tol or (
+                rate is not None and rate < 1.0
+                and rate / (1.0 - rate) * delta <= model.picard_tol):
+            return iterate, count, rate
     raise PicardError(f"Picard stalled at step {j} (delta {delta:.3e}); "
                       "perturbation too large for the small-data regime")
 
@@ -130,10 +151,10 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=
     ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
     record it and ``nonlinear.records(t, u)`` (initial-data norm, Y0).
     """
-    if dt <= 0:
-        raise GridError("dt must be positive")
-    if T <= 0:
-        raise GridError("T must be positive")
+    if not 0 < dt < np.inf:
+        raise GridError("dt must be positive and finite")
+    if not 0 < T < np.inf:
+        raise GridError("T must be positive and finite")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise GridError("T must be an integer number of steps")
@@ -162,7 +183,7 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=
             state.init_norm_track.append(init_norm)
             state.contact_line_track.append(y0)
 
-    u = u0
+    u, u_older, rate = u0, None, None
     sup_vx = None if nonlinear is None else nonlinear.guard(u0, 0)
     entry = log_entry(u0)
     store(0.0, u0, entry)
@@ -175,8 +196,11 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=
                 state.flags.append(f"energy increase at step {j}: "
                                    f"{prev_e0:.6e} -> {entry['tilde_sq']:.6e}")
         else:
-            u, count = _picard_step(op, u, f_avg, dt, fac, nonlinear, j)
+            u_next, count, rate = _picard_step(op, u, u_older, f_avg, dt, fac, nonlinear,
+                                               j, rate)
+            u_older, u = u, u_next
             state.picard_counts.append(count)
+            state.picard_rates.append(rate)
             sup_vx = nonlinear.guard(u, j)
         if j % store_every == 0 or j == n_steps:
             store(j * dt, u, entry if nonlinear is None else log_entry(u))

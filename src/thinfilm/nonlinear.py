@@ -139,9 +139,13 @@ def run_nonlinear(u0, dt, T, picard_tol=PICARD_TOL, picard_max=PICARD_MAX,
                   norm_N=1, norm_k=3, delta=0.25, store_every=1):
     """Semi-implicit evolution with an inner Picard iteration per step.
 
-    u^{k+1} = (I + dt A)^{-1}(u^n + dt N(u^k)) until the successive-iterate
-    max-norm drops below picard_tol. Non-convergence raises PicardError
-    (data outside the small-perturbation regime).
+    u^{k+1} = (I + dt A)^{-1}(u^n + dt N(u^k)), from u^0 = 2u^n - u^(n-1) (the
+    extrapolant of Ascher, Ruuth & Wetton 1995; u^n at the first step), until
+    the successive-iterate max-norm delta drops below picard_tol, or the
+    contraction rate theta < 1 gives theta / (1 - theta) * delta <= picard_tol
+    (Hairer & Wanner, Solving ODEs II, IV.8); theta is carried over from the
+    last step that measured it. No convergence within picard_max iterations
+    raises PicardError (data outside the small-perturbation regime).
     """
     model = NonlinearModel(picard_tol, picard_max, threshold, norm_N, norm_k, delta)
     return evolution.run(resolvent.assemble(u0.grid), u0, None, dt, T, alpha=alpha, k=k,

@@ -84,7 +84,7 @@ u0 = x3_decay
     assert "# config_sha256 =" in text
 
 
-def test_nonlinear_evolve_command(tmp_path):
+def test_nonlinear_evolve_command(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.ini", f"""
 [grid]
 n = 257
@@ -99,6 +99,7 @@ u0 = wave_shift
 snapshots = 0.05
 """)
     assert cli.main(["nonlinear-evolve", "--config", cfg]) == 0
+    assert "max Picard rate " in capsys.readouterr().out
     assert (tmp_path / "run" / "nonlinear_trajectory.csv").exists()
     films = [p for p in os.listdir(tmp_path / "run") if p.startswith("film_")]
     assert films
@@ -140,6 +141,23 @@ u0 = wave_shift
     assert cli.main(["nonlinear-evolve", "--config", cfg]) == 3
 
 
+def test_picard_stall_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path / "exp.ini", f"""
+[grid]
+n = 257
+[solver]
+dt = 1e-2
+T = 0.03
+[nonlinear]
+eps = 0.1
+[output]
+dir = {tmp_path / 'run'}
+u0 = wave_shift
+""")
+    assert cli.main(["nonlinear-evolve", "--config", cfg]) == 3
+    assert "Picard stalled at step 1" in capsys.readouterr().err
+
+
 def test_malformed_config_messages(tmp_path, capsys):
     bad = write_config(tmp_path / "bad.ini", "[grid]\nn = twelve\n")
     assert cli.main(["linear-evolve", "--config", bad]) == 1
@@ -164,6 +182,10 @@ def test_malformed_config_messages(tmp_path, capsys):
     ("n = 257\n", "bad.ini"),                      # no section header: the file is named
     ("[grid]\nn = 257\nn = 129\n", "grid.n"),      # repeated key
     ("[grid]\nn = 257\n[grid]\n", "grid"),         # repeated section
+    ("[solver]\ndt = nan\n", "solver.dt"),          # non-finite numbers
+    ("[solver]\nT = inf\n", "solver.T"),
+    ("[nonlinear]\npicard_tol = nan\n", "nonlinear.picard_tol"),
+    ("[output]\nsnapshots = 1.0, nan\n", "output.snapshots"),
 ])
 def test_unparsable_config_is_a_config_error(tmp_path, capsys, text, key):
     path = write_config(tmp_path / "bad.ini", text)

@@ -3,7 +3,7 @@ import pytest
 
 from thinfilm import evolution, nonlinear, resolvent, stencils
 from thinfilm import grid as gridmod
-from thinfilm.errors import GridError
+from thinfilm.errors import GridError, PicardError
 
 KERNEL_GRID = gridmod.LogGrid(-12.0, 9.0, 1345)
 
@@ -212,6 +212,9 @@ def _run_nonlinear(dt, T, store_every):
     (-0.01, 0.05, 1, "dt must be positive"),
     (1e-2, 0.0, 1, "T must be positive"),
     (1e-2, -0.01, 1, "T must be positive"),
+    (np.nan, 0.05, 1, "dt must be positive and finite"),
+    (1e-2, np.nan, 1, "T must be positive and finite"),
+    (1e-2, np.inf, 1, "T must be positive and finite"),
 ])
 def test_run_rejects_bad_step_requests(driver, dt, T, store_every, message):
     with pytest.raises(GridError, match=message):
@@ -235,6 +238,53 @@ def test_picard_with_zero_nonlinearity_is_the_linear_step(default_grid):
     pic = evolution.run(op, u0, f, 1e-2, 0.1, store_every=5, nonlinear=Linear())
     assert all(np.array_equal(a.values, b.values) for (_, a), (_, b) in zip(lin.steps, pic.steps))
     assert np.array_equal(lin.coefficient_tracks, pic.coefficient_tracks)
-    # the second pass reproduces the first exactly
-    assert pic.picard_counts == [2] * 10
+    # step 1 has no rate yet: its second pass reproduces the first exactly and
+    # measures rate 0, so every later step stops after its one solve
+    assert pic.picard_counts == [2] + [1] * 9
     assert len(pic.lipschitz_track) == len(pic.contact_line_track) == len(pic.steps) == 3
+
+
+def test_step_rejects_nan_dt():
+    with pytest.raises(GridError, match="dt must be positive"):
+        evolution.step(resolvent.assemble(SMALL_GRID), gridmod.zero(SMALL_GRID), None, np.nan)
+
+
+def _absolute_increment_picard(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
+    """The Picard loop with the old rule: from u_prev until the increment is
+    below picard_tol, with no extrapolated start and no rate estimate."""
+    iterate = u_prev
+    for count in range(1, model.picard_max + 1):
+        g = model.N(iterate)
+        if f_avg is not None:
+            g = f_avg + g
+        u_next = evolution.step(op, u_prev, g, dt, factorization=fac)
+        delta = float(np.max(np.abs(u_next.values - iterate.values)))
+        iterate = u_next
+        if delta < model.picard_tol:
+            return iterate, count, None
+    raise PicardError(f"Picard stalled at step {j}")
+
+
+@pytest.fixture(scope="module")
+def small_wave_run():
+    """One second of the criterion-9 wave (eps = 1e-3) on a 513-node grid."""
+    g = gridmod.LogGrid(-12.0, 4.0, 513)
+    x = g.x
+    u0 = gridmod.GridFunction(g, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    return u0, nonlinear.run_nonlinear(u0, 1e-2, 1.0, store_every=50)
+
+
+def test_picard_stop_rule_matches_the_absolute_increment_rule(small_wave_run, monkeypatch):
+    u0, new = small_wave_run
+    monkeypatch.setattr(evolution, "_picard_step", _absolute_increment_picard)
+    old = nonlinear.run_nonlinear(u0, 1e-2, 1.0, store_every=50)
+    want = old.final().values
+    assert np.max(np.abs(new.final().values - want)) <= 1e-6 * np.max(np.abs(want))
+    assert sum(new.picard_counts) <= 0.6 * sum(old.picard_counts)
+
+
+def test_picard_rates_are_recorded_per_step(small_wave_run):
+    _, state = small_wave_run
+    assert len(state.picard_rates) == len(state.picard_counts) == 100
+    # step 1 starts without a rate and measures one; small data contracts
+    assert all(r is not None and r < 1.0 for r in state.picard_rates)

@@ -3,7 +3,7 @@ import pytest
 
 from thinfilm import grid as gridmod
 from thinfilm import nonlinear, stencils, validation
-from thinfilm.errors import GuardError
+from thinfilm.errors import GuardError, PicardError
 
 
 def wave_shaped(grid, eps, taper=True):
@@ -112,6 +112,22 @@ def test_run_nonlinear_zero_fixed_point(default_grid):
 def test_run_nonlinear_guard_failure(default_grid):
     with pytest.raises(GuardError):
         nonlinear.run_nonlinear(wave_shaped(default_grid, 1.0), 1e-2, 0.1)
+
+
+def test_run_nonlinear_picard_stall(default_grid):
+    # eps = 0.1 passes the Lipschitz guard, but the Picard map contracts too
+    # slowly to converge within picard_max iterations
+    with pytest.raises(PicardError, match="stalled at step 1"):
+        nonlinear.run_nonlinear(wave_shaped(default_grid, 0.1), 1e-2, 0.05)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_run_nonlinear_is_first_order_in_dt(eps):
+    g = gridmod.LogGrid(-12.0, 4.0, 513)
+    finals = [nonlinear.run_nonlinear(wave_shaped(g, eps), dt, 1.0, store_every=10**6)
+              .final().values for dt in (4e-2, 2e-2, 1e-2)]
+    coarse, fine = (np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:]))
+    assert 0.9 <= np.log2(coarse / fine) <= 1.1
 
 
 def _smoothstep(t):
