@@ -30,7 +30,7 @@ class GuardError(ThinFilmError):
 
 
 class PicardError(ThinFilmError):
-    """Inner fixed-point iteration did not converge (data too large)."""
+    """Inner fixed-point iteration did not converge within its picard_max budget."""
 
 
 class ConfigError(ThinFilmError):

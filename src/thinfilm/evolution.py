@@ -117,7 +117,9 @@ def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
     increments it uses ``rate``, the last rate measured (None: none yet). It
     stops when delta < picard_tol, or when rate < 1 and the error estimate
     rate / (1 - rate) * delta is at most picard_tol. A rate >= 1 only
-    disables the estimate; picard_max iterations raise PicardError.
+    disables the estimate. Running out of the picard_max budget raises
+    PicardError, which reports the last increment and rate: the iteration
+    may still be contracting, only too slowly for the budget.
     """
     iterate = u_prev if u_older is None else 2.0 * u_prev - u_older
     last = None
@@ -135,8 +137,9 @@ def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
                 rate is not None and rate < 1.0
                 and rate / (1.0 - rate) * delta <= model.picard_tol):
             return iterate, count, rate
-    raise PicardError(f"Picard stalled at step {j} (delta {delta:.3e}); "
-                      "perturbation too large for the small-data regime")
+    raise PicardError(f"Picard stalled at step {j}: picard_max = {model.picard_max} "
+                      f"iterations used, last increment {delta:.3e}, last measured rate "
+                      + ("none" if rate is None else f"{rate:.3f}"))
 
 
 def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=None):

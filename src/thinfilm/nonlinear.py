@@ -144,8 +144,10 @@ def run_nonlinear(u0, dt, T, picard_tol=PICARD_TOL, picard_max=PICARD_MAX,
     the successive-iterate max-norm delta drops below picard_tol, or the
     contraction rate theta < 1 gives theta / (1 - theta) * delta <= picard_tol
     (Hairer & Wanner, Solving ODEs II, IV.8); theta is carried over from the
-    last step that measured it. No convergence within picard_max iterations
-    raises PicardError (data outside the small-perturbation regime).
+    last step that measured it. A step that has not met either rule after
+    picard_max iterations raises PicardError, whose message gives the budget,
+    the last increment and the last measured rate: a slowly contracting
+    iteration can exhaust the budget too.
     """
     model = NonlinearModel(picard_tol, picard_max, threshold, norm_N, norm_k, delta)
     return evolution.run(resolvent.assemble(u0.grid), u0, None, dt, T, alpha=alpha, k=k,

@@ -130,22 +130,22 @@ def commutation_residual(variant, w, edge_skip=8):
 
 @dataclass
 class CoefficientVector:
-    """Truncated expansion coefficients (u_1..u_J) with right-hand side (f_1..f_J).
+    """Truncated expansion coefficients (u_1..u_J) with constant forcing (f_1..f_J).
 
-    The closure u_{J+1} = u_{J+2} = 0 is explicit: `closure` records the two
-    padded entries so callers can see what the truncation assumed.
+    The truncation assumes u_{J+1} = u_{J+2} = 0 (see coefficient_matrix).
     """
 
     J: int
     u: np.ndarray
     f: np.ndarray
-    closure: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
         if self.u.shape != (self.J,) or self.f.shape != (self.J,):
             raise ValueError("u and f must both have length J")
+        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.f))):
+            raise ValueError("u and f must be finite")
 
     @classmethod
     def zeros(cls, J):
@@ -177,45 +177,27 @@ def coefficient_matrix(J):
     return m
 
 
-def integrate_coefficients(cv0, f, dt, T):
-    """Classical RK4 trajectory of the truncated coefficient recursion.
+def integrate_coefficients(cv0, dt, T):
+    """Exact trajectory of du/dt = -M u + f from u(0) = cv0.u, f = cv0.f.
 
-    f may be None (homogeneous), a constant length-J array, or a callable
-    t -> length-J array. The steps land exactly on T.
+    M is nilpotent (M^J = 0), so the solution is the terminating Taylor
+    series u(t) = sum_{k<=J} c_k t^k with c_0 = u(0), c_1 = f - M u(0) and
+    c_k = -M c_{k-1} / k (the nilpotent case of Moler & Van Loan 2003,
+    SIAM Review 45:3). dt only sets the sampling: max(1, round(T / dt))
+    equal intervals that land exactly on T.
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("dt and T must be positive")
+    if not 0 < dt < np.inf or not 0 < T < np.inf:
+        raise ValueError("dt and T must be positive and finite")
     J = cv0.J
-    if not np.all(np.isfinite(cv0.u)):
-        raise ValueError("non-finite initial coefficients")
     m = coefficient_matrix(J)
-
-    if f is None:
-        ffun = lambda t: np.zeros(J)
-    elif callable(f):
-        ffun = lambda t: np.asarray(f(t), dtype=float)
-    else:
-        fconst = np.asarray(f, dtype=float)
-        ffun = lambda t: fconst
-
-    steps = max(1, int(round(T / dt)))
-    h = T / steps
-    times = np.linspace(0.0, T, steps + 1)
-    out = np.empty((steps + 1, J))
-    out[0] = cv0.u
-    u = cv0.u.copy()
-
-    def rhs(t, y):
-        return ffun(t) - m @ y
-
-    for i in range(steps):
-        t = times[i]
-        k1 = rhs(t, u)
-        k2 = rhs(t + h / 2, u + h / 2 * k1)
-        k3 = rhs(t + h / 2, u + h / 2 * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(u)):
-            raise ValueError(f"non-finite coefficients at t = {times[i + 1]:g}")
-        out[i + 1] = u
-    return CoefficientTrajectory(times, out)
+    times = np.linspace(0.0, T, max(1, int(round(T / dt))) + 1)
+    c = np.empty((J + 1, J))
+    c[0] = cv0.u
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        c[1] = cv0.f - m @ cv0.u
+        for k in range(2, J + 1):
+            c[k] = -(m @ c[k - 1]) / k
+        u = np.vander(times, J + 1, increasing=True) @ c
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite coefficients")
+    return CoefficientTrajectory(times, u)

@@ -196,7 +196,7 @@ def test_criterion_7_coefficient_ode():
     u0 = np.zeros(4)
     u0[2] = 1.0
     traj = polyops.integrate_coefficients(polyops.CoefficientVector(4, u0, np.zeros(4)),
-                                          None, 1e-3, 2.0)
+                                          1e-3, 2.0)
     t = traj.times
     e3_err = max(np.max(np.abs(traj.u[:, 0] + 12 * t)),
                  np.max(np.abs(traj.u[:, 1] + 18 * t)))

@@ -116,8 +116,10 @@ def test_run_nonlinear_guard_failure(default_grid):
 
 def test_run_nonlinear_picard_stall(default_grid):
     # eps = 0.1 passes the Lipschitz guard, but the Picard map contracts too
-    # slowly to converge within picard_max iterations
-    with pytest.raises(PicardError, match="stalled at step 1"):
+    # slowly to converge within picard_max iterations; the message names the
+    # budget, the last increment and the last measured rate
+    with pytest.raises(PicardError, match=r"stalled at step 1: picard_max = 25 iterations "
+                       r"used, last increment \d\.\d{3}e-\d\d, last measured rate 0\.\d{3}$"):
         nonlinear.run_nonlinear(wave_shaped(default_grid, 0.1), 1e-2, 0.05)
 
 

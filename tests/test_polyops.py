@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -111,9 +113,21 @@ def test_commutation_residual(default_grid):
 
 def test_coefficient_vector_validation():
     cv = polyops.CoefficientVector.zeros(5)
-    assert cv.closure == (0.0, 0.0)
+    assert cv.u.shape == cv.f.shape == (5,)
     with pytest.raises(ValueError):
         polyops.CoefficientVector(3, np.zeros(2), np.zeros(3))
+    # a scalar forcing must not broadcast to (2.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="length J"):
+        polyops.CoefficientVector(3, np.zeros(3), 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["u", "f"])
+def test_coefficient_vector_rejects_non_finite(field, bad):
+    entries = {"u": np.zeros(3), "f": np.zeros(3)}
+    entries[field][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        polyops.CoefficientVector(3, **entries)
 
 
 def test_integrate_kernel_coefficients_constant():
@@ -121,7 +135,7 @@ def test_integrate_kernel_coefficients_constant():
         u0 = np.zeros(6)
         u0[j - 1] = 1.0
         traj = polyops.integrate_coefficients(polyops.CoefficientVector(6, u0, np.zeros(6)),
-                                              None, 1e-3, 1.0)
+                                              1e-3, 1.0)
         assert np.max(np.abs(traj.u - u0[None, :])) < 1e-14
 
 
@@ -130,7 +144,7 @@ def test_integrate_e3_trajectory():
     u0 = np.zeros(4)
     u0[2] = 1.0
     traj = polyops.integrate_coefficients(polyops.CoefficientVector(4, u0, np.zeros(4)),
-                                          None, 1e-3, 2.0)
+                                          1e-3, 2.0)
     t = traj.times
     assert np.max(np.abs(traj.u[:, 0] - (-12 * t))) < 1e-10
     assert np.max(np.abs(traj.u[:, 1] - (-18 * t))) < 1e-10
@@ -139,11 +153,11 @@ def test_integrate_e3_trajectory():
 
 
 def test_integrate_polynomial_exactness():
-    # closed-form trajectory for u0 = e4 is polynomial of degree <= 2, exact for RK4
+    # closed-form trajectory for u0 = e4 is a polynomial of degree <= 2 in t
     u0 = np.zeros(4)
     u0[3] = 1.0
     traj = polyops.integrate_coefficients(polyops.CoefficientVector(4, u0, np.zeros(4)),
-                                          None, 1e-2, 1.0)
+                                          1e-2, 1.0)
     t = traj.times
     assert np.max(np.abs(traj.u[:, 2] - (-96 * t))) < 1e-12
     assert np.max(np.abs(traj.u[:, 1] - (864 * t**2 - 72 * t))) < 1e-11
@@ -158,9 +172,44 @@ def test_integrate_matches_matrix_exponential(rng):
     for _ in range(5):
         u0 = rng.normal(size=J) * 1e-2
         traj = polyops.integrate_coefficients(polyops.CoefficientVector(J, u0, np.zeros(J)),
-                                              None, 1e-3, 1.0)
+                                              1e-3, 1.0)
         exact = expm(-m * 1.0) @ u0
         assert np.max(np.abs(traj.final() - exact)) < 1e-10 * max(1, np.max(np.abs(exact)))
+
+
+def test_integrate_matches_exact_rational_recursion(rng):
+    # the same Taylor recursion in exact arithmetic, with M built from the
+    # integer roots of p and q rather than from coefficient_matrix
+    J = 8
+    p, q = polyops.symbol_pair(0)
+
+    def symbol(poly, j):
+        return Fraction(int(np.prod([j - int(r) for r in poly.roots])))
+
+    m = [[Fraction(0)] * J for _ in range(J)]
+    for j in range(1, J + 1):
+        if j + 1 <= J:
+            m[j - 1][j] = symbol(p, j + 1)
+        if j + 2 <= J:
+            m[j - 1][j + 1] = symbol(q, j + 2)
+
+    def minus_m(v):
+        return [-sum(m[i][l] * v[l] for l in range(J)) for i in range(J)]
+
+    u0 = [int(v) for v in rng.integers(-5, 6, size=J)]
+    f = [int(v) for v in rng.integers(-5, 6, size=J)]
+    c = [[Fraction(v) for v in u0], [fi + mi for fi, mi in zip(f, minus_m(u0))]]
+    for k in range(2, J + 1):
+        c.append([v / k for v in minus_m(c[-1])])
+    assert all(v == 0 for v in minus_m(c[-1]))  # M^J = 0: the series terminates
+
+    traj = polyops.integrate_coefficients(polyops.CoefficientVector(J, u0, f), 0.5, 2.0)
+    assert np.array_equal(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+    for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        exact = [sum(t**k * c[k][i] for k in range(J + 1)) for i in range(J)]
+        got = traj.u[int(2 * t)]
+        err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+        assert err <= Fraction(1, 10**13) * max(abs(e) for e in exact)
 
 
 def test_no_blowup_random_small_data(rng):
@@ -171,7 +220,7 @@ def test_no_blowup_random_small_data(rng):
     for _ in range(100):
         u0 = rng.normal(size=J) * 1e-3
         traj = polyops.integrate_coefficients(polyops.CoefficientVector(J, u0, np.zeros(J)),
-                                              None, 1e-3, T)
+                                              1e-3, T)
         assert np.max(np.abs(traj.u)) <= 1.01 * bound * np.max(np.abs(u0))
 
 
@@ -179,15 +228,36 @@ def test_integrate_with_forcing():
     # f = e1 drives only u1 since x is in the kernel
     f = np.zeros(3)
     f[0] = 2.0
-    traj = polyops.integrate_coefficients(polyops.CoefficientVector.zeros(3), f, 1e-3, 1.0)
+    traj = polyops.integrate_coefficients(polyops.CoefficientVector(3, np.zeros(3), f),
+                                          1e-3, 1.0)
     assert np.max(np.abs(traj.u[:, 0] - 2 * traj.times)) < 1e-12
     assert np.max(np.abs(traj.u[:, 1:])) < 1e-14
+
+
+def test_integrate_samples_land_on_T():
+    traj = polyops.integrate_coefficients(polyops.CoefficientVector.zeros(2), 0.3, 1.0)
+    assert traj.times[-1] == 1.0 and len(traj.times) == 4  # round(1 / 0.3) = 3 steps
+    traj = polyops.integrate_coefficients(polyops.CoefficientVector.zeros(2), 5.0, 1.0)
+    assert np.array_equal(traj.times, [0.0, 1.0])  # at least one step
 
 
 def test_integrate_rejects_bad_input():
     with pytest.raises(ValueError):
         polyops.integrate_coefficients(
-            polyops.CoefficientVector(2, np.array([np.inf, 0.0]), np.zeros(2)),
-            None, 1e-3, 1.0)
+            polyops.CoefficientVector(2, np.array([np.inf, 0.0]), np.zeros(2)), 1e-3, 1.0)
     with pytest.raises(ValueError):
-        polyops.integrate_coefficients(polyops.CoefficientVector.zeros(2), None, -1.0, 1.0)
+        polyops.integrate_coefficients(polyops.CoefficientVector.zeros(2), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("dt, T", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                                   (1e-3, 0.0), (1e-3, -1.0), (1e-3, np.nan), (1e-3, np.inf)])
+def test_integrate_rejects_bad_times(dt, T):
+    with pytest.raises(ValueError, match="positive and finite"):
+        polyops.integrate_coefficients(polyops.CoefficientVector.zeros(2), dt, T)
+
+
+def test_integrate_rejects_non_finite_result():
+    # finite data whose trajectory overflows: t^8 = 1e800 at t = 1e100
+    with pytest.raises(ValueError, match="non-finite"):
+        polyops.integrate_coefficients(
+            polyops.CoefficientVector(8, np.ones(8), np.zeros(8)), 1e100, 1e100)
