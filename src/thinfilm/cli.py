@@ -16,7 +16,7 @@ import numpy as np
 
 from . import coercivity, config, evolution, nonlinear, polyops, resolvent, validation
 from . import grid as gridmod
-from .errors import ConfigError, GuardError, PicardError, ThinFilmError
+from .errors import ConfigError, GridError, GuardError, PicardError, ThinFilmError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -256,6 +256,13 @@ def cmd_sweep(args):
     if len(values) < 3:
         print("error: need at least three values for a Richardson summary", file=sys.stderr)
         return EXIT_CONFIG
+    T = cfg["solver"]["T"]
+    for dt in values:
+        try:
+            evolution.step_count(dt, T)
+        except GridError as exc:
+            print(f"error: --values: {exc} (dt={dt!r}, solver.T={T!r})", file=sys.stderr)
+            return EXIT_CONFIG
     raw_workers = os.environ.get("THINFILM_WORKERS", "1")
     try:
         workers = int(raw_workers)
@@ -267,7 +274,6 @@ def cmd_sweep(args):
         return EXIT_CONFIG
     u0 = config.initial_profile(cfg, grid)
     op = resolvent.assemble(grid)
-    T = cfg["solver"]["T"]
 
     def one(dt):
         # only the final state is read: store t = 0 and t = T, check the energy every step

@@ -51,9 +51,9 @@ def apply_B(w):
 _TAIL_FLOOR = 1e-250  # below this the band is treated as identically zero
 
 
-def decay_exponent(values, grid, band=TAIL_BAND):
+def decay_exponent(values, grid):
     """Fitted growth exponent of |values| on the leftmost band (inf if zero)."""
-    mask = grid.s <= grid.s_min + band
+    mask = grid.s <= grid.s_min + TAIL_BAND
     v = values[mask]
     if np.max(np.abs(v)) <= _TAIL_FLOOR:
         return np.inf
@@ -65,18 +65,18 @@ def decay_exponent(values, grid, band=TAIL_BAND):
     return float(slope)
 
 
-def _tail_closure(integrand, grid, band=TAIL_BAND):
+def _tail_closure(integrand, grid):
     """Integral of the fitted integrand model over (-inf, s_min].
 
     The model is e^{g d}(c0 + c0' d + c1 e^d + c2 e^{2d}) with d = s - s_min;
     the d e^{g d} term is the first-order correction in the exponent and
     removes the bias of the log-linear estimate of g.
     """
-    mask = grid.s <= grid.s_min + band
+    mask = grid.s <= grid.s_min + TAIL_BAND
     v = integrand[mask]
     if np.max(np.abs(v)) <= _TAIL_FLOOR:
         return 0.0
-    gamma = decay_exponent(integrand, grid, band)
+    gamma = decay_exponent(integrand, grid)
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise DecayProbeError("integrand does not decay towards the contact line")
     d = grid.s[mask] - grid.s_min
@@ -88,14 +88,14 @@ def _tail_closure(integrand, grid, band=TAIL_BAND):
                  + coef[2] / (gamma + 1) + coef[3] / (gamma + 2))
 
 
-def cumulative_from_zero(integrand, grid, band=TAIL_BAND, rule=None):
+def cumulative_from_zero(integrand, grid, rule=None):
     """int_{x=0}^{x(s)} integrand ds', tail-closed below the grid."""
-    tail = _tail_closure(integrand, grid, band)
+    tail = _tail_closure(integrand, grid)
     result = tail + stencils.cumulative_integral(integrand, grid.h)
     if rule is not None and rule.kind == "adaptive":
         fine = grid.refine(2)
         refined = CubicSpline(grid.s, integrand)(fine.s)
-        check = (_tail_closure(refined, fine, band)
+        check = (_tail_closure(refined, fine)
                  + stencils.cumulative_integral(refined, fine.h))
         scale = np.max(np.abs(result)) + 1e-300
         gap = np.max(np.abs(check[::2] - result)) / scale
@@ -105,38 +105,38 @@ def cumulative_from_zero(integrand, grid, band=TAIL_BAND, rule=None):
     return result
 
 
-def apply_B_inverse(f, band=TAIL_BAND, rule=None):
+def apply_B_inverse(f, rule=None):
     """Inverse of B: (x+1)^2 times the cumulative (x'+1)^{-3} f dx'/x'.
 
     f must vanish at the contact line; the decay probe on the leftmost band
     enforces a positive power.
     """
     grid = f.grid
-    gamma = decay_exponent(f.values, grid, band)
+    gamma = decay_exponent(f.values, grid)
     if gamma <= PROBE_MIN_EXPONENT:
         raise DecayProbeError(f"decay probe failed (fitted exponent {gamma:.3f})")
     x = grid.x
     integrand = f.values / (x + 1.0) ** 3
-    integral = cumulative_from_zero(integrand, grid, band, rule=rule)
+    integral = cumulative_from_zero(integrand, grid, rule=rule)
     return gridmod.GridFunction(grid, (x + 1.0) ** 2 * integral)
 
 
-def apply_S(g, band=TAIL_BAND):
+def apply_S(g):
     """Smooth inverse of the full operator: four nested integrals from x = 0.
 
     The result has value and first and second x-derivative zero at the left
     edge by construction.
     """
     grid = g.grid
-    gamma = decay_exponent(g.values, grid, band)
+    gamma = decay_exponent(g.values, grid)
     if gamma <= PROBE_MIN_EXPONENT:
         raise DecayProbeError(f"decay probe failed (fitted exponent {gamma:.3f})")
     s = grid.s
     x = grid.x
-    i4 = cumulative_from_zero(np.exp(s) * g.values, grid, band)
-    i3 = cumulative_from_zero(i4, grid, band)
-    i2 = cumulative_from_zero(np.exp(-s) * i3, grid, band)
-    i1 = cumulative_from_zero(np.exp(2 * s) * i2 / (x + 1.0) ** 3, grid, band)
+    i4 = cumulative_from_zero(np.exp(s) * g.values, grid)
+    i3 = cumulative_from_zero(i4, grid)
+    i2 = cumulative_from_zero(np.exp(-s) * i3, grid)
+    i1 = cumulative_from_zero(np.exp(2 * s) * i2 / (x + 1.0) ** 3, grid)
     return gridmod.GridFunction(grid, (x + 1.0) ** 2 * i1)
 
 

@@ -55,7 +55,7 @@ def _d_minus_1(u):
     return gridmod.shifted_derivative(u, 1.0)
 
 
-def leading_coefficients(u, band_u1=2.0, band_u2=(3.0, 6.0), band_u3=(7.0, 9.5)):
+def leading_coefficients(u, band_u2=(3.0, 6.0), band_u3=(7.0, 9.5)):
     """Expansion coefficients (u1, u2, u3) tuned for evolving fields.
 
     u1 comes from the standard left-band fit. u2 and u3 are read off the
@@ -66,7 +66,7 @@ def leading_coefficients(u, band_u1=2.0, band_u2=(3.0, 6.0), band_u3=(7.0, 9.5))
     not swamp the x^2 and x^3 signals.
     """
     grid = u.grid
-    u1 = gridmod.extract_coefficients(u, 1, fit_band=band_u1)[0]
+    u1 = gridmod.extract_coefficients(u, 1)[0]
     tu = _d_minus_1(u)
     u2 = gridmod.fit_powers(tu.values * grid.exp(-2.0), grid, *band_u2, 3)[0]
     cu = gridmod.shifted_derivative(tu, 2.0)
@@ -142,6 +142,20 @@ def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
                       + ("none" if rate is None else f"{rate:.3f}"))
 
 
+def step_count(dt, T):
+    """Number of steps of size dt that end on T; GridError unless it is 1..MAX_STEPS."""
+    if not 0 < dt < np.inf:
+        raise GridError("dt must be positive and finite")
+    if not 0 < T < np.inf:
+        raise GridError("T must be positive and finite")
+    if T > (MAX_STEPS + 0.5) * dt:  # a product: T / dt overflows for a subnormal dt
+        raise GridError("too many steps")
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise GridError("T must be an integer number of steps")
+    return n_steps
+
+
 def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=None):
     """Implicit-Euler trajectory with energy and coefficient bookkeeping.
 
@@ -154,15 +168,7 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=
     ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
     record it and ``nonlinear.records(t, u)`` (initial-data norm, Y0).
     """
-    if not 0 < dt < np.inf:
-        raise GridError("dt must be positive and finite")
-    if not 0 < T < np.inf:
-        raise GridError("T must be positive and finite")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise GridError("T must be an integer number of steps")
-    if n_steps > MAX_STEPS:
-        raise GridError("too many steps")
+    n_steps = step_count(dt, T)
     if store_every < 1:
         raise GridError("store_every must be at least 1")
     fac = resolvent.Factorization(op, 1.0 / dt)

@@ -7,7 +7,10 @@ the D-derivative stencils, the weighted norms
     |w|_{k,a}^2 = sum_{j<=k} int e^{-2as} (d^j w/ds^j)^2 ds,
 
 the composite solution/initial-data/right-hand-side norms built from them,
-and left-edge expansion-coefficient extraction.
+and left-edge expansion-coefficient extraction. Each composite norm is a list
+of terms (time supremum or time integral of one weighted norm of a time
+difference, with its expansion subtracted) that one evaluator, _composite,
+sums; the initial-data norm is the one-step case.
 """
 
 import functools
@@ -153,23 +156,19 @@ class NormSpec:
     """Weighted-norm request: k derivatives at weight alpha.
 
     ``sub`` expansion terms (u_1 x + ... + u_sub x^sub, coefficients fitted at
-    the left edge) are subtracted first. N and delta parametrize composite
-    norms and are optional for plain requests.
+    the left edge, at most the 3 that extract_coefficients fits) are
+    subtracted first.
     """
 
     k: int
     alpha: float
     sub: int = 0
-    N: int = 1
-    delta: float = 0.25
 
     def __post_init__(self):
-        if self.k < 0 or self.sub < 0:
-            raise GridError("k and sub must be non-negative")
-        if not 0 < self.delta < 0.5:
-            raise GridError("delta must lie in (0, 1/2)")
-        if self.sub > 2 * self.N + 1:
-            raise GridError("sub exceeds 2N+1")
+        if self.k < 0:
+            raise GridError("k must be non-negative")
+        if not 0 <= self.sub <= 3:
+            raise GridError("sub must lie in 0..3")
 
 
 def d_derivative(w, j):
@@ -231,32 +230,32 @@ def fit_powers(y, grid, lo, hi, terms):
     return (L @ y[..., sl, None])[..., 0]
 
 
-def _fit_expansion(values, grid, order, fit_band):
+def _fit_expansion(values, grid, order):
     """Coefficients c_1..c_order of sum c_j x^j on the left band, per row of values.
 
     Dividing by x turns the e^{-2s}-weighted fit of sum c_j x^j into a plain
     fit of sum c_j x^{j-1}.
     """
-    return fit_powers(grid.inv_x * values, grid, -np.inf, fit_band, order)
+    return fit_powers(grid.inv_x * values, grid, -np.inf, FIT_BAND, order)
 
 
-def extract_coefficients(w, order, fit_band=FIT_BAND):
+def extract_coefficients(w, order):
     """Leading expansion coefficients (u_1 .. u_order) of w = u_1 x + u_2 x^2 + ...
 
     Weighted least squares of c1 e^s + c2 e^{2s} + c3 e^{3s} over the nodes
-    with s <= s_min + fit_band, weights e^{-2s}. The grid must resolve the
+    with s <= s_min + FIT_BAND, weights e^{-2s}. The grid must resolve the
     contact-line region (s_min <= -6).
     """
     if not 1 <= order <= 3:
         raise GridError("extract_coefficients supports order 1..3")
-    return tuple(_fit_expansion(w.values, w.grid, 3, fit_band))[:order]
+    return tuple(_fit_expansion(w.values, w.grid, 3))[:order]
 
 
-def subtract_expansion(w, sub, fit_band=FIT_BAND):
-    """w minus its fitted expansion u_1 x + ... + u_sub x^sub."""
+def subtract_expansion(w, sub):
+    """w minus its fitted expansion u_1 x + ... + u_sub x^sub, sub in 0..3."""
     if sub == 0:
         return w
-    coeffs = extract_coefficients(w, min(sub, 3), fit_band=fit_band)
+    coeffs = extract_coefficients(w, sub)
     return GridFunction(w.grid, _minus_expansion(w.values, coeffs, w.grid))
 
 
@@ -278,9 +277,9 @@ def _norm_sq(values, k, alpha, grid):
     return max(total, 0.0)
 
 
-def weighted_norm(w, spec, fit_band=FIT_BAND):
+def weighted_norm(w, spec):
     """|w|_{k,alpha}, trapezoid quadrature, expansion subtracted when sub > 0."""
-    v = subtract_expansion(w, spec.sub, fit_band=fit_band) if spec.sub else w
+    v = subtract_expansion(w, spec.sub) if spec.sub else w
     return float(np.sqrt(_norm_sq(v.values, spec.k, spec.alpha, w.grid)))
 
 
@@ -302,39 +301,38 @@ def index_sets(N, delta):
     return first, second
 
 
-def _init_terms(N, k, delta):
-    """Distinct (sub, weight) pairs of the initial-data norm, k_norm = k+4N+1."""
-    first, _ = index_sets(N, delta)
-    pairs = set()
-    for alpha, _l, m in first:
-        fl = int(np.floor(alpha))
+def _weight_shifts(triples):
+    """(l, floor(alpha) + m + r, alpha + m + r) of each index triple (alpha, l, m), r = 0..m."""
+    for alpha, l, m in triples:
         for r in range(m + 1):
-            pairs.add((fl + m + r, alpha + m + r))
-    return sorted(pairs)
+            yield l, int(np.floor(alpha)) + m + r, alpha + m + r
 
 
-def composite_init_norm(w, N, k, delta, fit_band=FIT_BAND):
+def _require_small_N(N):
     if N > 2:
         raise GridError("composite norms implemented for N <= 2 only")
-    coeffs = _fit_expansion(w.values, w.grid, _TRACK_ORDER, fit_band)
+
+
+def composite_init_norm(w, N, k, delta):
+    """Initial-data norm: the distinct |w - u_1 x - ... - u_sub x^sub|_{k+4N+1,beta}
+    with (sub, beta) = (floor(alpha) + m + r, alpha + m + r) over the first index
+    set, r = 0..m, summed in squares in sorted (sub, beta) order."""
+    _require_small_N(N)
     kn = k + 4 * N + 1
-    total = 0.0
-    for sub, alpha in _init_terms(N, k, delta):
-        v = _minus_expansion(w.values, coeffs[:sub], w.grid)
-        total += weighted_norm(GridFunction(w.grid, v), NormSpec(kn, alpha))**2
-    return float(np.sqrt(total))
+    pairs = sorted({(sub, beta) for _l, sub, beta in _weight_shifts(index_sets(N, delta)[0])})
+    return _composite(w.values[None, :], 0.0, w.grid,
+                      [("sup", "u", 0, sub, beta, kn) for sub, beta in pairs])
 
 
 def _traj_arrays(traj):
+    """(values stacked over steps, step, grid) of a stored trajectory with uniform steps."""
     times = np.array([t for t, _ in traj], dtype=float)
     if times.size < 3:
         raise GridError("trajectory shorter than the time-difference stencil")
     dt = np.diff(times)
     if not np.allclose(dt, dt[0], rtol=1e-8, atol=0.0):
         raise GridError("composite norms require uniformly stored steps")
-    grid = traj[0][1].grid
-    values = np.stack([gf.values for _, gf in traj])
-    return times, values, grid
+    return np.stack([gf.values for _, gf in traj]), times[1] - times[0], traj[0][1].grid
 
 
 def _time_derivative(values, dt, order):
@@ -358,18 +356,6 @@ def _norm_series(values, coeffs, grid, kn, alpha, sub):
                      for v, c in zip(values, coeffs)])
 
 
-def _sup(series):
-    return float(np.max(series))
-
-
-def _time_integral(series, dt):
-    return float(stencils.trapezoid(series, dt))
-
-
-def _underline(values, grid):
-    return values / (grid.x + 1.0)[None, :]
-
-
 def _underline_coeffs(coeffs):
     # (w/(x+1))_j = sum_{i<=j} (-1)^{j-i} w_i for w vanishing at x = 0.
     out = np.empty_like(coeffs)
@@ -378,120 +364,53 @@ def _underline_coeffs(coeffs):
     return out
 
 
-def composite_sol_norm(traj, N, k, delta, fit_band=FIT_BAND):
-    """Solution norm of a stored trajectory (time suprema over stored steps)."""
-    if N > 2:
-        raise GridError("composite norms implemented for N <= 2 only")
-    times, values, grid = _traj_arrays(traj)
-    dt = times[1] - times[0]
-    first, second = index_sets(N, delta)
-    coeffs = _fit_expansion(values, grid, _TRACK_ORDER, fit_band)
-    under = _underline(values, grid)
-    under_coeffs = _underline_coeffs(coeffs)
+def _composite(values, dt, grid, terms):
+    """sqrt of the sum of the distinct terms over a (steps, n) stack of values.
 
-    dvalues = {0: values}
-    dunder = {0: under}
-    dcoeffs = {0: coeffs}
-    ducoeffs = {0: under_coeffs}
-    for l in range(1, N + 2):
-        dvalues[l] = _time_derivative(values, dt, l)
-        dunder[l] = _time_derivative(under, dt, l)
-        dcoeffs[l] = _time_derivative(coeffs, dt, l)
-        ducoeffs[l] = _time_derivative(under_coeffs, dt, l)
-
-    total = 0.0
-    seen = set()
-    for alpha, l, m in first:
-        fl = int(np.floor(alpha))
-        kn = k + 4 * (N - l) + 1
-        for r in range(m + 1):
-            key = ("sup", l, fl + m + r, alpha + m + r, kn)
-            if key in seen:
-                continue
-            seen.add(key)
-            total += _sup(_norm_series(dvalues[l], dcoeffs[l], grid, kn,
-                                       alpha + m + r, fl + m + r))
-    for alpha, l, m in second:
-        fl = int(np.floor(alpha))
-        for r in range(m + 1):
-            kn = k + 4 * (N - l) - 1
-            sub = max(fl + m + r - 1, 0)
-            key = ("iu", l + 1, sub, alpha + m + r - 1, kn)
-            if key not in seen:
-                seen.add(key)
-                total += _time_integral(
-                    _norm_series(dunder[l + 1], ducoeffs[l + 1], grid, kn,
-                                 alpha + m + r - 1, sub), dt)
-            kn = k + 4 * (N - l) + 3
-            key = ("ih", l, fl + m + r + 1, alpha + m + r + 1, kn)
-            if key not in seen:
-                seen.add(key)
-                total += _time_integral(
-                    _norm_series(dvalues[l], dcoeffs[l], grid, kn,
-                                 alpha + m + r + 1, fl + m + r + 1), dt)
-    return float(np.sqrt(total))
-
-
-def composite_rhs_norm(traj, N, k, delta, fit_band=FIT_BAND):
-    """Right-hand-side norm of a stored trajectory."""
-    if N > 2:
-        raise GridError("composite norms implemented for N <= 2 only")
-    times, values, grid = _traj_arrays(traj)
-    dt = times[1] - times[0]
-    coeffs = _fit_expansion(values, grid, _TRACK_ORDER, fit_band)
-    under = _underline(values, grid)
-    under_coeffs = _underline_coeffs(coeffs)
-
-    dvalues = {0: values}
-    dunder = {0: under}
-    dcoeffs = {0: coeffs}
-    ducoeffs = {0: under_coeffs}
-    for l in range(1, N + 1):
-        dvalues[l] = _time_derivative(values, dt, l)
-        dunder[l] = _time_derivative(under, dt, l)
-        dcoeffs[l] = _time_derivative(coeffs, dt, l)
-        ducoeffs[l] = _time_derivative(under_coeffs, dt, l)
-
-    total = 0.0
-    seen = set()
-    if N >= 1:
-        first_lower, _ = index_sets(N - 1, delta)
-        for alpha, l, m in first_lower:
-            fl = int(np.floor(alpha))
-            kn = k + 4 * (N - l) - 3
-            for r in range(m + 1):
-                key = ("sup", l, fl + m + r, alpha + m + r, kn)
-                if key in seen:
-                    continue
-                seen.add(key)
-                total += _sup(_norm_series(dvalues[l], dcoeffs[l], grid, kn,
-                                           alpha + m + r, fl + m + r))
-    _, second = index_sets(N, delta)
-    for alpha, l, m in second:
-        fl = int(np.floor(alpha))
-        kn = k + 4 * (N - l) - 1
-        for r in range(m + 1):
-            sub = max(fl + m + r - 1, 0)
-            key = ("iu", l, sub, alpha + m + r - 1, kn)
-            if key in seen:
-                continue
-            seen.add(key)
-            total += _time_integral(
-                _norm_series(dunder[l], ducoeffs[l], grid, kn,
-                             alpha + m + r - 1, sub), dt)
-    return float(np.sqrt(total))
-
-
-def composite_norm(data, which, N, k, delta, fit_band=FIT_BAND):
-    """Composite norm dispatcher; ``which`` in {"sol", "init", "rhs"}.
-
-    "init" takes a single GridFunction, the others a stored trajectory of
-    (t, GridFunction) pairs with uniform steps.
+    A term (reduction, field, l, sub, alpha, kn) is the max over steps
+    (reduction "sup") or the trapezoid in time ("int") of
+    |d^l/dt^l f - sum_{j<=sub} c_j x^j|_{kn,alpha}^2, where f is the stored
+    field ("u") or the field divided by x+1 ("under") and c_j its fitted
+    expansion coefficients. Duplicates count once, in first-encounter order;
+    each (field, l) time difference is taken once.
     """
-    if which == "init":
-        return composite_init_norm(data, N, k, delta, fit_band=fit_band)
-    if which == "sol":
-        return composite_sol_norm(data, N, k, delta, fit_band=fit_band)
-    if which == "rhs":
-        return composite_rhs_norm(data, N, k, delta, fit_band=fit_band)
-    raise GridError(f"unknown composite norm '{which}'")
+    coeffs = _fit_expansion(values, grid, _TRACK_ORDER)
+    fields = {}
+    total = 0.0
+    for reduction, field, l, sub, alpha, kn in dict.fromkeys(terms):
+        if (field, l) not in fields:
+            v, c = values, coeffs
+            if field == "under":
+                v, c = values / (grid.x + 1.0)[None, :], _underline_coeffs(coeffs)
+            fields[field, l] = (_time_derivative(v, dt, l), _time_derivative(c, dt, l))
+        series = _norm_series(*fields[field, l], grid, kn, alpha, sub)
+        if reduction == "sup":
+            total += float(np.max(series))
+        else:
+            total += float(stencils.trapezoid(series, dt))
+    return float(np.sqrt(total))
+
+
+def composite_sol_norm(traj, N, k, delta):
+    """Solution norm of a stored trajectory (time suprema over stored steps)."""
+    _require_small_N(N)
+    values, dt, grid = _traj_arrays(traj)
+    first, second = index_sets(N, delta)
+    terms = [("sup", "u", l, sub, beta, k + 4 * (N - l) + 1)
+             for l, sub, beta in _weight_shifts(first)]
+    for l, sub, beta in _weight_shifts(second):
+        terms += [("int", "under", l + 1, max(sub - 1, 0), beta - 1, k + 4 * (N - l) - 1),
+                  ("int", "u", l, sub + 1, beta + 1, k + 4 * (N - l) + 3)]
+    return _composite(values, dt, grid, terms)
+
+
+def composite_rhs_norm(traj, N, k, delta):
+    """Right-hand-side norm of a stored trajectory."""
+    _require_small_N(N)
+    values, dt, grid = _traj_arrays(traj)
+    # index_sets(-1, delta) is empty: N = 0 has no supremum terms
+    terms = [("sup", "u", l, sub, beta, k + 4 * (N - l) - 3)
+             for l, sub, beta in _weight_shifts(index_sets(N - 1, delta)[0])]
+    terms += [("int", "under", l, max(sub - 1, 0), beta - 1, k + 4 * (N - l) - 1)
+              for l, sub, beta in _weight_shifts(index_sets(N, delta)[1])]
+    return _composite(values, dt, grid, terms)

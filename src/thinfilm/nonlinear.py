@@ -154,9 +154,9 @@ def run_nonlinear(u0, dt, T, picard_tol=PICARD_TOL, picard_max=PICARD_MAX,
                          store_every=store_every, nonlinear=model)
 
 
-def contact_line_shift(u, band=2.0):
+def contact_line_shift(u):
     """v(0+): constant term of a quadratic-in-x fit of v on the left band."""
-    return float(gridmod.fit_powers(to_v(u).values, u.grid, -np.inf, band, 3)[0])
+    return float(gridmod.fit_powers(to_v(u).values, u.grid, -np.inf, gridmod.FIT_BAND, 3)[0])
 
 
 def reconstruct(u, t, y_grid, upsample=8):

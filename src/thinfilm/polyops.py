@@ -14,6 +14,8 @@ import numpy as np
 from . import grid as gridmod
 from .errors import GridError
 
+MAX_INTERVALS = 10**6  # sampling intervals of one integrate_coefficients trajectory
+
 # Root multisets of the canonical quartics. Index = number of (D-1)/(D-2)
 # conjugations applied to the full operator: 0 the operator itself, 1 once
 # commuted, 2 twice commuted.
@@ -184,10 +186,12 @@ def integrate_coefficients(cv0, dt, T):
     series u(t) = sum_{k<=J} c_k t^k with c_0 = u(0), c_1 = f - M u(0) and
     c_k = -M c_{k-1} / k (the nilpotent case of Moler & Van Loan 2003,
     SIAM Review 45:3). dt only sets the sampling: max(1, round(T / dt))
-    equal intervals that land exactly on T.
+    equal intervals, at most MAX_INTERVALS, that land exactly on T.
     """
     if not 0 < dt < np.inf or not 0 < T < np.inf:
         raise ValueError("dt and T must be positive and finite")
+    if T > (MAX_INTERVALS + 0.5) * dt:  # a product: T / dt overflows for a subnormal dt
+        raise ValueError(f"T / dt must be at most {MAX_INTERVALS}, got dt = {dt!r}, T = {T!r}")
     J = cv0.J
     m = coefficient_matrix(J)
     times = np.linspace(0.0, T, max(1, int(round(T / dt))) + 1)

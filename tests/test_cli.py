@@ -336,6 +336,7 @@ def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
     ("2e-2,,5e-3", None, "--values must be comma-separated numbers"),
     ("2e-2,nan,5e-3", None, "--values must be positive time steps"),
     ("2e-2,0,5e-3", None, "--values must be positive time steps"),
+    ("1e-2,5e-3,5e-324", None, "--values: too many steps"),
     ("2e-2,1e-2,5e-3", "two", "THINFILM_WORKERS must be a positive integer"),
     ("2e-2,1e-2,5e-3", "0", "THINFILM_WORKERS must be a positive integer"),
     ("2e-2,1e-2,5e-3", "-2", "THINFILM_WORKERS must be a positive integer"),

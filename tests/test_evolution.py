@@ -152,7 +152,7 @@ def _per_call_tilde_energies(u, alpha, k):
 def _per_call_leading_coefficients(u):
     """leading_coefficients as written before the (D-1)u and weight caches."""
     grid = u.grid
-    u1 = gridmod.extract_coefficients(u, 1, fit_band=2.0)[0]
+    u1 = gridmod.extract_coefficients(u, 1)[0]
     tu = gridmod.shifted_derivative(u, 1.0)
     u2 = gridmod.fit_powers(tu.values * np.exp(-2.0 * grid.s), grid, 3.0, 6.0, 3)[0]
     cu = gridmod.shifted_derivative(tu, 2.0)
@@ -215,6 +215,8 @@ def _run_nonlinear(dt, T, store_every):
     (np.nan, 0.05, 1, "dt must be positive and finite"),
     (1e-2, np.nan, 1, "T must be positive and finite"),
     (1e-2, np.inf, 1, "T must be positive and finite"),
+    (5e-324, 1.0, 1, "too many steps"),
+    (1.0, 1e-12, 1, "integer number of steps"),
 ])
 def test_run_rejects_bad_step_requests(driver, dt, T, store_every, message):
     with pytest.raises(GridError, match=message):

@@ -73,7 +73,7 @@ def test_fits_match_the_replaced_lstsq_fitters(field):
     u = field()
     want3 = _old_fit_expansion(u.values, u.grid, 3, gridmod.FIT_BAND)[0]
     want5 = _old_fit_expansion(u.values, u.grid, 5, gridmod.FIT_BAND)[0]
-    got5 = gridmod._fit_expansion(u.values, u.grid, 5, gridmod.FIT_BAND)[0]
+    got5 = gridmod._fit_expansion(u.values, u.grid, 5)[0]
     assert gridmod.extract_coefficients(u, 1)[0] == pytest.approx(want3, rel=1e-12, abs=0.0)
     assert got5 == pytest.approx(want5, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(evolution.leading_coefficients(u),
@@ -92,7 +92,7 @@ def test_expansion_fit_matches_where_the_weight_decides():
     want3 = _old_fit_expansion(y, g, 3, gridmod.FIT_BAND)
     np.testing.assert_allclose(gridmod.extract_coefficients(u, 3), want3, rtol=1e-12, atol=0.0)
     want5 = _old_fit_expansion(y, g, 5, gridmod.FIT_BAND)[:3]
-    got5 = gridmod._fit_expansion(y, g, 5, gridmod.FIT_BAND)[:3]
+    got5 = gridmod._fit_expansion(y, g, 5)[:3]
     np.testing.assert_allclose(got5, want5, rtol=1e-12, atol=0.0)
 
 
@@ -101,9 +101,9 @@ def test_stacked_fit_equals_the_per_row_fit():
     x = g.x
     stack = np.stack([(0.1 * i * x + 0.5 * x * x - 0.2 * x**3) * np.exp(-x)
                       for i in range(1, 6)])
-    got = gridmod._fit_expansion(stack, g, 5, gridmod.FIT_BAND)
+    got = gridmod._fit_expansion(stack, g, 5)
     for row, coeffs in zip(stack, got):
-        assert np.array_equal(gridmod._fit_expansion(row, g, 5, gridmod.FIT_BAND), coeffs)
+        assert np.array_equal(gridmod._fit_expansion(row, g, 5), coeffs)
 
 
 def test_cached_projector_is_read_only():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import gaussian_bump
 from thinfilm import grid as gridmod
-from thinfilm import nonlinear
+from thinfilm import nonlinear, stencils
 from thinfilm.errors import GridError
 
 
@@ -183,13 +183,147 @@ def test_composite_init_norm_exact_expansion():
 
 def test_composite_norm_dispatch_and_bounds(default_grid):
     w = gaussian_bump(default_grid)
-    with pytest.raises(GridError):
-        gridmod.composite_norm(w, "init", 3, 3, 0.25)
-    with pytest.raises(GridError):
-        gridmod.composite_norm(w, "nonsense", 1, 3, 0.25)
-    traj = [(0.0, w)]
-    with pytest.raises(GridError):
-        gridmod.composite_norm(traj, "sol", 1, 3, 0.25)
+    traj = [(0.1 * j, w) for j in range(4)]
+    with pytest.raises(GridError, match="N <= 2"):
+        gridmod.composite_init_norm(w, 3, 3, 0.25)
+    with pytest.raises(GridError, match="N <= 2"):
+        gridmod.composite_sol_norm(traj, 3, 3, 0.25)
+    with pytest.raises(GridError, match="N <= 2"):
+        gridmod.composite_rhs_norm(traj, 3, 3, 0.25)
+    uneven = [(t, w) for t in (0.0, 0.1, 0.3)]
+    for norm in (gridmod.composite_sol_norm, gridmod.composite_rhs_norm):
+        with pytest.raises(GridError, match="shorter than the time-difference stencil"):
+            norm([(0.0, w)], 1, 3, 0.25)
+        with pytest.raises(GridError, match="uniformly stored steps"):
+            norm(uneven, 1, 3, 0.25)
+
+
+def _parent_sol_norm(traj, N, k, delta):
+    """composite_sol_norm as written before the term-list evaluator."""
+    times = np.array([t for t, _ in traj])
+    dt = times[1] - times[0]
+    grid = traj[0][1].grid
+    values = np.stack([gf.values for _, gf in traj])
+    first, second = gridmod.index_sets(N, delta)
+    coeffs = gridmod._fit_expansion(values, grid, 5)
+    under = values / (grid.x + 1.0)[None, :]
+    under_coeffs = gridmod._underline_coeffs(coeffs)
+    dvalues, dunder, dcoeffs, ducoeffs = {0: values}, {0: under}, {0: coeffs}, {0: under_coeffs}
+    for l in range(1, N + 2):
+        dvalues[l] = gridmod._time_derivative(values, dt, l)
+        dunder[l] = gridmod._time_derivative(under, dt, l)
+        dcoeffs[l] = gridmod._time_derivative(coeffs, dt, l)
+        ducoeffs[l] = gridmod._time_derivative(under_coeffs, dt, l)
+    total = 0.0
+    seen = set()
+    for alpha, l, m in first:
+        fl = int(np.floor(alpha))
+        kn = k + 4 * (N - l) + 1
+        for r in range(m + 1):
+            key = ("sup", l, fl + m + r, alpha + m + r, kn)
+            if key in seen:
+                continue
+            seen.add(key)
+            total += float(np.max(gridmod._norm_series(dvalues[l], dcoeffs[l], grid, kn,
+                                                       alpha + m + r, fl + m + r)))
+    for alpha, l, m in second:
+        fl = int(np.floor(alpha))
+        for r in range(m + 1):
+            kn = k + 4 * (N - l) - 1
+            sub = max(fl + m + r - 1, 0)
+            key = ("iu", l + 1, sub, alpha + m + r - 1, kn)
+            if key not in seen:
+                seen.add(key)
+                total += float(stencils.trapezoid(gridmod._norm_series(
+                    dunder[l + 1], ducoeffs[l + 1], grid, kn, alpha + m + r - 1, sub), dt))
+            kn = k + 4 * (N - l) + 3
+            key = ("ih", l, fl + m + r + 1, alpha + m + r + 1, kn)
+            if key not in seen:
+                seen.add(key)
+                total += float(stencils.trapezoid(gridmod._norm_series(
+                    dvalues[l], dcoeffs[l], grid, kn, alpha + m + r + 1, fl + m + r + 1), dt))
+    return float(np.sqrt(total))
+
+
+def _parent_rhs_norm(traj, N, k, delta):
+    """composite_rhs_norm as written before the term-list evaluator."""
+    times = np.array([t for t, _ in traj])
+    dt = times[1] - times[0]
+    grid = traj[0][1].grid
+    values = np.stack([gf.values for _, gf in traj])
+    coeffs = gridmod._fit_expansion(values, grid, 5)
+    under = values / (grid.x + 1.0)[None, :]
+    under_coeffs = gridmod._underline_coeffs(coeffs)
+    dvalues, dunder, dcoeffs, ducoeffs = {0: values}, {0: under}, {0: coeffs}, {0: under_coeffs}
+    for l in range(1, N + 1):
+        dvalues[l] = gridmod._time_derivative(values, dt, l)
+        dunder[l] = gridmod._time_derivative(under, dt, l)
+        dcoeffs[l] = gridmod._time_derivative(coeffs, dt, l)
+        ducoeffs[l] = gridmod._time_derivative(under_coeffs, dt, l)
+    total = 0.0
+    seen = set()
+    if N >= 1:
+        first_lower, _ = gridmod.index_sets(N - 1, delta)
+        for alpha, l, m in first_lower:
+            fl = int(np.floor(alpha))
+            kn = k + 4 * (N - l) - 3
+            for r in range(m + 1):
+                key = ("sup", l, fl + m + r, alpha + m + r, kn)
+                if key in seen:
+                    continue
+                seen.add(key)
+                total += float(np.max(gridmod._norm_series(dvalues[l], dcoeffs[l], grid, kn,
+                                                           alpha + m + r, fl + m + r)))
+    _, second = gridmod.index_sets(N, delta)
+    for alpha, l, m in second:
+        fl = int(np.floor(alpha))
+        kn = k + 4 * (N - l) - 1
+        for r in range(m + 1):
+            sub = max(fl + m + r - 1, 0)
+            key = ("iu", l, sub, alpha + m + r - 1, kn)
+            if key in seen:
+                continue
+            seen.add(key)
+            total += float(stencils.trapezoid(gridmod._norm_series(
+                dunder[l], ducoeffs[l], grid, kn, alpha + m + r - 1, sub), dt))
+    return float(np.sqrt(total))
+
+
+def _parent_init_norm(w, N, k, delta):
+    """composite_init_norm as written before the term-list evaluator."""
+    first, _ = gridmod.index_sets(N, delta)
+    pairs = sorted({(int(np.floor(alpha)) + m + r, alpha + m + r)
+                    for alpha, _l, m in first for r in range(m + 1)})
+    coeffs = gridmod._fit_expansion(w.values, w.grid, 5)
+    total = 0.0
+    for sub, alpha in pairs:
+        v = gridmod._minus_expansion(w.values, coeffs[:sub], w.grid)
+        total += gridmod.weighted_norm(gridmod.GridFunction(w.grid, v),
+                                       gridmod.NormSpec(k + 4 * N + 1, alpha)) ** 2
+    return float(np.sqrt(total))
+
+
+_COARSE = gridmod.LogGrid(-12.0, 4.0, 257)
+_BASES = [lambda x: x**3 * np.exp(-x), lambda x: (0.4 * x + 0.3 * x * x + x**3) * np.exp(-x)]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+@pytest.mark.parametrize("delta", [0.1, 0.4])
+@pytest.mark.parametrize("base", range(len(_BASES)))
+def test_composite_norms_match_the_parent_loops(N, delta, base):
+    # the term-list evaluator sums the same distinct terms in the same order
+    # as the per-norm loops it replaced, so the sums agree bitwise
+    x = _COARSE.x
+    field = _BASES[base](x)
+    traj = [(t, gridmod.GridFunction(_COARSE, np.exp(-2 * t) * field))
+            for t in np.linspace(0.0, 0.2, 6)]
+    assert gridmod.composite_sol_norm(traj, N, 3, delta) == _parent_sol_norm(traj, N, 3, delta)
+    assert gridmod.composite_rhs_norm(traj, N, 3, delta) == _parent_rhs_norm(traj, N, 3, delta)
+    # the parent squared weighted_norm's square root; the evaluator sums the
+    # squares directly, so the two may differ in the last bits
+    w = traj[0][1]
+    assert gridmod.composite_init_norm(w, N, 3, delta) == pytest.approx(
+        _parent_init_norm(w, N, 3, delta), rel=1e-15, abs=0.0)
 
 
 def test_composite_sol_norm_matches_direct_assembly_n0(default_grid):
@@ -264,6 +398,7 @@ def test_normspec_validation():
     with pytest.raises(GridError):
         gridmod.NormSpec(-1, 0.0)
     with pytest.raises(GridError):
-        gridmod.NormSpec(2, 0.0, delta=0.7)
-    with pytest.raises(GridError):
-        gridmod.NormSpec(2, 0.0, sub=4, N=1)
+        gridmod.NormSpec(2, 0.0, sub=-1)
+    for sub in (4, 5):  # extract_coefficients fits at most 3 expansion terms
+        with pytest.raises(GridError, match="sub must lie in 0..3"):
+            gridmod.NormSpec(2, 0.5, sub=sub)

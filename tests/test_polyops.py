@@ -250,9 +250,13 @@ def test_integrate_rejects_bad_input():
 
 
 @pytest.mark.parametrize("dt, T", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                                   (1e-3, 0.0), (1e-3, -1.0), (1e-3, np.nan), (1e-3, np.inf)])
+                                   (1e-3, 0.0), (1e-3, -1.0), (1e-3, np.nan), (1e-3, np.inf),
+                                   (5e-324, 1.0), (1.0, 1e100)])
 def test_integrate_rejects_bad_times(dt, T):
-    with pytest.raises(ValueError, match="positive and finite"):
+    # the last two rows are valid times that ask for more than MAX_INTERVALS samples
+    valid = 0 < dt < np.inf and 0 < T < np.inf
+    message = "T / dt must be at most" if valid else "positive and finite"
+    with pytest.raises(ValueError, match=message):
         polyops.integrate_coefficients(polyops.CoefficientVector.zeros(2), dt, T)
 
 
