@@ -3,8 +3,8 @@
 Subcommands: coercivity, norms, resolvent, linear-evolve, nonlinear-evolve,
 validate, sweep. Every artifact embeds the resolved configuration and its
 content hash; outputs are bit-identical for identical config.
-Exit codes: 0 success, 1 malformed config, 2 validation failure,
-3 numerical-guard failure.
+Exit codes: 0 success, 1 malformed config or input file, 2 validation
+failure, 3 numerical-guard failure.
 """
 
 import argparse
@@ -88,15 +88,14 @@ def cmd_coercivity(args):
     return EXIT_OK
 
 
+def _load_cfg_and_grid(args):
+    cfg = config.load(args.config) if args.config else config.ExperimentConfig()
+    g = cfg["grid"]
+    return cfg, gridmod.LogGrid(g["s_min"], g["s_max"], g["n"])
+
+
 def cmd_norms(args):
-    data = np.loadtxt(args.csv, delimiter=",", skiprows=1, ndmin=2)
-    s = data[:, 0]
-    n = s.size
-    grid = gridmod.LogGrid(float(s[0]), float(s[-1]), n)
-    if not np.allclose(grid.s, s):
-        print("error: CSV s-column is not uniform", file=sys.stderr)
-        return EXIT_CONFIG
-    w = gridmod.GridFunction(grid, data[:, 1])
+    w = config.read_field(args.csv, "--csv")
     out = {}
     for spec_text in args.spec:
         try:
@@ -111,14 +110,8 @@ def cmd_norms(args):
 
 
 def cmd_resolvent(args):
-    cfg = config.load(args.config) if args.config else config.ExperimentConfig()
-    g = cfg["grid"]
-    grid = gridmod.LogGrid(g["s_min"], g["s_max"], g["n"])
-    data = np.loadtxt(args.g, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] != grid.n or not np.allclose(data[:, 0], grid.s):
-        print("error: right-hand side samples do not match the grid", file=sys.stderr)
-        return EXIT_CONFIG
-    rhs = gridmod.GridFunction(grid, data[:, 1])
+    cfg, grid = _load_cfg_and_grid(args)
+    rhs = config.read_field(args.g, "--g", grid)
     op = resolvent.assemble(grid)
     sol = resolvent.solve(op, args.lam, rhs)
     out_dir = args.out or cfg["output"]["dir"]
@@ -134,12 +127,6 @@ def cmd_resolvent(args):
     }, cfg)
     print(f"resolvent solve done: residual {sol.residual_norm:.3e}")
     return EXIT_OK
-
-
-def _load_cfg_and_grid(args):
-    cfg = config.load(args.config) if args.config else config.ExperimentConfig()
-    g = cfg["grid"]
-    return cfg, gridmod.LogGrid(g["s_min"], g["s_max"], g["n"])
 
 
 def cmd_linear_evolve(args):
@@ -263,28 +250,11 @@ def cmd_sweep(args):
         except GridError as exc:
             print(f"error: --values: {exc} (dt={dt!r}, solver.T={T!r})", file=sys.stderr)
             return EXIT_CONFIG
-    raw_workers = os.environ.get("THINFILM_WORKERS", "1")
-    try:
-        workers = int(raw_workers)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        print(f"error: THINFILM_WORKERS must be a positive integer, got {raw_workers!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
     u0 = config.initial_profile(cfg, grid)
     op = resolvent.assemble(grid)
-
-    def one(dt):
-        # only the final state is read: store t = 0 and t = T, check the energy every step
-        return evolution.run(op, u0, None, dt, T, store_every=evolution.MAX_STEPS)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            states = list(pool.map(one, values))
-    else:
-        states = [one(dt) for dt in values]
+    # only the final state is read: store t = 0 and t = T, check the energy every step
+    states = [evolution.run(op, u0, None, dt, T, store_every=evolution.MAX_STEPS)
+              for dt in values]
     for dt, state in zip(values, states):
         if state.flags:
             print(f"completed with {len(state.flags)} energy flags at dt={dt:g}",

@@ -21,6 +21,8 @@ from . import polyops, stencils
 from .elliptic import _require_compact_support
 
 BOUNDARY_TOL = 1e-8  # |margin| below this counts as zero at interval endpoints
+MARGIN_SCAN = 4001  # normalized_margin: linear scan points on mu = xi^2 in [0, 4],
+MARGIN_MU_MAX = 400.0  # then MARGIN_SCAN // 2 geometric ones up to this mu
 _SQRT3 = np.sqrt(3.0)
 
 
@@ -52,7 +54,7 @@ def symbol_margin(p, alpha):
     return float(margin)
 
 
-def normalized_margin(p, alpha, n_scan=4001, mu_max=400.0):
+def normalized_margin(p, alpha):
     """min over xi of Re P(i xi + alpha) / sum_{j<=2} (xi^2 + alpha^2)^j.
 
     This is the constant that bounds the quadratic form against the full
@@ -61,8 +63,8 @@ def normalized_margin(p, alpha, n_scan=4001, mu_max=400.0):
     only controls the j = 0 part. Dense scan in mu = xi^2.
     """
     e2, e4 = _sym(p, alpha)
-    mu = np.concatenate([np.linspace(0.0, 4.0, n_scan),
-                         np.geomspace(4.0, mu_max, n_scan // 2)])
+    mu = np.concatenate([np.linspace(0.0, 4.0, MARGIN_SCAN),
+                         np.geomspace(4.0, MARGIN_MU_MAX, MARGIN_SCAN // 2)])
     shifted = mu + alpha * alpha
     ratio = (mu * mu - e2 * mu + e4) / (1.0 + shifted + shifted * shifted)
     return float(min(ratio.min(), 1.0))

@@ -13,24 +13,17 @@ import numpy as np
 
 from . import evolution
 from . import grid as gridmod
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 
+# {section: {key: (kind, default)}}; kind "floats" is a comma-separated list
 _SCHEMA = {
-    "grid": {"s_min": float, "s_max": float, "n": int},
-    "solver": {"dt": float, "T": float, "store_every": int},
-    "norms": {"N": int, "k": int, "delta": float, "alpha": float},
-    "nonlinear": {"eps": float, "taper": str, "picard_tol": float,
-                  "picard_max": int, "lipschitz_threshold": float},
-    "output": {"dir": str, "snapshots": "floats", "u0": str, "u0_csv": str},
-}
-
-_DEFAULTS = {
-    "grid": {"s_min": -12.0, "s_max": 4.0, "n": 1025},
-    "solver": {"dt": 1e-2, "T": 1.0, "store_every": 1},
-    "norms": {"N": 1, "k": 3, "delta": 0.25, "alpha": 0.25},
-    "nonlinear": {"eps": 1e-3, "taper": "exp", "picard_tol": 1e-10,
-                  "picard_max": 25, "lipschitz_threshold": 0.5},
-    "output": {"dir": ".", "snapshots": (), "u0": "x3_decay", "u0_csv": ""},
+    "grid": {"s_min": (float, -12.0), "s_max": (float, 4.0), "n": (int, 1025)},
+    "solver": {"dt": (float, 1e-2), "T": (float, 1.0), "store_every": (int, 1)},
+    "norms": {"N": (int, 1), "k": (int, 3), "delta": (float, 0.25), "alpha": (float, 0.25)},
+    "nonlinear": {"eps": (float, 1e-3), "taper": (str, "exp"), "picard_tol": (float, 1e-10),
+                  "picard_max": (int, 25), "lipschitz_threshold": (float, 0.5)},
+    "output": {"dir": (str, "."), "snapshots": ("floats", ()), "u0": (str, "x3_decay"),
+               "u0_csv": (str, "")},
 }
 
 _U0_CATALOG = ("x3_decay", "kernel_x", "kernel_x2", "wave_shift", "zero")
@@ -57,7 +50,8 @@ class ExperimentConfig:
     """Validated configuration with defaults filled in."""
 
     def __init__(self, values=None):
-        self.values = {sec: dict(defaults) for sec, defaults in _DEFAULTS.items()}
+        self.values = {sec: {key: default for key, (_, default) in keys.items()}
+                       for sec, keys in _SCHEMA.items()}
         for sec, entries in (values or {}).items():
             for key, val in entries.items():
                 self.values[sec][key] = val
@@ -75,12 +69,11 @@ class ExperimentConfig:
         if g["n"] < 64:
             raise ConfigError("grid.n", "need at least 64 nodes")
         s = self.values["solver"]
-        if not s["dt"] > 0:
-            raise ConfigError("solver.dt", "must be positive")
-        if not s["T"] > 0:
-            raise ConfigError("solver.T", "must be positive")
-        if s["T"] / s["dt"] > evolution.MAX_STEPS:
-            raise ConfigError("solver.T", f"more than {evolution.MAX_STEPS} steps requested")
+        try:
+            evolution.step_count(s["dt"], s["T"])
+        except GridError as exc:
+            raise ConfigError("solver.dt" if str(exc).startswith("dt ") else "solver.T",
+                              str(exc)) from exc
         if s["store_every"] < 1:
             raise ConfigError("solver.store_every", "must be at least 1")
         nm = self.values["norms"]
@@ -140,19 +133,41 @@ def load(path):
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
-            values[section][key] = _parse_value(section, key, raw, _SCHEMA[section][key])
+            values[section][key] = _parse_value(section, key, raw, _SCHEMA[section][key][0])
     return ExperimentConfig(values)
+
+
+def read_field(path, key, grid=None):
+    """GridFunction from a CSV with a header line and the columns s, value.
+
+    Without ``grid`` the grid is built from the s column, which must be
+    uniform; with one, the s column must match its nodes. Every failure is a
+    ConfigError naming ``key``, the source of the path.
+    """
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(key, f"cannot read {path!r}: {exc}") from exc
+    if data.shape[1] != 2:
+        raise ConfigError(key, f"need rows of two columns s,value, got shape {data.shape}")
+    s = data[:, 0]
+    try:
+        if grid is None:
+            grid = gridmod.LogGrid(float(s[0]), float(s[-1]), s.size)
+            if not np.allclose(grid.s, s):
+                raise ConfigError(key, "s column is not uniform")
+        elif s.shape != grid.s.shape or not np.allclose(s, grid.s):
+            raise ConfigError(key, "samples do not match the configured grid")
+        return gridmod.GridFunction(grid, data[:, 1])
+    except GridError as exc:
+        raise ConfigError(key, str(exc)) from exc
 
 
 def initial_profile(cfg, grid_obj):
     """Initial data selected by output.u0 (or output.u0_csv when set)."""
     path = cfg["output"]["u0_csv"]
     if path:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        s = data[:, 0]
-        if s.shape != grid_obj.s.shape or not np.allclose(s, grid_obj.s):
-            raise ConfigError("output.u0_csv", "samples do not match the configured grid")
-        return gridmod.GridFunction(grid_obj, data[:, 1])
+        return read_field(path, "output.u0_csv", grid_obj)
     name = cfg["output"]["u0"]
     eps = cfg["nonlinear"]["eps"]
     taper = np.exp(-grid_obj.x) if cfg["nonlinear"]["taper"] == "exp" else 1.0

@@ -93,7 +93,7 @@ def cumulative_from_zero(integrand, grid, rule=None):
     tail = _tail_closure(integrand, grid)
     result = tail + stencils.cumulative_integral(integrand, grid.h)
     if rule is not None and rule.kind == "adaptive":
-        fine = grid.refine(2)
+        fine = grid.refine()
         refined = CubicSpline(grid.s, integrand)(fine.s)
         check = (_tail_closure(refined, fine)
                  + stencils.cumulative_integral(refined, fine.h))

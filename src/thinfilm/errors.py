@@ -34,7 +34,7 @@ class PicardError(ThinFilmError):
 
 
 class ConfigError(ThinFilmError):
-    """Malformed experiment configuration. `key` names the offending entry."""
+    """Malformed configuration or input file. `key` names the entry or flag that gave it."""
 
     def __init__(self, key, message):
         self.key = key

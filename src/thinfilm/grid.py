@@ -86,9 +86,9 @@ class LogGrid:
         """e^{a s}: the norm weights x^a, read-only and computed once per (grid, a)."""
         return _exp_s(self.s_min, self.s_max, self.n, a)
 
-    def refine(self, factor=2):
-        """Same span with (n-1)*factor intervals; existing nodes are kept."""
-        return LogGrid(self.s_min, self.s_max, (self.n - 1) * factor + 1)
+    def refine(self):
+        """Same span with twice the intervals; existing nodes are kept."""
+        return LogGrid(self.s_min, self.s_max, 2 * (self.n - 1) + 1)
 
 
 class GridFunction:

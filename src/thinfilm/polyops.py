@@ -15,6 +15,7 @@ from . import grid as gridmod
 from .errors import GridError
 
 MAX_INTERVALS = 10**6  # sampling intervals of one integrate_coefficients trajectory
+EDGE_SKIP = 8  # nodes at each end that commutation_residual leaves out
 
 # Root multisets of the canonical quartics. Index = number of (D-1)/(D-2)
 # conjugations applied to the full operator: 0 the operator itself, 1 once
@@ -110,7 +111,7 @@ def apply_operator(w, commutations=0):
         grid, grid.inv_x * apply_symbol(p, w).values + grid.inv_x2 * apply_symbol(q, w).values)
 
 
-def commutation_residual(variant, w, edge_skip=8):
+def commutation_residual(variant, w):
     """Interior max-norm of the commutation defect of the discrete operators.
 
     variant "tilde": (D-1) A - A~ (D-1) applied to w.
@@ -120,13 +121,13 @@ def commutation_residual(variant, w, edge_skip=8):
     if variant not in ("tilde", "check"):
         raise ValueError("variant must be 'tilde' or 'check'")
     n = w.grid.n
-    if n < 4 * edge_skip:
+    if n < 4 * EDGE_SKIP:
         raise GridError("grid too coarse for the commutation stencil")
     level = 0 if variant == "tilde" else 1
     a = 1.0 if variant == "tilde" else 2.0
     lhs = gridmod.shifted_derivative(apply_operator(w, level), a)
     rhs = apply_operator(gridmod.shifted_derivative(w, a), level + 1)
-    interior = slice(edge_skip, n - edge_skip)
+    interior = slice(EDGE_SKIP, n - EDGE_SKIP)
     return float(np.max(np.abs(lhs.values[interior] - rhs.values[interior])))
 
 

@@ -22,6 +22,9 @@ from .errors import CompatibilityError, GridError, SolverError
 
 KL = 5  # sub-diagonals: widest shifted interior stencil
 KU = 6  # super-diagonals: left closure row reaches node 6
+EDGE_SKIP = 8  # nodes at each end that interior_residual leaves out
+FAR_BAND = (3.5, 1.5)  # far_field_rate's band below s_max, kept clear of the clamp rows
+FAR_MIN_NODES = 10  # fewest tail nodes far_field_rate fits a slope to
 
 _gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0, dtype=np.float64),))
 
@@ -111,8 +114,8 @@ class Factorization:
     """Banded LU of (lambda I + A) with the closure rows in place."""
 
     def __init__(self, op, lam):
-        if lam <= 0:
-            raise SolverError("lambda must be positive")
+        if not 0 < lam < np.inf:
+            raise SolverError("lambda must be positive and finite")
         self.op = op
         self.lam = float(lam)
         n = op.n
@@ -185,7 +188,7 @@ def _compatibility_probe(g):
     raise CompatibilityError("right-hand side does not vanish at the contact line")
 
 
-def interior_residual(op, lam, u, g, edge_skip=8):
+def interior_residual(op, lam, u, g):
     """Component-wise residual of lambda u + A u - g, independent stencil path.
 
     The numerator applies the operator through the norm-module stencils (not
@@ -198,14 +201,13 @@ def interior_residual(op, lam, u, g, edge_skip=8):
     absu = np.abs(u.values)
     den = product(op.row, op.col, np.abs(op.val), absu)
     den += lam * absu + np.abs(g.values) + 1e-300
-    sl = slice(edge_skip, op.n - edge_skip)
+    sl = slice(EDGE_SKIP, op.n - EDGE_SKIP)
     return float(np.max(np.abs(res[sl]) / den[sl]))
 
 
-def solve(op, lam, g, factorization=None, check_probe=True):
+def solve(op, lam, g, factorization=None):
     """Solve (lambda + A) u = g with closure-augmented right-hand side."""
-    if check_probe:
-        _compatibility_probe(g)
+    _compatibility_probe(g)
     fac = factorization if factorization is not None else Factorization(op, lam)
     u = fac.solve(g)
     res = interior_residual(op, lam, u, g)
@@ -213,19 +215,19 @@ def solve(op, lam, g, factorization=None, check_probe=True):
     return ResolventSolve(lam=lam, solution=u, residual_norm=res, decay_rate_fit=rate)
 
 
-def far_field_rate(u, lam, band=(3.5, 1.5), min_nodes=10):
+def far_field_rate(u, lam):
     """Least-squares slope of -ln|u| against 4 (lambda x)^{1/4} on the tail.
 
     The far-field mode analysis predicts 1/sqrt(2). The fit band is
-    [s_max - band[0], s_max - band[1]] (keeping a buffer from the clamp);
+    FAR_BAND below s_max (keeping a buffer from the clamp);
     the far-field modes oscillate, so nodes near their zeros are dropped by
     one robust re-fit pass. Returns NaN when the tail underflows or fails
     to decay.
     """
     grid = u.grid
-    mask = (grid.s >= grid.s_max - band[0]) & (grid.s <= grid.s_max - band[1])
+    mask = (grid.s >= grid.s_max - FAR_BAND[0]) & (grid.s <= grid.s_max - FAR_BAND[1])
     vals = np.abs(u.values[mask])
-    if vals.size < min_nodes or np.any(vals < 1e-280) or np.any(vals == 0.0):
+    if vals.size < FAR_MIN_NODES or np.any(vals < 1e-280) or np.any(vals == 0.0):
         return float("nan")
     q = vals.size // 4
     if np.mean(vals[-q:]) >= np.mean(vals[:q]):
@@ -234,6 +236,6 @@ def far_field_rate(u, lam, band=(3.5, 1.5), min_nodes=10):
     y = -np.log(vals)
     slope, icpt = np.polyfit(r, y, 1)
     keep = np.abs(y - (slope * r + icpt)) < 2.0
-    if keep.sum() >= min_nodes:
+    if keep.sum() >= FAR_MIN_NODES:
         slope = np.polyfit(r[keep], y[keep], 1)[0]
     return float(slope)

@@ -43,7 +43,7 @@ def smyth_hill(t, y, X=1.0):
     return np.where(np.abs(x) <= X, scale * prof, 0.0)
 
 
-def tfe_residual(h, t_span, y_span, dt, dy, h_floor_rel=H_FLOOR_REL):
+def tfe_residual(h, t_span, y_span, dt, dy):
     """Centered residual of h_t + (h h_yyy)_y on interior (t, y) stencils.
 
     h is a callable h(t, y) accepting arrays. Each residual uses a 5 x 7
@@ -56,7 +56,7 @@ def tfe_residual(h, t_span, y_span, dt, dy, h_floor_rel=H_FLOOR_REL):
         raise ValueError("span too small for the 5 x 7 residual stencil")
     tt, yy = np.meshgrid(t_nodes, y_nodes, indexing="ij")
     hh = np.asarray(h(tt, yy), dtype=float)
-    floor = h_floor_rel * hh.max()
+    floor = H_FLOOR_REL * hh.max()
 
     # centers: trim 2 time levels and 3 space nodes at each side
     h_t = (hh[:-4, 3:-3] - 8 * hh[1:-3, 3:-3] + 8 * hh[3:-1, 3:-3] - hh[4:, 3:-3]) / (12 * dt)

@@ -177,6 +177,11 @@ def test_malformed_config_messages(tmp_path, capsys):
     assert "grid.s_min" in capsys.readouterr().err
     assert config.ExperimentConfig({"grid": {"s_min": gridmod.RESOLVED_S_MIN}})
 
+    # 1.5 steps: the config is malformed, so this is exit 1 before any run starts
+    bad5 = write_config(tmp_path / "bad5.ini", "[solver]\ndt = 0.01\nT = 0.015\n")
+    assert cli.main(["linear-evolve", "--config", bad5]) == 1
+    assert "error: config key 'solver.T'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("text, key", [
     ("n = 257\n", "bad.ini"),                      # no section header: the file is named
@@ -207,6 +212,54 @@ def test_removed_config_keys_are_rejected(tmp_path, capsys, text, key):
     assert exc.value.key == key
     assert cli.main(["linear-evolve", "--config", path]) == 1
     assert f"'{key}'" in capsys.readouterr().err
+
+
+_FIELD_GRID = gridmod.LogGrid(-12.0, 4.0, 65)
+_NONUNIFORM = _FIELD_GRID.s + 0.1 * _FIELD_GRID.h * (np.arange(65) == 5)
+_BAD_FIELDS = {  # CSV text, or None for a missing file
+    "missing file": None,
+    "no data rows": "s,value\n",
+    "unparsable cell": "s,value\n" + "".join(f"{s!r},abc\n" for s in _FIELD_GRID.s),
+    "single column": "s\n" + "".join(f"{s!r}\n" for s in _FIELD_GRID.s),
+    "fewer than 16 rows": "s,value\n" + "".join(f"{s!r},0.0\n" for s in np.linspace(-12, 4, 8)),
+    "non-uniform s": "s,value\n" + "".join(f"{s!r},0.0\n" for s in _NONUNIFORM),
+    "s off the grid": "s,value\n" + "".join(f"{s!r},0.0\n" for s in np.linspace(-12, 4, 129)),
+    "non-finite value": "s,value\n" + "".join(f"{s!r},nan\n" for s in _FIELD_GRID.s),
+}
+
+
+# norms builds its grid from the s column, so no grid is there to miss
+@pytest.mark.parametrize("source, case", [
+    (source, case) for source in ("--csv", "--g", "output.u0_csv") for case in _BAD_FIELDS
+    if (source, case) != ("--csv", "s off the grid")])
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+def test_bad_input_csv_is_a_config_error(tmp_path, capsys, source, case):
+    csv, out_dir = tmp_path / "field.csv", tmp_path / "out"
+    if _BAD_FIELDS[case] is not None:
+        csv.write_text(_BAD_FIELDS[case])
+    cfg = write_config(tmp_path / "exp.ini", f"[grid]\nn = 65\n[output]\ndir = {out_dir}\n"
+                       + (f"u0_csv = {csv}\n" if source == "output.u0_csv" else ""))
+    argv = {"--csv": ["norms", "--csv", str(csv), "--spec", "0:0.25:0"],
+            "--g": ["resolvent", "--lambda", "1.0", "--g", str(csv), "--config", cfg,
+                    "--out", str(out_dir)],
+            "output.u0_csv": ["linear-evolve", "--config", cfg]}[source]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: config key '{source}'" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_u0_csv_round_trip_is_bitwise(tmp_path):
+    # x3_decay written with repr floats, as the benchmark writes it, reads back exactly
+    grid = gridmod.LogGrid(-12.0, 4.0, 1025)
+    x = grid.x
+    path = tmp_path / "u0.csv"
+    path.write_text("s,u\n" + "".join(f"{s!r},{u!r}\n" for s, u in
+                                        zip(grid.s.tolist(), (x**3 * np.exp(-x)).tolist())))
+    got = config.initial_profile(config.ExperimentConfig({"output": {"u0_csv": str(path)}}), grid)
+    want = config.initial_profile(config.ExperimentConfig(), grid)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def _data_rows(path):
@@ -261,12 +314,12 @@ def test_validate_command(tmp_path, capsys):
     assert payload["checks"]["traveling_wave_order"]["pass"]
 
 
-def _sweep_config(tmp_path, u0="x3_decay"):
+def _sweep_config(tmp_path, u0="x3_decay", T=None):
     return write_config(tmp_path / "exp.ini", f"""
 [grid]
 n = 257
 [solver]
-T = 0.08
+T = {0.08 if T is None else T}
 [output]
 dir = {tmp_path / 'run'}
 u0 = {u0}
@@ -331,36 +384,19 @@ def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
                    "completed with 2 energy flags at dt=0.04"]
 
 
-@pytest.mark.parametrize("values, workers, message", [
+@pytest.mark.parametrize("values, T, message", [  # T None: the default 0.08
     ("2e-2,abc,5e-3", None, "--values must be comma-separated numbers"),
     ("2e-2,,5e-3", None, "--values must be comma-separated numbers"),
     ("2e-2,nan,5e-3", None, "--values must be positive time steps"),
     ("2e-2,0,5e-3", None, "--values must be positive time steps"),
     ("1e-2,5e-3,5e-324", None, "--values: too many steps"),
-    ("2e-2,1e-2,5e-3", "two", "THINFILM_WORKERS must be a positive integer"),
-    ("2e-2,1e-2,5e-3", "0", "THINFILM_WORKERS must be a positive integer"),
-    ("2e-2,1e-2,5e-3", "-2", "THINFILM_WORKERS must be a positive integer"),
+    ("2.5e-2,1.5e-2,5e-3", 0.075, "config key 'solver.T'"),  # 7.5 steps of solver.dt
 ])
-def test_sweep_rejects_bad_input(tmp_path, capsys, monkeypatch, values, workers, message):
-    if workers is not None:
-        monkeypatch.setenv("THINFILM_WORKERS", workers)
+def test_sweep_rejects_bad_input(tmp_path, capsys, values, T, message):
     assert cli.main(["sweep", "--param", "dt", "--values", values,
-                     "--config", _sweep_config(tmp_path)]) == 1
+                     "--config", _sweep_config(tmp_path, T=T)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-
-
-def test_sweep_worker_pool(tmp_path, monkeypatch):
-    cfg = _sweep_config(tmp_path)
-    monkeypatch.setenv("THINFILM_WORKERS", "3")
-    assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
-                     "--config", cfg]) == 0
-    pooled = json.loads((tmp_path / "run" / "sweep_summary.json").read_text())
-    monkeypatch.delenv("THINFILM_WORKERS")
-    assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
-                     "--config", cfg]) == 0
-    serial = json.loads((tmp_path / "run" / "sweep_summary.json").read_text())
-    assert pooled == serial  # order-deterministic aggregation
 
 
 def test_config_defaults_and_validation():

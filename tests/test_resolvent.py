@@ -244,8 +244,9 @@ def test_compatibility_probe():
 
 def test_lambda_must_be_positive(fine_grid):
     op = resolvent.assemble(fine_grid)
-    with pytest.raises(SolverError):
-        resolvent.Factorization(op, 0.0)
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(SolverError, match="lambda must be positive and finite"):
+            resolvent.Factorization(op, lam)
 
 
 def test_far_field_rate_on_model_function():
