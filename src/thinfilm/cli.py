@@ -94,6 +94,17 @@ def _load_cfg_and_grid(args):
     return cfg, gridmod.LogGrid(g["s_min"], g["s_max"], g["n"])
 
 
+def _check_steps(cfg, dts, key):
+    """ConfigError unless each dt ends on solver.T in 1..MAX_STEPS steps; keyed key or solver.T."""
+    T = cfg["solver"]["T"]
+    for dt in dts:
+        try:
+            evolution.step_count(dt, T)
+        except GridError as exc:
+            raise ConfigError("solver.T" if str(exc).startswith("T ") else key,
+                              f"{exc} (dt={dt!r}, solver.T={T!r})") from exc
+
+
 def cmd_norms(args):
     w = config.read_field(args.csv, "--csv")
     out = {}
@@ -131,6 +142,7 @@ def cmd_resolvent(args):
 
 def cmd_linear_evolve(args):
     cfg, grid = _load_cfg_and_grid(args)
+    _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
     u0 = config.initial_profile(cfg, grid)
     op = resolvent.assemble(grid)
     s = cfg["solver"]
@@ -159,6 +171,7 @@ def cmd_linear_evolve(args):
 
 def cmd_nonlinear_evolve(args):
     cfg, grid = _load_cfg_and_grid(args)
+    _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
     u0 = config.initial_profile(cfg, grid)
     s, nl, nm = cfg["solver"], cfg["nonlinear"], cfg["norms"]
     state = nonlinear.run_nonlinear(
@@ -243,13 +256,8 @@ def cmd_sweep(args):
     if len(values) < 3:
         print("error: need at least three values for a Richardson summary", file=sys.stderr)
         return EXIT_CONFIG
+    _check_steps(cfg, values, "--values")
     T = cfg["solver"]["T"]
-    for dt in values:
-        try:
-            evolution.step_count(dt, T)
-        except GridError as exc:
-            print(f"error: --values: {exc} (dt={dt!r}, solver.T={T!r})", file=sys.stderr)
-            return EXIT_CONFIG
     u0 = config.initial_profile(cfg, grid)
     op = resolvent.assemble(grid)
     # only the final state is read: store t = 0 and t = T, check the energy every step

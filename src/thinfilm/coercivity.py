@@ -12,8 +12,6 @@ window also has a closed form from the root mean and variance; both routes
 are implemented and compared.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import grid as gridmod
@@ -147,25 +145,6 @@ def composite_range(commutations):
     shifted_p = [(lo - 0.5, hi - 0.5) for lo, hi in range_closed_form(p)]
     shifted_q = [(lo - 1.0, hi - 1.0) for lo, hi in range_closed_form(q)]
     return _intersect(shifted_p, shifted_q)
-
-
-@dataclass
-class CoercivityReport:
-    roots: tuple
-    mean: float
-    sigma: float
-    intervals: list
-    numeric_margin: object  # alpha -> min over xi of the real symbol part
-
-
-def make_report(p):
-    return CoercivityReport(
-        roots=p.roots,
-        mean=p.mean(),
-        sigma=p.sigma(),
-        intervals=range_closed_form(p),
-        numeric_margin=lambda alpha: symbol_margin(p, alpha),
-    )
 
 
 def quadratic_form_check(p, alpha, w):

@@ -9,36 +9,14 @@ by fitting the integrand to e^{g s} (c0 + c1 e^s + c2 e^{2s}) on the
 leftmost band and integrating that tail analytically.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import grid as gridmod
 from . import polyops, stencils
-from .errors import DecayProbeError, GridError, SupportError
+from .errors import DecayProbeError, SupportError
 
 TAIL_BAND = 1.5
 PROBE_MIN_EXPONENT = 0.05
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """How the cumulative integrals are evaluated.
-
-    "grid" evaluates the fourth-order rule on the given grid; "adaptive"
-    additionally re-evaluates on a spline-refined grid and rejects the
-    result when the two disagree beyond tol.
-    """
-
-    kind: str = "grid"
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.kind not in ("grid", "adaptive"):
-            raise GridError("quadrature kind must be 'grid' or 'adaptive'")
-        if self.tol <= 0:
-            raise GridError("quadrature tol must be positive")
 
 
 def apply_B(w):
@@ -88,24 +66,12 @@ def _tail_closure(integrand, grid):
                  + coef[2] / (gamma + 1) + coef[3] / (gamma + 2))
 
 
-def cumulative_from_zero(integrand, grid, rule=None):
+def cumulative_from_zero(integrand, grid):
     """int_{x=0}^{x(s)} integrand ds', tail-closed below the grid."""
-    tail = _tail_closure(integrand, grid)
-    result = tail + stencils.cumulative_integral(integrand, grid.h)
-    if rule is not None and rule.kind == "adaptive":
-        fine = grid.refine()
-        refined = CubicSpline(grid.s, integrand)(fine.s)
-        check = (_tail_closure(refined, fine)
-                 + stencils.cumulative_integral(refined, fine.h))
-        scale = np.max(np.abs(result)) + 1e-300
-        gap = np.max(np.abs(check[::2] - result)) / scale
-        if gap > rule.tol:
-            raise GridError(f"quadrature refinement estimate {gap:.2e} exceeds "
-                            f"tol {rule.tol:.2e}")
-    return result
+    return _tail_closure(integrand, grid) + stencils.cumulative_integral(integrand, grid.h)
 
 
-def apply_B_inverse(f, rule=None):
+def apply_B_inverse(f):
     """Inverse of B: (x+1)^2 times the cumulative (x'+1)^{-3} f dx'/x'.
 
     f must vanish at the contact line; the decay probe on the leftmost band
@@ -117,7 +83,7 @@ def apply_B_inverse(f, rule=None):
         raise DecayProbeError(f"decay probe failed (fitted exponent {gamma:.3f})")
     x = grid.x
     integrand = f.values / (x + 1.0) ** 3
-    integral = cumulative_from_zero(integrand, grid, rule=rule)
+    integral = cumulative_from_zero(integrand, grid)
     return gridmod.GridFunction(grid, (x + 1.0) ** 2 * integral)
 
 

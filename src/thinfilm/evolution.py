@@ -24,6 +24,8 @@ from .errors import GridError, PicardError
 
 ENERGY_SLACK = 1e-10
 MAX_STEPS = 10**6  # step cap of one run; as store_every, it stores t = 0 and t = T only
+U2_BAND = (3.0, 6.0)  # leading_coefficients: u2 and u3 fit bands, as offsets from s_min
+U3_BAND = (7.0, 9.5)
 
 
 @dataclass
@@ -31,7 +33,7 @@ class EvolutionState:
     """Trajectory with per-step energy log and coefficient tracks."""
 
     steps: list                 # (t, GridFunction), including t = 0
-    energy_log: list            # dicts: tilde_sq, tilde_dk_sq, user norms
+    energy_log: list            # dicts: tilde_sq, tilde_dk_sq
     coefficient_tracks: np.ndarray  # (len(steps), 3): u1, u2, u3
     flags: list = field(default_factory=list)
     picard_counts: list = field(default_factory=list)
@@ -55,7 +57,7 @@ def _d_minus_1(u):
     return gridmod.shifted_derivative(u, 1.0)
 
 
-def leading_coefficients(u, band_u2=(3.0, 6.0), band_u3=(7.0, 9.5)):
+def leading_coefficients(u):
     """Expansion coefficients (u1, u2, u3) tuned for evolving fields.
 
     u1 comes from the standard left-band fit. u2 and u3 are read off the
@@ -68,9 +70,9 @@ def leading_coefficients(u, band_u2=(3.0, 6.0), band_u3=(7.0, 9.5)):
     grid = u.grid
     u1 = gridmod.extract_coefficients(u, 1)[0]
     tu = _d_minus_1(u)
-    u2 = gridmod.fit_powers(tu.values * grid.exp(-2.0), grid, *band_u2, 3)[0]
+    u2 = gridmod.fit_powers(tu.values * grid.exp(-2.0), grid, *U2_BAND, 3)[0]
     cu = gridmod.shifted_derivative(tu, 2.0)
-    u3 = gridmod.fit_powers(cu.values * grid.exp(-3.0), grid, *band_u3, 3)[0] / 2.0
+    u3 = gridmod.fit_powers(cu.values * grid.exp(-3.0), grid, *U3_BAND, 3)[0] / 2.0
     return float(u1), float(u2), float(u3)
 
 
@@ -156,7 +158,7 @@ def step_count(dt, T):
     return n_steps
 
 
-def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=None):
+def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     """Implicit-Euler trajectory with energy and coefficient bookkeeping.
 
     Linear (nonlinear = None): one solve per step. With f = None the monitored
@@ -176,11 +178,7 @@ def run(op, u0, f, dt, T, monitor=(), alpha=0.25, k=2, store_every=1, nonlinear=
 
     def log_entry(u):
         e0, ek = tilde_energies(u, alpha, k)
-        entry = {"tilde_sq": e0, "tilde_dk_sq": ek}
-        for spec in monitor:
-            entry[f"norm_k{spec.k}_a{spec.alpha:g}_sub{spec.sub}"] = \
-                gridmod.weighted_norm(u, spec)
-        return entry
+        return {"tilde_sq": e0, "tilde_dk_sq": ek}
 
     def store(t, u, entry):
         state.steps.append((t, u))

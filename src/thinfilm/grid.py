@@ -86,10 +86,6 @@ class LogGrid:
         """e^{a s}: the norm weights x^a, read-only and computed once per (grid, a)."""
         return _exp_s(self.s_min, self.s_max, self.n, a)
 
-    def refine(self):
-        """Same span with twice the intervals; existing nodes are kept."""
-        return LogGrid(self.s_min, self.s_max, 2 * (self.n - 1) + 1)
-
 
 class GridFunction:
     """Real samples on a LogGrid. Values are immutable after construction."""
@@ -135,11 +131,6 @@ class GridFunction:
 
     def __neg__(self):
         return GridFunction(self.grid, -self.values)
-
-
-def from_callable(grid, fn):
-    """Sample fn(x) on the grid (fn takes the physical coordinate x)."""
-    return GridFunction(grid, fn(grid.x))
 
 
 def zero(grid):

@@ -188,38 +188,3 @@ def reconstruct(u, t, y_grid, upsample=8):
     y0 = 6.0 * t + contact_line_shift(u)
     u1, u2 = gridmod.extract_coefficients(u, 2)
     return FilmReconstruction(t=t, y=y, h=h, contact_line=y0, coefficients=(u1, u2))
-
-
-_SCALE_KEYS = ("t", "x", "y", "h", "u", "v", "Y0")
-
-
-def rescale(V, nu, direction, state):
-    """Apply the normalizing scalings to a dict of fields.
-
-    Keys and factors (to_normalized): t by V^2/(36 nu), x and y and Y0 by
-    V/(6 nu), h and u by V^2/(36 nu^3), v by V/(6 nu). from_normalized
-    inverts them. Unknown keys are rejected.
-    """
-    if V <= 0 or nu <= 0:
-        raise ValueError("V and nu must be positive")
-    if direction not in ("to_normalized", "from_normalized"):
-        raise ValueError("direction must be to_normalized or from_normalized")
-    length = V / (6.0 * nu)
-    factors = {
-        "t": V * V / (36.0 * nu),
-        "x": length,
-        "y": length,
-        "Y0": length,
-        "h": V * V / (36.0 * nu**3),
-        "u": V * V / (36.0 * nu**3),
-        "v": length,
-    }
-    out = {}
-    for key, value in state.items():
-        if key not in _SCALE_KEYS:
-            raise ValueError(f"unknown field '{key}' in rescale state")
-        f = factors[key]
-        if direction == "from_normalized":
-            f = 1.0 / f
-        out[key] = np.asarray(value) * f if not np.isscalar(value) else value * f
-    return out

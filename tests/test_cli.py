@@ -232,8 +232,7 @@ _BAD_FIELDS = {  # CSV text, or None for a missing file
 @pytest.mark.parametrize("source, case", [
     (source, case) for source in ("--csv", "--g", "output.u0_csv") for case in _BAD_FIELDS
     if (source, case) != ("--csv", "s off the grid")])
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
-def test_bad_input_csv_is_a_config_error(tmp_path, capsys, source, case):
+def test_bad_input_csv_is_a_config_error(tmp_path, capsys, recwarn, source, case):
     csv, out_dir = tmp_path / "field.csv", tmp_path / "out"
     if _BAD_FIELDS[case] is not None:
         csv.write_text(_BAD_FIELDS[case])
@@ -247,6 +246,7 @@ def test_bad_input_csv_is_a_config_error(tmp_path, capsys, source, case):
     err = capsys.readouterr().err
     assert f"error: config key '{source}'" in err
     assert "Traceback" not in err
+    assert not recwarn.list  # numpy's loadtxt only warns on a file with no data rows
     assert not out_dir.exists()
 
 
@@ -389,14 +389,23 @@ def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
     ("2e-2,,5e-3", None, "--values must be comma-separated numbers"),
     ("2e-2,nan,5e-3", None, "--values must be positive time steps"),
     ("2e-2,0,5e-3", None, "--values must be positive time steps"),
-    ("1e-2,5e-3,5e-324", None, "--values: too many steps"),
-    ("2.5e-2,1.5e-2,5e-3", 0.075, "config key 'solver.T'"),  # 7.5 steps of solver.dt
+    ("1e-2,5e-3,5e-324", None, "config key '--values': too many steps"),
+    ("2e-2,1e-2,3e-2", None, "config key 'solver.T': T must be an integer number of steps"),
 ])
 def test_sweep_rejects_bad_input(tmp_path, capsys, values, T, message):
     assert cli.main(["sweep", "--param", "dt", "--values", values,
                      "--config", _sweep_config(tmp_path, T=T)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_sweep_checks_steps_of_its_values_not_solver_dt(tmp_path, capsys):
+    # T = 0.075 is 7.5 steps of the default solver.dt, which a sweep never runs,
+    # and 3, 5 and 15 steps of the swept values
+    assert cli.main(["sweep", "--param", "dt", "--values", "2.5e-2,1.5e-2,5e-3",
+                     "--config", _sweep_config(tmp_path, T=0.075)]) == 0
+    assert (tmp_path / "run" / "sweep_summary.json").exists()
+    assert "error" not in capsys.readouterr().err
 
 
 def test_config_defaults_and_validation():

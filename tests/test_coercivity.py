@@ -153,9 +153,10 @@ def test_quadratic_form_rejects_boundary_support(default_grid):
 
 
 def test_report_fields():
+    # the root mean and spread the coercivity report prints, and the sign of
+    # the symbol margin on either side of the window
     p, _ = polyops.symbol_pair(0)
-    rep = coercivity.make_report(p)
-    assert rep.mean == pytest.approx(0.75)
-    assert rep.sigma == pytest.approx(np.sqrt(11.0 / 16.0))
-    assert rep.numeric_margin(0.5) > 0
-    assert rep.numeric_margin(1.5) < 0
+    assert p.mean() == pytest.approx(0.75)
+    assert p.sigma() == pytest.approx(np.sqrt(11.0 / 16.0))
+    assert coercivity.symbol_margin(p, 0.5) > 0
+    assert coercivity.symbol_margin(p, 1.5) < 0

@@ -4,7 +4,7 @@ import pytest
 from conftest import gaussian_bump
 from thinfilm import elliptic, polyops
 from thinfilm import grid as gridmod
-from thinfilm.errors import DecayProbeError, GridError, SupportError
+from thinfilm.errors import DecayProbeError, SupportError
 
 
 def test_apply_B_monomials(fine_grid):
@@ -62,22 +62,6 @@ def test_apply_B_inverse_decay_probe():
     const = gridmod.GridFunction(g, np.ones(g.n))
     with pytest.raises(DecayProbeError):
         elliptic.apply_B_inverse(const)
-
-
-def test_quadrature_rule(fine_grid):
-    x = fine_grid.x
-    f = gridmod.GridFunction(fine_grid, x**2 * np.exp(-x))
-    loose = elliptic.QuadratureRule(kind="adaptive", tol=1e-5)
-    got = elliptic.apply_B_inverse(f, rule=loose)
-    plain = elliptic.apply_B_inverse(f)
-    assert np.allclose(got.values, plain.values)
-    tight = elliptic.QuadratureRule(kind="adaptive", tol=1e-16)
-    with pytest.raises(GridError):
-        elliptic.apply_B_inverse(f, rule=tight)
-    with pytest.raises(GridError):
-        elliptic.QuadratureRule(kind="simpson")
-    with pytest.raises(GridError):
-        elliptic.QuadratureRule(tol=0.0)
 
 
 def test_estinvB_constant_stable_under_refinement():

@@ -117,16 +117,6 @@ def test_run_with_forcing_bounded(kernel_op):
     assert np.isfinite(ratio) and ratio < 10.0
 
 
-def test_run_monitor_specs(kernel_op):
-    x = KERNEL_GRID.x
-    u0 = gridmod.GridFunction(KERNEL_GRID, x**3 * np.exp(-x))
-    spec = gridmod.NormSpec(2, 0.25)
-    state = evolution.run(kernel_op, u0, None, 1e-2, 0.05, monitor=[spec])
-    key = "norm_k2_a0.25_sub0"
-    assert key in state.energy_log[0]
-    assert state.energy_log[-1][key] < state.energy_log[0][key]
-
-
 def test_leading_coefficients_known_field():
     g = KERNEL_GRID
     x = g.x

@@ -116,7 +116,8 @@ def test_norm_triangle_and_homogeneity(default_grid, rng):
 
 
 def test_extract_coefficients(default_grid):
-    w = gridmod.from_callable(default_grid, lambda x: 2 * x + 5 * x * x)
+    x = default_grid.x
+    w = gridmod.GridFunction(default_grid, 2 * x + 5 * x**2)
     u1, u2 = gridmod.extract_coefficients(w, 2)
     assert abs(u1 - 2) < 1e-8 and abs(u2 - 5) < 1e-8
 

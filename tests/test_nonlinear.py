@@ -225,31 +225,3 @@ def test_reconstruct_invariants(default_grid):
     coef, _, _, _ = np.linalg.lstsq(a, hq, rcond=None)
     assert abs(coef[1]) < 1e-6
 
-
-def test_rescale_identity_and_round_trip(rng):
-    state = {"t": 1.5, "x": np.array([0.5, 1.0]), "h": np.array([0.2, 0.9]),
-             "u": 0.1, "v": 0.2, "y": 2.0, "Y0": 0.3}
-    out = nonlinear.rescale(6.0, 1.0, "to_normalized", state)
-    for key, val in state.items():
-        assert np.allclose(out[key], val)
-
-    V, nu = rng.uniform(1, 10), rng.uniform(0.2, 3)
-    fwd = nonlinear.rescale(V, nu, "to_normalized", state)
-    back = nonlinear.rescale(V, nu, "from_normalized", fwd)
-    for key, val in state.items():
-        assert np.allclose(back[key], val, rtol=1e-14)
-
-
-def test_rescale_traveling_wave_profile():
-    V, nu = 3.0, 0.7
-    x = np.linspace(0.0, 2.0, 50)
-    h = (V / 6.0) * x**3 + nu * x * x
-    out = nonlinear.rescale(V, nu, "to_normalized", {"x": x, "h": h})
-    assert np.allclose(out["h"], out["x"] ** 3 + out["x"] ** 2, atol=1e-14)
-
-
-def test_rescale_rejects_unknown_field():
-    with pytest.raises(ValueError):
-        nonlinear.rescale(6.0, 1.0, "to_normalized", {"volume": 1.0})
-    with pytest.raises(ValueError):
-        nonlinear.rescale(6.0, 1.0, "sideways", {"t": 1.0})
