@@ -8,9 +8,10 @@ starts from the extrapolant 2u^n - u^(n-1) (Ascher, Ruuth & Wetton 1995,
 SIAM J. Numer. Anal. 32:797) and stops when its increment, or the error
 estimate theta/(1 - theta) times it with the contraction rate theta carried
 over from step to step (Hairer & Wanner, Solving ODEs II, IV.8), is below
-picard_tol; on small data that is one solve per step. The run monitors
-the commuted energy |(D-1)u|_{a}^2 (and its k-th D-derivative) and records
-expansion-coefficient tracks.
+picard_tol; on small data that is one solve per step. A linear run takes
+the commuted energy |(D-1)u|_{a}^2 at every step, for its energy-increase
+flags; every run records that energy with its k-th D-derivative
+|D^k (D-1)u|_{a}^2 and the expansion-coefficient tracks at stored steps only.
 """
 
 import functools
@@ -87,15 +88,19 @@ def average_rhs(f, j, dt):
     return gridmod.GridFunction(a.grid, (a.values + 4.0 * m.values + b.values) / 6.0)
 
 
-def tilde_energies(u, alpha, k):
-    """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature."""
+def tilde_energy(u, alpha):
+    """|(D-1)u|_a^2 by trapezoid quadrature: the energy a linear run takes every step."""
     grid = u.grid
     tu = _d_minus_1(u).values
-    weight = grid.exp(-2.0 * alpha)
-    e0 = stencils.trapezoid(weight * tu * tu, grid.h)
-    dk = gridmod.ds_any(tu, k, grid.h)
-    ek = stencils.trapezoid(weight * dk * dk, grid.h)
-    return float(e0), float(ek)
+    return float(stencils.trapezoid(grid.exp(-2.0 * alpha) * tu * tu, grid.h))
+
+
+def tilde_energies(u, alpha, k):
+    """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature: a stored step's pair."""
+    grid = u.grid
+    dk = gridmod.ds_any(_d_minus_1(u).values, k, grid.h)
+    ek = stencils.trapezoid(grid.exp(-2.0 * alpha) * dk * dk, grid.h)
+    return tilde_energy(u, alpha), float(ek)
 
 
 def step(op, u_prev, f_avg, dt, factorization=None):
@@ -107,7 +112,7 @@ def step(op, u_prev, f_avg, dt, factorization=None):
     rhs = lam * u_prev.values
     if f_avg is not None:
         rhs = rhs + f_avg.values
-    return fac.solve(gridmod.GridFunction(op.grid, rhs))
+    return gridmod.GridFunction(op.grid, fac.solve_values(rhs))
 
 
 def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
@@ -161,10 +166,12 @@ def step_count(dt, T):
 def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     """Implicit-Euler trajectory with energy and coefficient bookkeeping.
 
-    Linear (nonlinear = None): one solve per step. With f = None the monitored
-    energy must not increase beyond a 1e-10 relative slack per step;
-    violations are recorded as flags and the run continues (boundary
-    truncation can pollute energies near rounding).
+    Linear (nonlinear = None): one solve per step. With f = None the energy
+    |(D-1)u|_a^2, taken at every step, must not increase beyond a 1e-10
+    relative slack per step; violations are recorded as flags and the run
+    continues (boundary truncation can pollute energies near rounding).
+    Stored steps (t = 0, every store_every-th step and t = T) record that
+    energy with |D^k (D-1)u|_a^2 and the expansion coefficients.
 
     Nonlinear: each step iterates the solve on ``nonlinear.N``, then
     ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
@@ -176,13 +183,10 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     fac = resolvent.Factorization(op, 1.0 / dt)
     state = EvolutionState(steps=[], energy_log=[], coefficient_tracks=[])
 
-    def log_entry(u):
+    def store(t, u):
         e0, ek = tilde_energies(u, alpha, k)
-        return {"tilde_sq": e0, "tilde_dk_sq": ek}
-
-    def store(t, u, entry):
         state.steps.append((t, u))
-        state.energy_log.append(entry)
+        state.energy_log.append({"tilde_sq": e0, "tilde_dk_sq": ek})
         state.coefficient_tracks.append(leading_coefficients(u))
         if nonlinear is not None:
             init_norm, y0 = nonlinear.records(t, u)
@@ -192,16 +196,15 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
 
     u, u_older, rate = u0, None, None
     sup_vx = None if nonlinear is None else nonlinear.guard(u0, 0)
-    entry = log_entry(u0)
-    store(0.0, u0, entry)
+    e0 = tilde_energy(u0, alpha) if nonlinear is None else None
+    store(0.0, u0)
     for j in range(1, n_steps + 1):
         f_avg = None if f is None else average_rhs(f, j, dt)
         if nonlinear is None:
             u = step(op, u, f_avg, dt, factorization=fac)
-            prev_e0, entry = entry["tilde_sq"], log_entry(u)
-            if f is None and entry["tilde_sq"] > prev_e0 * (1.0 + ENERGY_SLACK) + 1e-300:
-                state.flags.append(f"energy increase at step {j}: "
-                                   f"{prev_e0:.6e} -> {entry['tilde_sq']:.6e}")
+            prev_e0, e0 = e0, tilde_energy(u, alpha)
+            if f is None and e0 > prev_e0 * (1.0 + ENERGY_SLACK) + 1e-300:
+                state.flags.append(f"energy increase at step {j}: {prev_e0:.6e} -> {e0:.6e}")
         else:
             u_next, count, rate = _picard_step(op, u, u_older, f_avg, dt, fac, nonlinear,
                                                j, rate)
@@ -210,6 +213,6 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
             state.picard_rates.append(rate)
             sup_vx = nonlinear.guard(u, j)
         if j % store_every == 0 or j == n_steps:
-            store(j * dt, u, entry if nonlinear is None else log_entry(u))
+            store(j * dt, u)
     state.coefficient_tracks = np.array(state.coefficient_tracks)
     return state

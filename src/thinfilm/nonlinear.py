@@ -9,6 +9,7 @@ making the traveling wave and its contact-line shifts exact fixed points of
 the discretization.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,19 @@ class FilmReconstruction:
     coefficients: tuple  # (u1, u2)
 
 
+@functools.lru_cache(maxsize=16)
+def _mobility(grid):
+    """Read-only (m, m', x^3 + x^2) of one grid, m = 3x^2 + 2x, computed once."""
+    x = grid.x
+    out = (3.0 * x * x + 2.0 * x, 6.0 * x + 2.0, x**3 + x * x)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def to_v(u):
     """Coordinate perturbation v = u / (3x^2 + 2x)."""
-    x = u.grid.x
-    return gridmod.GridFunction(u.grid, u.values / (3.0 * x * x + 2.0 * x))
+    return gridmod.GridFunction(u.grid, u.values / _mobility(u.grid)[0])
 
 
 def _dx(values, grid):
@@ -88,9 +98,7 @@ def eval_nonlinearity(u, threshold=LIPSCHITZ_THRESHOLD):
     sup = float(np.max(np.abs(vx)))
     if not sup < threshold:
         raise GuardError(f"sup |v_x| = {sup:.4f} exceeds threshold {threshold}")
-    x = grid.x
-    mob = 3.0 * x * x + 2.0 * x
-    mob1 = 6.0 * x + 2.0
+    mob, mob1, height = _mobility(grid)
     inv = 1.0 / (1.0 + vx)
     w = vx * inv
     z = vx * w  # v_x^2 / (1 + v_x)
@@ -100,7 +108,7 @@ def eval_nonlinearity(u, threshold=LIPSCHITZ_THRESHOLD):
     dx_wt = _dx(w * t, grid)
     quad = dx_wt + w * dx2_wm + w * _dx(w * mob1, grid) - w * dx_wt
     bracket = lin + quad
-    return gridmod.GridFunction(grid, _dx((x**3 + x * x) * bracket, grid))
+    return gridmod.GridFunction(grid, _dx(height * bracket, grid))
 
 
 @dataclass

@@ -375,7 +375,7 @@ def test_sweep_summary_is_strict_json_when_finals_coincide(tmp_path, capsys):
 
 def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
     energies = itertools.count(1.0)  # rises at every step
-    monkeypatch.setattr(evolution, "tilde_energies", lambda u, alpha, k: (next(energies), 0.0))
+    monkeypatch.setattr(evolution, "tilde_energy", lambda u, alpha: next(energies))
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,4e-2",
                      "--config", _sweep_config(tmp_path)]) == 0
     err = capsys.readouterr().err.splitlines()

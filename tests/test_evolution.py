@@ -160,6 +160,12 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
         return shifted_derivative(w, a)
 
     monkeypatch.setattr(gridmod, "shifted_derivative", counted)
+    energy_calls = []
+    for name in ("tilde_energy", "tilde_energies"):
+        def counted_energy(*args, _name=name, _original=getattr(evolution, name)):
+            energy_calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(evolution, name, counted_energy)
     x = default_grid.x
     u0 = gridmod.GridFunction(default_grid, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
     if nonlinear_run:
@@ -173,6 +179,10 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
     # (nonlinear); (D-2)(D-1)u only for the stored steps' coefficients
     assert shifts.count(1.0) == (6 if not nonlinear_run else stored)
     assert shifts.count(2.0) == stored
+    # the D^k energy once per stored step; a linear run takes |(D-1)u|^2 also at
+    # every step for its energy flags, and each stored pair re-reads it
+    assert energy_calls.count("tilde_energies") == stored
+    assert energy_calls.count("tilde_energy") == (6 + stored if not nonlinear_run else stored)
     monkeypatch.undo()
     for (_, u), entry, coeffs in zip(state.steps, state.energy_log, state.coefficient_tracks):
         assert (entry["tilde_sq"], entry["tilde_dk_sq"]) == _per_call_tilde_energies(u, 0.75, 3)

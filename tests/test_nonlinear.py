@@ -23,6 +23,9 @@ def test_to_v(default_grid):
     v = nonlinear.to_v(u).values
     assert np.allclose(v, 1.0 / (3 * x + 2), rtol=1e-12)
     assert nonlinear.contact_line_shift(u) == pytest.approx(0.5, abs=1e-6)
+    for cached in nonlinear._mobility(default_grid):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
 
 def test_lipschitz_guard(default_grid):
