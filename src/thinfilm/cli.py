@@ -113,8 +113,7 @@ def cmd_norms(args):
             k_s, a_s, sub_s = spec_text.split(":")
             spec = gridmod.NormSpec(int(k_s), float(a_s), int(sub_s))
         except (ValueError, ThinFilmError) as exc:
-            print(f"error: bad norm spec '{spec_text}': {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("--spec", f"bad norm spec {spec_text!r}: {exc}") from exc
         out[spec_text] = gridmod.weighted_norm(w, spec)
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
@@ -173,12 +172,9 @@ def cmd_nonlinear_evolve(args):
     cfg, grid = _load_cfg_and_grid(args)
     _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
     u0 = config.initial_profile(cfg, grid)
-    s, nl, nm = cfg["solver"], cfg["nonlinear"], cfg["norms"]
-    state = nonlinear.run_nonlinear(
-        u0, s["dt"], s["T"], picard_tol=nl["picard_tol"], picard_max=nl["picard_max"],
-        threshold=nl["lipschitz_threshold"], alpha=nm["alpha"],
-        norm_N=nm["N"], norm_k=nm["k"], delta=nm["delta"],
-        store_every=s["store_every"])
+    s, nm = cfg["solver"], cfg["norms"]
+    state = nonlinear.run_nonlinear(u0, s["dt"], s["T"], norm_N=nm["N"], norm_k=nm["k"],
+                                    delta=nm["delta"], store_every=s["store_every"])
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
     rows = []
@@ -241,21 +237,15 @@ def cmd_validate(args):
 def cmd_sweep(args):
     cfg, grid = _load_cfg_and_grid(args)
     if args.param != "dt":
-        print("error: only --param dt sweeps are supported", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--param", f"only dt sweeps are supported, got {args.param!r}")
     try:
         values = [float(v) for v in args.values.split(",")]
-    except ValueError:
-        print(f"error: --values must be comma-separated numbers, got {args.values!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError("--values", f"not comma-separated numbers: {args.values!r}") from exc
     if not all(np.isfinite(v) and v > 0 for v in values):
-        print(f"error: --values must be positive time steps, got {args.values!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--values", f"not positive time steps: {args.values!r}")
     if len(values) < 3:
-        print("error: need at least three values for a Richardson summary", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--values", "need at least three values for a Richardson summary")
     _check_steps(cfg, values, "--values")
     T = cfg["solver"]["T"]
     u0 = config.initial_profile(cfg, grid)

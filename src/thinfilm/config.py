@@ -21,8 +21,7 @@ _SCHEMA = {
     "grid": {"s_min": (float, -12.0), "s_max": (float, 4.0), "n": (int, 1025)},
     "solver": {"dt": (float, 1e-2), "T": (float, 1.0), "store_every": (int, 1)},
     "norms": {"N": (int, 1), "k": (int, 3), "delta": (float, 0.25), "alpha": (float, 0.25)},
-    "nonlinear": {"eps": (float, 1e-3), "taper": (str, "exp"), "picard_tol": (float, 1e-10),
-                  "picard_max": (int, 25), "lipschitz_threshold": (float, 0.5)},
+    "nonlinear": {"eps": (float, 1e-3)},
     "output": {"dir": (str, "."), "snapshots": ("floats", ()), "u0": (str, "x3_decay"),
                "u0_csv": (str, "")},
 }
@@ -81,14 +80,6 @@ class ExperimentConfig:
         nl = self.values["nonlinear"]
         if nl["eps"] < 0:
             raise ConfigError("nonlinear.eps", "must be non-negative")
-        if not 0 < nl["lipschitz_threshold"] < 1:
-            raise ConfigError("nonlinear.lipschitz_threshold", "must lie in (0, 1)")
-        if nl["picard_max"] < 1:
-            raise ConfigError("nonlinear.picard_max", "must be at least 1")
-        if not nl["picard_tol"] > 0:
-            raise ConfigError("nonlinear.picard_tol", "must be positive")
-        if nl["taper"] not in ("exp", "none"):
-            raise ConfigError("nonlinear.taper", "must be 'exp' or 'none'")
         out = self.values["output"]
         if out["u0"] not in _U0_CATALOG:
             raise ConfigError("output.u0", f"unknown profile (choose from {_U0_CATALOG})")
@@ -169,7 +160,6 @@ def initial_profile(cfg, grid_obj):
         return read_field(path, "output.u0_csv", grid_obj)
     name = cfg["output"]["u0"]
     eps = cfg["nonlinear"]["eps"]
-    taper = np.exp(-grid_obj.x) if cfg["nonlinear"]["taper"] == "exp" else 1.0
     x = grid_obj.x
     if name == "zero":
         return gridmod.zero(grid_obj)
@@ -178,5 +168,5 @@ def initial_profile(cfg, grid_obj):
     if name == "kernel_x2":
         return gridmod.monomial(grid_obj, 2)
     if name == "wave_shift":
-        return gridmod.GridFunction(grid_obj, eps * (3 * x * x + 2 * x) * taper)
+        return gridmod.GridFunction(grid_obj, eps * (3 * x * x + 2 * x) * np.exp(-x))
     return gridmod.GridFunction(grid_obj, x**3 * np.exp(-x))

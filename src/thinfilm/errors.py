@@ -30,7 +30,7 @@ class GuardError(ThinFilmError):
 
 
 class PicardError(ThinFilmError):
-    """Inner fixed-point iteration did not converge within its picard_max budget."""
+    """Inner fixed-point iteration did not converge within its PICARD_MAX budget."""
 
 
 class ConfigError(ThinFilmError):

@@ -8,10 +8,11 @@ starts from the extrapolant 2u^n - u^(n-1) (Ascher, Ruuth & Wetton 1995,
 SIAM J. Numer. Anal. 32:797) and stops when its increment, or the error
 estimate theta/(1 - theta) times it with the contraction rate theta carried
 over from step to step (Hairer & Wanner, Solving ODEs II, IV.8), is below
-picard_tol; on small data that is one solve per step. A linear run takes
-the commuted energy |(D-1)u|_{a}^2 at every step, for its energy-increase
-flags; every run records that energy with its k-th D-derivative
-|D^k (D-1)u|_{a}^2 and the expansion-coefficient tracks at stored steps only.
+PICARD_TOL; on small data that is one solve per step. Every run records the
+expansion-coefficient tracks at stored steps. The energy log is recorded for
+linear runs only: such a run takes the commuted energy |(D-1)u|_{a}^2 at every
+step, for its energy-increase flags, and records it with its k-th D-derivative
+|D^k (D-1)u|_{a}^2 at stored steps.
 """
 
 import functools
@@ -31,10 +32,10 @@ U3_BAND = (7.0, 9.5)
 
 @dataclass
 class EvolutionState:
-    """Trajectory with per-step energy log and coefficient tracks."""
+    """Trajectory with coefficient tracks and, for a linear run, the energy log."""
 
     steps: list                 # (t, GridFunction), including t = 0
-    energy_log: list            # dicts: tilde_sq, tilde_dk_sq
+    energy_log: list            # dicts: tilde_sq, tilde_dk_sq; empty for a nonlinear run
     coefficient_tracks: np.ndarray  # (len(steps), 3): u1, u2, u3
     flags: list = field(default_factory=list)
     picard_counts: list = field(default_factory=list)
@@ -122,9 +123,9 @@ def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
     when u_older is None) and measures the contraction rate
     delta_k / delta_(k-1) of its max-norm increments; until it has two
     increments it uses ``rate``, the last rate measured (None: none yet). It
-    stops when delta < picard_tol, or when rate < 1 and the error estimate
-    rate / (1 - rate) * delta is at most picard_tol. A rate >= 1 only
-    disables the estimate. Running out of the picard_max budget raises
+    stops when delta < model.picard_tol, or when rate < 1 and the error estimate
+    rate / (1 - rate) * delta is at most model.picard_tol. A rate >= 1 only
+    disables the estimate. Running out of the model.picard_max budget raises
     PicardError, which reports the last increment and rate: the iteration
     may still be contracting, only too slowly for the budget.
     """
@@ -166,12 +167,15 @@ def step_count(dt, T):
 def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     """Implicit-Euler trajectory with energy and coefficient bookkeeping.
 
+    Stored steps (t = 0, every store_every-th step and t = T) record the
+    expansion coefficients.
+
     Linear (nonlinear = None): one solve per step. With f = None the energy
     |(D-1)u|_a^2, taken at every step, must not increase beyond a 1e-10
     relative slack per step; violations are recorded as flags and the run
     continues (boundary truncation can pollute energies near rounding).
-    Stored steps (t = 0, every store_every-th step and t = T) record that
-    energy with |D^k (D-1)u|_a^2 and the expansion coefficients.
+    Stored steps also record that energy with |D^k (D-1)u|_a^2 in the energy
+    log, which alpha and k set; the energy log is recorded for linear runs only.
 
     Nonlinear: each step iterates the solve on ``nonlinear.N``, then
     ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
@@ -184,11 +188,12 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     state = EvolutionState(steps=[], energy_log=[], coefficient_tracks=[])
 
     def store(t, u):
-        e0, ek = tilde_energies(u, alpha, k)
         state.steps.append((t, u))
-        state.energy_log.append({"tilde_sq": e0, "tilde_dk_sq": ek})
         state.coefficient_tracks.append(leading_coefficients(u))
-        if nonlinear is not None:
+        if nonlinear is None:
+            e0, ek = tilde_energies(u, alpha, k)
+            state.energy_log.append({"tilde_sq": e0, "tilde_dk_sq": ek})
+        else:
             init_norm, y0 = nonlinear.records(t, u)
             state.lipschitz_track.append(sup_vx)
             state.init_norm_track.append(init_norm)

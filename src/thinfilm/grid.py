@@ -299,16 +299,21 @@ def _weight_shifts(triples):
             yield l, int(np.floor(alpha)) + m + r, alpha + m + r
 
 
-def _require_small_N(N):
-    if N > 2:
-        raise GridError("composite norms implemented for N <= 2 only")
+def _require_norm_indices(N, k, delta):
+    """GridError unless N in {0, 1, 2}, k >= 0 and 0 < delta < 1/2."""
+    if N not in (0, 1, 2):
+        raise GridError(f"composite norms need an integer 0 <= N <= 2, got {N!r}")
+    if not k >= 0:
+        raise GridError(f"composite norms need k >= 0, got {k!r}")
+    if not 0 < delta < 0.5:
+        raise GridError(f"composite norms need 0 < delta < 1/2, got {delta!r}")
 
 
 def composite_init_norm(w, N, k, delta):
     """Initial-data norm: the distinct |w - u_1 x - ... - u_sub x^sub|_{k+4N+1,beta}
     with (sub, beta) = (floor(alpha) + m + r, alpha + m + r) over the first index
     set, r = 0..m, summed in squares in sorted (sub, beta) order."""
-    _require_small_N(N)
+    _require_norm_indices(N, k, delta)
     kn = k + 4 * N + 1
     pairs = sorted({(sub, beta) for _l, sub, beta in _weight_shifts(index_sets(N, delta)[0])})
     return _composite(w.values[None, :], 0.0, w.grid,
@@ -384,7 +389,7 @@ def _composite(values, dt, grid, terms):
 
 def composite_sol_norm(traj, N, k, delta):
     """Solution norm of a stored trajectory (time suprema over stored steps)."""
-    _require_small_N(N)
+    _require_norm_indices(N, k, delta)
     values, dt, grid = _traj_arrays(traj)
     first, second = index_sets(N, delta)
     terms = [("sup", "u", l, sub, beta, k + 4 * (N - l) + 1)
@@ -397,7 +402,7 @@ def composite_sol_norm(traj, N, k, delta):
 
 def composite_rhs_norm(traj, N, k, delta):
     """Right-hand-side norm of a stored trajectory."""
-    _require_small_N(N)
+    _require_norm_indices(N, k, delta)
     values, dt, grid = _traj_arrays(traj)
     # index_sets(-1, delta) is empty: N = 0 has no supremum terms
     terms = [("sup", "u", l, sub, beta, k + 4 * (N - l) - 3)

@@ -19,16 +19,9 @@ from . import evolution, resolvent, stencils
 from . import grid as gridmod
 from .errors import GuardError
 
-LIPSCHITZ_THRESHOLD = 0.5
+LIPSCHITZ_THRESHOLD = 0.5  # 1 + v_x > 0 with margin: the guard needs sup |v_x| below it
 PICARD_TOL = 1e-10
 PICARD_MAX = 25
-
-
-@dataclass
-class LipschitzReport:
-    sup_vx: float
-    threshold: float
-    ok: bool
 
 
 @dataclass
@@ -69,13 +62,22 @@ def _dx_dx2(values, grid):
     return grid.inv_x * d1, grid.inv_x2 * (d2 - d1)
 
 
-def lipschitz_guard(v, threshold=LIPSCHITZ_THRESHOLD):
+def _guarded_dx(v, where):
+    """(sup |v_x|, v_x); GuardError naming ``where`` unless sup |v_x| < LIPSCHITZ_THRESHOLD."""
     vx = _dx(v.values, v.grid)
     sup = float(np.max(np.abs(vx)))
-    return LipschitzReport(sup_vx=sup, threshold=threshold, ok=sup < threshold)
+    if not sup < LIPSCHITZ_THRESHOLD:
+        raise GuardError(f"Lipschitz guard tripped {where}: sup |v_x| = {sup:.4f} "
+                         f"is not below {LIPSCHITZ_THRESHOLD}")
+    return sup, vx
 
 
-def eval_nonlinearity(u, threshold=LIPSCHITZ_THRESHOLD):
+def lipschitz_guard(v, where="on v"):
+    """sup |v_x| of the coordinate perturbation v; GuardError when the guard fails."""
+    return _guarded_dx(v, where)[0]
+
+
+def eval_nonlinearity(u):
     """N(u) by pointwise evaluation of the closed form.
 
     Requires the Lipschitz guard to pass; raises GuardError otherwise (the
@@ -93,11 +95,7 @@ def eval_nonlinearity(u, threshold=LIPSCHITZ_THRESHOLD):
     no O(1) cancellation is left to floating point.
     """
     grid = u.grid
-    v = to_v(u)
-    vx = _dx(v.values, grid)
-    sup = float(np.max(np.abs(vx)))
-    if not sup < threshold:
-        raise GuardError(f"sup |v_x| = {sup:.4f} exceeds threshold {threshold}")
+    vx = _guarded_dx(to_v(u), "in N(u)")[1]
     mob, mob1, height = _mobility(grid)
     inv = 1.0 / (1.0 + vx)
     w = vx * inv
@@ -115,26 +113,18 @@ def eval_nonlinearity(u, threshold=LIPSCHITZ_THRESHOLD):
 class NonlinearModel:
     """What evolution.run needs for the nonlinear problem u_t + A u = N(u)."""
 
-    picard_tol: float = PICARD_TOL
-    picard_max: int = PICARD_MAX
-    threshold: float = LIPSCHITZ_THRESHOLD
+    picard_tol = PICARD_TOL  # class attributes, not fields: the stopping rule is fixed
+    picard_max = PICARD_MAX
     norm_N: int = 1
     norm_k: int = 3
     delta: float = 0.25
 
     def N(self, u):
-        return eval_nonlinearity(u, self.threshold)
+        return eval_nonlinearity(u)
 
     def guard(self, u, j):
         """sup |v_x| after step j (0: initial data); GuardError when it fails."""
-        rep = lipschitz_guard(to_v(u), self.threshold)
-        if rep.ok:
-            return rep.sup_vx
-        if j == 0:
-            raise GuardError("initial data fails the Lipschitz guard "
-                             f"(sup |v_x| = {rep.sup_vx:.4f})")
-        raise GuardError(f"Lipschitz guard tripped at step {j} "
-                         f"(sup |v_x| = {rep.sup_vx:.4f})")
+        return lipschitz_guard(to_v(u), "on the initial data" if j == 0 else f"at step {j}")
 
     def records(self, t, u):
         """(composite initial-data norm, contact line Y0 = 6t + v(0+))."""
@@ -142,23 +132,21 @@ class NonlinearModel:
         return init_norm, 6.0 * t + contact_line_shift(u)
 
 
-def run_nonlinear(u0, dt, T, picard_tol=PICARD_TOL, picard_max=PICARD_MAX,
-                  threshold=LIPSCHITZ_THRESHOLD, alpha=0.25, k=2,
-                  norm_N=1, norm_k=3, delta=0.25, store_every=1):
+def run_nonlinear(u0, dt, T, norm_N=1, norm_k=3, delta=0.25, store_every=1):
     """Semi-implicit evolution with an inner Picard iteration per step.
 
     u^{k+1} = (I + dt A)^{-1}(u^n + dt N(u^k)), from u^0 = 2u^n - u^(n-1) (the
     extrapolant of Ascher, Ruuth & Wetton 1995; u^n at the first step), until
-    the successive-iterate max-norm delta drops below picard_tol, or the
-    contraction rate theta < 1 gives theta / (1 - theta) * delta <= picard_tol
+    the successive-iterate max-norm delta drops below PICARD_TOL, or the
+    contraction rate theta < 1 gives theta / (1 - theta) * delta <= PICARD_TOL
     (Hairer & Wanner, Solving ODEs II, IV.8); theta is carried over from the
     last step that measured it. A step that has not met either rule after
-    picard_max iterations raises PicardError, whose message gives the budget,
+    PICARD_MAX iterations raises PicardError, whose message gives the budget,
     the last increment and the last measured rate: a slowly contracting
-    iteration can exhaust the budget too.
+    iteration can exhaust the budget too. The run records no energy log.
     """
-    model = NonlinearModel(picard_tol, picard_max, threshold, norm_N, norm_k, delta)
-    return evolution.run(resolvent.assemble(u0.grid), u0, None, dt, T, alpha=alpha, k=k,
+    model = NonlinearModel(norm_N, norm_k, delta)
+    return evolution.run(resolvent.assemble(u0.grid), u0, None, dt, T,
                          store_every=store_every, nonlinear=model)
 
 
@@ -179,9 +167,7 @@ def reconstruct(u, t, y_grid, upsample=8):
     """
     grid = u.grid
     v = to_v(u)
-    rep = lipschitz_guard(v)
-    if not rep.ok:
-        raise GuardError("Lipschitz guard fails; the height map may fold over")
+    lipschitz_guard(v, "in the reconstruction (the height map may fold over)")
     s_fine = np.linspace(grid.s_min, grid.s_max, upsample * (grid.n - 1) + 1)
     x = np.exp(s_fine)
     v_fine = CubicSpline(grid.s, v.values)(s_fine)

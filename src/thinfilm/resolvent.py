@@ -152,12 +152,12 @@ class Factorization:
         np.maximum.at(row_max, row, np.abs(w))
         row_scale = pow2(row_max)
         w *= row_scale[row]
-        col_max = np.zeros(n)
-        np.maximum.at(col_max, col, np.abs(w))
-        col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
-        w *= col_scale[col]
         ab = np.zeros((2 * KL + KU + 1, n))
         ab[KL + KU + row - col, col] = w
+        col_max = np.abs(ab).max(axis=0)
+        col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
+        ab *= col_scale
+        w *= col_scale[col]
         lu, piv, info = _gbtrf(ab, KL, KU)
         if info != 0:
             raise SolverError(f"banded factorization failed (info={info}); "

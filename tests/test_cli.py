@@ -204,6 +204,10 @@ def test_unparsable_config_is_a_config_error(tmp_path, capsys, text, key):
 @pytest.mark.parametrize("text, key", [
     ("[solver]\nlambdas = 1.0\n", "solver.lambdas"),
     ("[run]\nseed = 0\n", "run"),  # the [run] section is gone altogether
+    # the guard threshold, the Picard budget and the wave-shift taper are constants
+    ("[nonlinear]\npicard_max = 5\n", "nonlinear.picard_max"),
+    ("[nonlinear]\nlipschitz_threshold = 0.4\n", "nonlinear.lipschitz_threshold"),
+    ("[nonlinear]\ntaper = none\n", "nonlinear.taper"),
 ])
 def test_removed_config_keys_are_rejected(tmp_path, capsys, text, key):
     path = write_config(tmp_path / "old.ini", text)
@@ -295,8 +299,8 @@ u0 = wave_shift
     assert state.times.tolist() == pytest.approx(times, abs=1e-12)
 
     assert cli.main(["nonlinear-evolve", "--config", cfg_path]) == 0
-    state = nonlinear.run_nonlinear(u0, 1e-2, 0.07, alpha=nm["alpha"], norm_N=nm["N"],
-                                    norm_k=nm["k"], delta=nm["delta"], store_every=2)
+    state = nonlinear.run_nonlinear(u0, 1e-2, 0.07, norm_N=nm["N"], norm_k=nm["k"],
+                                    delta=nm["delta"], store_every=2)
     steps = [int(round(t / 1e-2)) for t in state.times]
     assert steps == [0, 2, 4, 6, 7]
     want = [[t, norm, c[0], c[1], sup, y0, 0 if j == 0 else state.picard_counts[j - 1]]
@@ -385,10 +389,10 @@ def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("values, T, message", [  # T None: the default 0.08
-    ("2e-2,abc,5e-3", None, "--values must be comma-separated numbers"),
-    ("2e-2,,5e-3", None, "--values must be comma-separated numbers"),
-    ("2e-2,nan,5e-3", None, "--values must be positive time steps"),
-    ("2e-2,0,5e-3", None, "--values must be positive time steps"),
+    ("2e-2,abc,5e-3", None, "config key '--values': not comma-separated numbers"),
+    ("2e-2,,5e-3", None, "config key '--values': not comma-separated numbers"),
+    ("2e-2,nan,5e-3", None, "config key '--values': not positive time steps"),
+    ("2e-2,0,5e-3", None, "config key '--values': not positive time steps"),
     ("1e-2,5e-3,5e-324", None, "config key '--values': too many steps"),
     ("2e-2,1e-2,3e-2", None, "config key 'solver.T': T must be an integer number of steps"),
 ])
@@ -396,6 +400,22 @@ def test_sweep_rejects_bad_input(tmp_path, capsys, values, T, message):
     assert cli.main(["sweep", "--param", "dt", "--values", values,
                      "--config", _sweep_config(tmp_path, T=T)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["sweep", "--param", "eps", "--values", "1e-2,5e-3,2.5e-3"], "--param"),
+    (["sweep", "--param", "dt", "--values", "1e-2,5e-3"], "--values"),
+    (["norms", "--spec", "a:b:c"], "--spec"),
+], ids=["--param", "--values", "--spec"])
+def test_flag_errors_are_config_errors(tmp_path, capsys, argv, key):
+    # main is the only place that prints an error
+    csv = tmp_path / "field.csv"
+    csv.write_text("s,value\n" + "".join(f"{s!r},0.0\n" for s in _FIELD_GRID.s.tolist()))
+    extra = ["--csv", str(csv)] if argv[0] == "norms" else ["--config", _sweep_config(tmp_path)]
+    assert cli.main(argv + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key '{key}': ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 

@@ -169,7 +169,7 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
     x = default_grid.x
     u0 = gridmod.GridFunction(default_grid, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
     if nonlinear_run:
-        state = nonlinear.run_nonlinear(u0, 1e-2, 0.05, alpha=0.75, k=3, store_every=2)
+        state = nonlinear.run_nonlinear(u0, 1e-2, 0.05, store_every=2)
     else:
         state = evolution.run(resolvent.assemble(default_grid), u0, None, 1e-2, 0.05,
                               alpha=0.75, k=3, store_every=2)
@@ -179,15 +179,21 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
     # (nonlinear); (D-2)(D-1)u only for the stored steps' coefficients
     assert shifts.count(1.0) == (6 if not nonlinear_run else stored)
     assert shifts.count(2.0) == stored
-    # the D^k energy once per stored step; a linear run takes |(D-1)u|^2 also at
-    # every step for its energy flags, and each stored pair re-reads it
-    assert energy_calls.count("tilde_energies") == stored
-    assert energy_calls.count("tilde_energy") == (6 + stored if not nonlinear_run else stored)
+    # a linear run: the D^k energy once per stored step, and |(D-1)u|^2 also at
+    # every step for its energy flags, which each stored pair re-reads; a
+    # nonlinear run records no energy
+    if nonlinear_run:
+        assert energy_calls == [] and state.energy_log == []
+    else:
+        assert energy_calls.count("tilde_energies") == stored
+        assert energy_calls.count("tilde_energy") == 6 + stored
+        assert len(state.energy_log) == stored
     monkeypatch.undo()
-    for (_, u), entry, coeffs in zip(state.steps, state.energy_log, state.coefficient_tracks):
+    for (_, u), entry in zip(state.steps, state.energy_log):
         assert (entry["tilde_sq"], entry["tilde_dk_sq"]) == _per_call_tilde_energies(u, 0.75, 3)
-        assert tuple(coeffs) == _per_call_leading_coefficients(u)
         assert evolution.tilde_energies(u, 0.75, 3) == _per_call_tilde_energies(u, 0.75, 3)
+    for (_, u), coeffs in zip(state.steps, state.coefficient_tracks):
+        assert tuple(coeffs) == _per_call_leading_coefficients(u)
         assert evolution.leading_coefficients(u) == _per_call_leading_coefficients(u)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,30 @@ def _parent_init_norm(w, N, k, delta):
 
 
 _COARSE = gridmod.LogGrid(-12.0, 4.0, 257)
+
+
+@pytest.mark.parametrize("norm", ["init", "sol", "rhs"])
+@pytest.mark.parametrize("N, k, delta, message", [
+    (-1, 3, 0.25, "0 <= N <= 2"),
+    (3, 3, 0.25, "0 <= N <= 2"),
+    (1, -5, 0.25, "k >= 0"),
+    (0, -1, 0.25, "k >= 0"),
+    (1, 3, 0.7, "0 < delta < 1/2"),
+    (1, 3, -0.2, "0 < delta < 1/2"),
+    (1, 3, 0.0, "0 < delta < 1/2"),
+    (1, 3, 0.5, "0 < delta < 1/2"),
+])
+def test_composite_norms_reject_unsupported_indices(norm, N, k, delta, message):
+    # these indices used to give 0.0 (N = -1, k = -5) or an unbounded value
+    # (delta outside (0, 1/2)) instead of an error
+    x = _COARSE.x
+    w = gridmod.GridFunction(_COARSE, x**3 * np.exp(-x))
+    traj = [(0.1 * j, w) for j in range(4)]
+    evaluate = {"init": lambda: gridmod.composite_init_norm(w, N, k, delta),
+                "sol": lambda: gridmod.composite_sol_norm(traj, N, k, delta),
+                "rhs": lambda: gridmod.composite_rhs_norm(traj, N, k, delta)}[norm]
+    with pytest.raises(GridError, match=re.escape(message)):
+        evaluate()
 _BASES = [lambda x: x**3 * np.exp(-x), lambda x: (0.4 * x + 0.3 * x * x + x**3) * np.exp(-x)]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,16 +32,15 @@ def test_to_v(default_grid):
 
 def test_lipschitz_guard(default_grid):
     zero = gridmod.zero(default_grid)
-    rep = nonlinear.lipschitz_guard(zero)
-    assert rep.ok and rep.sup_vx == 0.0
+    assert nonlinear.lipschitz_guard(zero) == 0.0
 
     x = default_grid.x
     v = gridmod.GridFunction(default_grid, 0.1 * x)
-    rep = nonlinear.lipschitz_guard(v)
-    assert rep.ok and rep.sup_vx == pytest.approx(0.1, rel=1e-6)
+    assert nonlinear.lipschitz_guard(v) == pytest.approx(0.1, rel=1e-6)
 
     v = gridmod.GridFunction(default_grid, 0.6 * x)
-    assert not nonlinear.lipschitz_guard(v).ok
+    with pytest.raises(GuardError, match=r"sup \|v_x\| = 0\.6000 is not below 0\.5"):
+        nonlinear.lipschitz_guard(v)
 
 
 def test_nonlinearity_fixed_points(fine_grid):
@@ -115,6 +116,20 @@ def test_run_nonlinear_zero_fixed_point(default_grid):
 def test_run_nonlinear_guard_failure(default_grid):
     with pytest.raises(GuardError):
         nonlinear.run_nonlinear(wave_shaped(default_grid, 1.0), 1e-2, 0.1)
+
+
+@pytest.mark.parametrize("where", ["on the initial data", "at step 7", "in N(u)",
+                                   "in the reconstruction"])
+def test_guard_messages_say_where_the_guard_tripped(default_grid, where):
+    u = wave_shaped(default_grid, 1.0)
+    call = {"on the initial data": lambda: nonlinear.run_nonlinear(u, 1e-2, 0.1),
+            "at step 7": lambda: nonlinear.NonlinearModel().guard(u, 7),
+            "in N(u)": lambda: nonlinear.eval_nonlinearity(u),
+            "in the reconstruction": lambda: nonlinear.reconstruct(u, 0.0, np.zeros(3))}[where]
+    with pytest.raises(GuardError) as exc:
+        call()
+    assert re.fullmatch(rf"Lipschitz guard tripped {re.escape(where)}.*: "
+                        r"sup \|v_x\| = \d+\.\d{4} is not below 0\.5", str(exc.value))
 
 
 def test_run_nonlinear_picard_stall(default_grid):
