@@ -55,13 +55,6 @@ def _dx(values, grid):
     return grid.inv_x * stencils.apply_derivative(values, 1, grid.h)
 
 
-def _dx_dx2(values, grid):
-    # (d/dx, d^2/dx^2) = (e^{-s} D, e^{-2s} (D^2 - D)), sharing one D pass
-    d1 = stencils.apply_derivative(values, 1, grid.h)
-    d2 = stencils.apply_derivative(values, 2, grid.h)
-    return grid.inv_x * d1, grid.inv_x2 * (d2 - d1)
-
-
 def _guarded_dx(v, where):
     """(sup |v_x|, v_x); GuardError naming ``where`` unless sup |v_x| < LIPSCHITZ_THRESHOLD."""
     vx = _dx(v.values, v.grid)
@@ -101,10 +94,18 @@ def eval_nonlinearity(u):
     w = vx * inv
     z = vx * w  # v_x^2 / (1 + v_x)
 
-    lin = _dx_dx2(z * mob, grid)[1] + _dx(z * mob1, grid) + 6.0 * z
-    t, dx2_wm = _dx_dx2(w * mob, grid)
+    # d/dx = e^{-s} D and d^2/dx^2 = e^{-2s} (D^2 - D); the fields that do not
+    # depend on each other are stacked: D of (z m, w m, z m', w m') in one call,
+    # D^2 of (z m, w m) in another
+    zw = np.array([z, w])
+    fields = np.concatenate((zw * mob, zw * mob1))
+    d1 = stencils.apply_derivative(fields, 1, grid.h)
+    d2 = stencils.apply_derivative(fields[:2], 2, grid.h)
+    dx_zm, t, dx_zm1, dx_wm1 = grid.inv_x * d1
+    dx2_zm, dx2_wm = grid.inv_x2 * (d2 - d1[:2])
+    lin = dx2_zm + dx_zm1 + 6.0 * z
     dx_wt = _dx(w * t, grid)
-    quad = dx_wt + w * dx2_wm + w * _dx(w * mob1, grid) - w * dx_wt
+    quad = dx_wt + w * dx2_wm + w * dx_wm1 - w * dx_wt
     bracket = lin + quad
     return gridmod.GridFunction(grid, _dx(height * bracket, grid))
 

@@ -7,6 +7,7 @@ consumes. Polynomials are stored by their real root multisets so that root
 statistics are exact; the expanded form is derived on demand.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class PolynomialOperator:
         return eval_poly(self, zeta)
 
     def coefficients(self):
-        """Monomial coefficients c[m] of sum c_m zeta^m, ascending."""
-        return np.polynomial.polynomial.polyfromroots(self.roots).real
+        """Monomial coefficients c[m] of sum c_m zeta^m, ascending; read-only."""
+        return _coefficients(self.roots)
 
     def shifted(self, c):
         """Polynomial with every root moved by c."""
@@ -52,6 +53,14 @@ class PolynomialOperator:
     def sigma(self):
         m = self.mean()
         return float(np.sqrt(np.mean([(r - m) ** 2 for r in self.roots])))
+
+
+@functools.lru_cache(maxsize=64)
+def _coefficients(roots):
+    """Read-only expanded coefficients of prod (zeta - root), computed once per root multiset."""
+    c = np.polynomial.polynomial.polyfromroots(roots).real
+    c.flags.writeable = False
+    return c
 
 
 def eval_poly(p, zeta):
@@ -93,22 +102,33 @@ def monomial_action(j):
     return float(eval_poly(p, j)), float(eval_poly(q, j))
 
 
+def _symbol_values(w, *polys):
+    """P(D) w for each P, from the expanded monomial forms; zero terms are
+    left out, and each D^m w is taken once for all of them."""
+    derivs = {}
+    outs = []
+    for p in polys:
+        coeffs = p.coefficients()
+        out = coeffs[0] * w.values
+        for m in range(1, len(coeffs)):
+            if coeffs[m] != 0.0:
+                if m not in derivs:
+                    derivs[m] = gridmod.ds_any(w.values, m, w.grid.h)
+                out = out + coeffs[m] * derivs[m]
+        outs.append(out)
+    return outs
+
+
 def apply_symbol(p, w):
     """P(D) w on the grid, built from the expanded monomial form."""
-    coeffs = p.coefficients()
-    out = coeffs[0] * w.values
-    for m in range(1, len(coeffs)):
-        if coeffs[m] != 0.0:
-            out = out + coeffs[m] * gridmod.ds_any(w.values, m, w.grid.h)
-    return gridmod.GridFunction(w.grid, out)
+    return gridmod.GridFunction(w.grid, _symbol_values(w, p)[0])
 
 
 def apply_operator(w, commutations=0):
     """(commuted) operator applied on the grid: e^{-s} P(D) w + e^{-2s} Q(D) w."""
-    p, q = symbol_pair(commutations)
+    pw, qw = _symbol_values(w, *symbol_pair(commutations))
     grid = w.grid
-    return gridmod.GridFunction(
-        grid, grid.inv_x * apply_symbol(p, w).values + grid.inv_x2 * apply_symbol(q, w).values)
+    return gridmod.GridFunction(grid, grid.inv_x * pw + grid.inv_x2 * qw)
 
 
 def commutation_residual(variant, w):

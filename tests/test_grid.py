@@ -184,6 +184,22 @@ def test_composite_init_norm_exact_expansion():
     assert gridmod.composite_init_norm(gridmod.zero(g), 1, 3, 0.25) == 0.0
 
 
+def test_composite_init_norm_takes_one_stencil_call_per_order(default_grid, monkeypatch):
+    # N = 1, k = 3: three (sub, beta) rows and 8 s-derivatives, the rows
+    # differentiated as one stack: one call per derivative order
+    w = gaussian_bump(default_grid)
+    rows = []
+    apply_derivative = stencils.apply_derivative
+
+    def counted(values, m, h):
+        rows.append(np.shape(values)[0])
+        return apply_derivative(values, m, h)
+
+    monkeypatch.setattr(stencils, "apply_derivative", counted)
+    gridmod.composite_init_norm(w, 1, 3, 0.25)
+    assert rows == [3] * 8
+
+
 def test_composite_norm_dispatch_and_bounds(default_grid):
     w = gaussian_bump(default_grid)
     traj = [(0.1 * j, w) for j in range(4)]

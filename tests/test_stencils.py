@@ -46,14 +46,19 @@ def test_derivative_annihilates_constants(m):
 
 
 def _uncached_derivative(values, m, h):
-    """apply_derivative rebuilt from freshly generated weights on every call."""
+    """apply_derivative rebuilt from freshly generated weights on every call,
+    each edge's one-sided rows applied as one block."""
     n = values.size
     w = stencils.center_weights(m)
     half = len(w) // 2
+    rows = stencils.boundary_rows(n, m)
     out = np.empty(n)
     out[half:n - half] = np.correlate(values, w, mode="valid")
-    for i, start, bw in stencils.boundary_rows(n, m):
-        out[i] = bw @ values[start:start + len(bw)]
+    for edge in (rows[:half], rows[half:]):
+        block = np.array([bw for _, _, bw in edge])
+        start = edge[0][1]
+        nodes = values[start:start + block.shape[1]]
+        out[[i for i, _, _ in edge]] = (block @ nodes[:, None])[:, 0]
     out /= h**m
     return out
 
@@ -66,10 +71,37 @@ def test_cached_plan_matches_fresh_weights(m, n):
     want = _uncached_derivative(values, m, h)
     for _ in range(2):  # the first call builds the plan, the second reuses it
         assert np.array_equal(stencils.apply_derivative(values, m, h), want)
-    center, _, rows = stencils._plan(n, m)
-    for weights in (center, *(bw for _, _, bw in rows)):
+    center, _, left, right = stencils._plan(n, m)
+    for weights in (center, left, right):
         with pytest.raises(ValueError):
             weights[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [16, 513, 1025, 4097])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_stacked_call_matches_per_row_calls(m, n):
+    rng = np.random.default_rng(10 * n + m)
+    h = 16.0 / (n - 1)
+    for shape in ((3, n), (2, 3, n)):
+        # rows of very different scales, as in N(u) and the norm towers
+        values = rng.standard_normal(shape) * np.exp(8.0 * rng.standard_normal(shape))
+        got = stencils.apply_derivative(values, m, h)
+        assert got.shape == shape
+        want = [stencils.apply_derivative(row, m, h) for row in values.reshape(-1, n)]
+        assert np.array_equal(got.reshape(-1, n), np.array(want))
+
+
+@pytest.mark.parametrize("n", [16, 1025])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_edge_blocks_match_row_dot_products(m, n):
+    # the one-sided rows as matrix-vector products agree with one dot product
+    # per row to a few ulps of the summed magnitudes
+    values = np.random.default_rng(n - m).standard_normal(n)
+    got = stencils.apply_derivative(values, m, 1.0)
+    for i, start, bw in stencils.boundary_rows(n, m):
+        terms = bw * values[start:start + len(bw)]
+        assert abs(got[i] - bw @ values[start:start + len(bw)]) <= (
+            4 * np.finfo(float).eps * np.sum(np.abs(terms)))
 
 
 def test_derivative_too_small_grid():
