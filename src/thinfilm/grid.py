@@ -175,7 +175,11 @@ def d_derivative(w, j):
 
 
 def ds_any(values, j, h):
-    """d^j/ds^j for any j >= 0 by composing fourth-order applications."""
+    """d^j/ds^j for any j >= 0 by composing fourth-order applications.
+
+    _ds_tower composes in the same order (D^4 first, the remainder last), so
+    its order-j entry equals ds_any(values, j, h) bitwise.
+    """
     out = np.asarray(values, dtype=float)
     while j > 4:
         out = stencils.apply_derivative(out, 4, h)
@@ -252,12 +256,10 @@ def subtract_expansion(w, sub):
 
 
 def _minus_expansion(values, coeffs, grid):
-    """values - c_1 x - c_2 x^2 - ..., one term at a time; for a (steps, n)
-    stack of values, coeffs holds one row of coefficients per step."""
-    coeffs = np.asarray(coeffs)
+    """values - c_1 x - c_2 x^2 - ..., one term at a time."""
     out = values.copy()
-    for j in range(coeffs.shape[-1]):
-        out -= coeffs[..., j, None] * grid.exp(j + 1)
+    for j, c in enumerate(coeffs, start=1):
+        out -= c * grid.exp(j)
     return out
 
 
@@ -368,10 +370,10 @@ def _time_derivative(values, dt, order):
 
 
 def _norm_series(values, coeffs, grid, kn, alpha, sub):
-    """|w(t) - sum_{j<=sub} c_j(t) x^j|_{kn,alpha}^2 at every stored step, the
-    steps differentiated as one stack."""
-    return _norm_sq(_minus_expansion(values, coeffs[:, :sub], grid), kn,
-                    grid.exp(-2.0 * alpha), grid)
+    """|w(t) - sum_{j<=sub} c_j(t) x^j|_{kn,alpha}^2 at every stored step."""
+    weight = grid.exp(-2.0 * alpha)
+    return np.array([_norm_sq(_minus_expansion(v, c[:sub], grid), kn, weight, grid)
+                     for v, c in zip(values, coeffs)])
 
 
 def _underline_coeffs(coeffs):

@@ -112,11 +112,8 @@ def apply_derivative(values, m, h):
     w, half, left, right = _plan(n, m)
     span = left.shape[1]
     out = np.empty(values.shape)
-    if values.ndim == 1:  # the common case, without the row loop's reshapes
-        out[half:n - half] = np.correlate(values, w, mode="valid")
-    else:
-        for row, dst in zip(values.reshape(-1, n), out.reshape(-1, n)):
-            dst[half:n - half] = np.correlate(row, w, mode="valid")
+    for row, dst in zip(values.reshape(-1, n), out.reshape(-1, n)):
+        dst[half:n - half] = np.correlate(row, w, mode="valid")
     out[..., :half] = (left @ values[..., :span, None])[..., 0]
     out[..., n - half:] = (right @ values[..., n - span:, None])[..., 0]
     out /= h**m

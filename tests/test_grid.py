@@ -369,6 +369,49 @@ def test_composite_norms_match_the_parent_loops(N, delta, base):
         _parent_init_norm(w, N, 3, delta), rel=1e-15, abs=0.0)
 
 
+def _per_row_norm_sq(values, k, alpha, grid):
+    """_norm_sq of one field as written before the derivative tower: every
+    order differentiated from scratch by ds_any."""
+    weight = grid.exp(-2.0 * alpha)
+    total = 0.0
+    for j in range(k + 1):
+        dj = values if j == 0 else gridmod.ds_any(values, j, grid.h)
+        total += stencils.trapezoid(weight * dj * dj, grid.h)
+    return max(total, 0.0)
+
+
+@pytest.mark.parametrize("kn", [0, 4, 8, 11])
+@pytest.mark.parametrize("sub", [0, 2, 5])
+def test_norm_series_matches_per_step_ds_any(kn, sub):
+    # each stored step on its own, each order from ds_any: the tower composes
+    # D^4 first, as ds_any does, so the series agree bitwise
+    x = _COARSE.x
+    values = np.stack([np.exp(-2 * t) * _BASES[1](x) for t in np.linspace(0.0, 0.2, 6)])
+    coeffs = gridmod._fit_expansion(values, _COARSE, 5)
+    expected = np.array([_per_row_norm_sq(gridmod._minus_expansion(v, c[:sub], _COARSE),
+                                          kn, 0.75, _COARSE)
+                         for v, c in zip(values, coeffs)])
+    assert np.array_equal(gridmod._norm_series(values, coeffs, _COARSE, kn, 0.75, sub),
+                          expected)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+@pytest.mark.parametrize("base", range(len(_BASES)))
+def test_stacked_init_norm_matches_per_row_norms(N, base):
+    # the (sub, beta) rows differentiated as one stack give the per-row
+    # squares of ds_any bitwise, summed in sorted (sub, beta) order
+    w = gridmod.GridFunction(_COARSE, _BASES[base](_COARSE.x))
+    first, _ = gridmod.index_sets(N, 0.25)
+    pairs = sorted({(int(np.floor(alpha)) + m + r, alpha + m + r)
+                    for alpha, _l, m in first for r in range(m + 1)})
+    coeffs = gridmod._fit_expansion(w.values, _COARSE, 5)
+    total = 0.0
+    for sub, beta in pairs:
+        v = gridmod._minus_expansion(w.values, coeffs[:sub], _COARSE)
+        total += _per_row_norm_sq(v, 3 + 4 * N + 1, beta, _COARSE)
+    assert gridmod.composite_init_norm(w, N, 3, 0.25) == float(np.sqrt(total))
+
+
 def test_composite_sol_norm_matches_direct_assembly_n0(default_grid):
     # N = 0: the index sets are {(d,0,0)} and {(d,0,0), (d-1/2,0,0)}, so the
     # squared norm is sup_t |u|_{k+1,d}^2 plus the time integrals of
