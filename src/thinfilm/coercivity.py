@@ -151,7 +151,7 @@ def quadratic_form_check(p, alpha, w):
     """Discrete ((w, P(D) w)_alpha, |w|_{2,alpha}^2) for a compactly supported w."""
     _require_compact_support(w)
     grid = w.grid
-    weight = np.exp(-2.0 * alpha * grid.s)
+    weight = grid.exp(-2.0 * alpha)
     pw = polyops.apply_symbol(p, w)
     lhs = stencils.trapezoid(weight * w.values * pw.values, grid.h)
     rhs = gridmod.weighted_norm(w, gridmod.NormSpec(2, alpha)) ** 2

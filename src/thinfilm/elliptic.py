@@ -17,11 +17,13 @@ from .errors import DecayProbeError, SupportError
 
 TAIL_BAND = 1.5
 PROBE_MIN_EXPONENT = 0.05
+SUPPORT_EDGE = 4  # nodes at each end where a test function must vanish:
+SUPPORT_REL = 1e-12  # stay below this fraction of its maximum
 
 
 def apply_B(w):
     """B w = x (D w - 2 w) + D w with the discrete D."""
-    dw = gridmod.d_derivative(w, 1).values
+    dw = stencils.apply_derivative(w.values, 1, w.grid.h)
     x = w.grid.x
     return gridmod.GridFunction(w.grid, x * (dw - 2.0 * w.values) + dw)
 
@@ -106,12 +108,13 @@ def apply_S(g):
     return gridmod.GridFunction(grid, (x + 1.0) ** 2 * i1)
 
 
-def _require_compact_support(w, edge=4, rel=1e-12):
+def _require_compact_support(w):
     v = np.abs(w.values)
     scale = v.max()
     if scale == 0.0:
         return
-    if v[:edge].max() > rel * scale or v[-edge:].max() > rel * scale:
+    limit = SUPPORT_REL * scale
+    if v[:SUPPORT_EDGE].max() > limit or v[-SUPPORT_EDGE:].max() > limit:
         raise SupportError("test function must vanish near the grid boundary")
 
 
@@ -135,7 +138,7 @@ def hardy_check(g, gamma, variant):
     a, offset, const = _HARDY[variant]
     beta = gamma + offset
     grid = g.grid
-    weight = np.exp(-2.0 * beta * grid.s)
+    weight = grid.exp(-2.0 * beta)
     shifted = gridmod.shifted_derivative(g, a).values
     lhs = stencils.trapezoid(weight * shifted * shifted, grid.h)
     rhs = stencils.trapezoid(weight * g.values * g.values, grid.h)

@@ -15,7 +15,6 @@ step, for its energy-increase flags, and records it with its k-th D-derivative
 |D^k (D-1)u|_{a}^2 at stored steps.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,13 +51,6 @@ class EvolutionState:
         return self.steps[-1][1]
 
 
-@functools.lru_cache(maxsize=4)
-def _d_minus_1(u):
-    """(D-1)u of the last few fields, keyed by identity (a GridFunction is
-    immutable), so the energy and coefficient monitors of a stored step share it."""
-    return gridmod.shifted_derivative(u, 1.0)
-
-
 def leading_coefficients(u):
     """Expansion coefficients (u1, u2, u3) tuned for evolving fields.
 
@@ -71,7 +63,7 @@ def leading_coefficients(u):
     """
     grid = u.grid
     u1 = gridmod.extract_coefficients(u, 1)[0]
-    tu = _d_minus_1(u)
+    tu = gridmod.shifted_derivative(u, 1.0)
     u2 = gridmod.fit_powers(tu.values * grid.exp(-2.0), grid, *U2_BAND, 3)[0]
     cu = gridmod.shifted_derivative(tu, 2.0)
     u3 = gridmod.fit_powers(cu.values * grid.exp(-3.0), grid, *U3_BAND, 3)[0] / 2.0
@@ -92,16 +84,18 @@ def average_rhs(f, j, dt):
 def tilde_energy(u, alpha):
     """|(D-1)u|_a^2 by trapezoid quadrature: the energy a linear run takes every step."""
     grid = u.grid
-    tu = _d_minus_1(u).values
+    tu = gridmod.shifted_derivative(u, 1.0).values
     return float(stencils.trapezoid(grid.exp(-2.0 * alpha) * tu * tu, grid.h))
 
 
 def tilde_energies(u, alpha, k):
-    """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature: a stored step's pair."""
+    """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature: a stored step's pair,
+    D^k (D-1)u the last entry of the derivative tower."""
     grid = u.grid
-    dk = gridmod.ds_any(_d_minus_1(u).values, k, grid.h)
-    ek = stencils.trapezoid(grid.exp(-2.0 * alpha) * dk * dk, grid.h)
-    return tilde_energy(u, alpha), float(ek)
+    weight = grid.exp(-2.0 * alpha)
+    tu = gridmod.shifted_derivative(u, 1.0).values
+    *_, dk = gridmod._ds_tower(tu, k, grid.h)
+    return tuple(float(stencils.trapezoid(weight * d * d, grid.h)) for d in (tu, dk))
 
 
 def step(op, u_prev, f_avg, dt, factorization=None):

@@ -2,16 +2,17 @@
 
 All spatial fields live on a uniform grid in s = ln x, where the
 scaling-invariant derivative D = x d/dx becomes d/ds. The module provides
-the D-derivative stencils, the weighted norms
+the tower of D-derivatives of every order, the weighted norms
 
     |w|_{k,a}^2 = sum_{j<=k} int e^{-2as} (d^j w/ds^j)^2 ds,
 
 the composite solution/initial-data/right-hand-side norms built from them,
-and left-edge expansion-coefficient extraction. The solution and
-right-hand-side norms are lists of terms (time supremum or time integral of
-one weighted norm of a time difference, with its expansion subtracted) that
-one evaluator, _composite, sums; the initial-data norm differentiates its
-rows, one per (subtraction order, weight), as one stack.
+and left-edge expansion-coefficient extraction. Each composite norm is a list
+of terms (time supremum or time integral of one weighted norm of a time
+difference, with its expansion subtracted) that one evaluator, _composite,
+sums; the initial-data norm is its one-step case. At each stored step, the
+rows of one time difference and derivative count, one per (subtraction
+order, weight), are differentiated as one stack.
 """
 
 import functools
@@ -163,32 +164,6 @@ class NormSpec:
             raise GridError("sub must lie in 0..3")
 
 
-def d_derivative(w, j):
-    """j-th scaling-invariant derivative D^j w = d^j w/ds^j, j in 1..4.
-
-    Fourth-order centered stencils in the interior, shifted one-sided
-    stencils of the same order at the edge nodes.
-    """
-    if not 1 <= j <= 4:
-        raise GridError("d_derivative supports j in 1..4")
-    return GridFunction(w.grid, stencils.apply_derivative(w.values, j, w.grid.h))
-
-
-def ds_any(values, j, h):
-    """d^j/ds^j for any j >= 0 by composing fourth-order applications.
-
-    _ds_tower composes in the same order (D^4 first, the remainder last), so
-    its order-j entry equals ds_any(values, j, h) bitwise.
-    """
-    out = np.asarray(values, dtype=float)
-    while j > 4:
-        out = stencils.apply_derivative(out, 4, h)
-        j -= 4
-    if j > 0:
-        out = stencils.apply_derivative(out, j, h)
-    return out
-
-
 def shifted_derivative(w, a):
     """(D - a) w."""
     return GridFunction(w.grid, stencils.apply_derivative(w.values, 1, w.grid.h) - a * w.values)
@@ -247,14 +222,6 @@ def extract_coefficients(w, order):
     return tuple(_fit_expansion(w.values, w.grid, 3))[:order]
 
 
-def subtract_expansion(w, sub):
-    """w minus its fitted expansion u_1 x + ... + u_sub x^sub, sub in 0..3."""
-    if sub == 0:
-        return w
-    coeffs = extract_coefficients(w, sub)
-    return GridFunction(w.grid, _minus_expansion(w.values, coeffs, w.grid))
-
-
 def _minus_expansion(values, coeffs, grid):
     """values - c_1 x - c_2 x^2 - ..., one term at a time."""
     out = values.copy()
@@ -266,8 +233,9 @@ def _minus_expansion(values, coeffs, grid):
 def _ds_tower(values, k, h):
     """values, d/ds values, ..., d^k/ds^k values along the last axis.
 
-    Orders above 4 compose fourth-order applications as ds_any does:
-    D^1..D^4, then D^1..D^4 of D^4, and so on, one stencil call per order.
+    The one composition rule for orders above 4: D^4 first, the remainder
+    last. The tower takes D^1..D^4, then D^1..D^4 of D^4, and so on, one
+    stencil call per order.
     """
     yield values
     base = values
@@ -289,9 +257,12 @@ def _norm_sq(values, k, weight, grid):
 
 
 def weighted_norm(w, spec):
-    """|w|_{k,alpha}, trapezoid quadrature, expansion subtracted when sub > 0."""
-    v = subtract_expansion(w, spec.sub) if spec.sub else w
-    return float(np.sqrt(_norm_sq(v.values, spec.k, w.grid.exp(-2.0 * spec.alpha), w.grid)))
+    """|w|_{k,alpha}, trapezoid quadrature, with the fitted expansion
+    u_1 x + ... + u_sub x^sub subtracted first when sub > 0."""
+    v = w.values
+    if spec.sub:
+        v = _minus_expansion(v, extract_coefficients(w, spec.sub), w.grid)
+    return float(np.sqrt(_norm_sq(v, spec.k, w.grid.exp(-2.0 * spec.alpha), w.grid)))
 
 
 def index_sets(N, delta):
@@ -338,12 +309,9 @@ def composite_init_norm(w, N, k, delta):
     set, r = 0..m, summed in squares in sorted (sub, beta) order."""
     _require_norm_indices(N, k, delta)
     pairs = sorted({(sub, beta) for _l, sub, beta in _weight_shifts(index_sets(N, delta)[0])})
-    grid = w.grid
-    coeffs = _fit_expansion(w.values, grid, _TRACK_ORDER)
-    # one row per (sub, beta), all differentiated as one stack
-    rows = np.array([_minus_expansion(w.values, coeffs[:sub], grid) for sub, _ in pairs])
-    weights = np.array([grid.exp(-2.0 * beta) for _, beta in pairs])
-    return float(np.sqrt(sum(_norm_sq(rows, k + 4 * N + 1, weights, grid))))
+    # one stored step: no time difference is taken, and each supremum is its one value
+    return _composite(w.values[None, :], None, w.grid,
+                      [("sup", "u", 0, sub, beta, k + 4 * N + 1) for sub, beta in pairs])
 
 
 def _traj_arrays(traj):
@@ -369,10 +337,12 @@ def _time_derivative(values, dt, order):
     return out
 
 
-def _norm_series(values, coeffs, grid, kn, alpha, sub):
-    """|w(t) - sum_{j<=sub} c_j(t) x^j|_{kn,alpha}^2 at every stored step."""
-    weight = grid.exp(-2.0 * alpha)
-    return np.array([_norm_sq(_minus_expansion(v, c[:sub], grid), kn, weight, grid)
+def _norm_series(values, coeffs, grid, kn, rows):
+    """|w(t) - sum_{j<=sub} c_j(t) x^j|_{kn,alpha}^2 of each (sub, alpha) in rows at
+    every stored step, shape (steps, rows); one tower per step takes the rows as one stack."""
+    weights = np.array([grid.exp(-2.0 * alpha) for _, alpha in rows])
+    return np.array([_norm_sq(np.array([_minus_expansion(v, c[:sub], grid) for sub, _ in rows]),
+                              kn, weights, grid)
                      for v, c in zip(values, coeffs)])
 
 
@@ -391,23 +361,27 @@ def _composite(values, dt, grid, terms):
     (reduction "sup") or the trapezoid in time ("int") of
     |d^l/dt^l f - sum_{j<=sub} c_j x^j|_{kn,alpha}^2, where f is the stored
     field ("u") or the field divided by x+1 ("under") and c_j its fitted
-    expansion coefficients. Duplicates count once, in first-encounter order;
-    each (field, l) time difference is taken once.
+    expansion coefficients. Duplicates count once, in first-encounter order.
+    Each (field, l) time difference is taken once, and the distinct
+    (sub, alpha) rows of each (field, l, kn) group share one _norm_series.
     """
     coeffs = _fit_expansion(values, grid, _TRACK_ORDER)
-    fields = {}
-    total = 0.0
-    for reduction, field, l, sub, alpha, kn in dict.fromkeys(terms):
+    terms = list(dict.fromkeys(terms))
+    groups, fields, series = {}, {}, {}
+    for _, field, l, sub, alpha, kn in terms:
+        groups.setdefault((field, l, kn), {})[sub, alpha] = None
+    for (field, l, kn), rows in groups.items():
         if (field, l) not in fields:
             v, c = values, coeffs
             if field == "under":
                 v, c = values / (grid.x + 1.0)[None, :], _underline_coeffs(coeffs)
             fields[field, l] = (_time_derivative(v, dt, l), _time_derivative(c, dt, l))
-        series = _norm_series(*fields[field, l], grid, kn, alpha, sub)
-        if reduction == "sup":
-            total += float(np.max(series))
-        else:
-            total += float(stencils.trapezoid(series, dt))
+        cols = np.ascontiguousarray(_norm_series(*fields[field, l], grid, kn, list(rows)).T)
+        series.update(((field, l, kn, *row), col) for row, col in zip(rows, cols))
+    total = 0.0
+    for reduction, field, l, sub, alpha, kn in terms:
+        col = series[field, l, kn, sub, alpha]
+        total += float(np.max(col) if reduction == "sup" else stencils.trapezoid(col, dt))
     return float(np.sqrt(total))
 
 

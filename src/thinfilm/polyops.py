@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
+from . import stencils
 from .errors import GridError
 
 MAX_INTERVALS = 10**6  # sampling intervals of one integrate_coefficients trajectory
-EDGE_SKIP = 8  # nodes at each end that commutation_residual leaves out
+EDGE_SKIP = 8  # nodes at each end that commutation_residual and interior_residual leave out
 
 # Root multisets of the canonical quartics. Index = number of (D-1)/(D-2)
 # conjugations applied to the full operator: 0 the operator itself, 1 once
@@ -113,7 +114,7 @@ def _symbol_values(w, *polys):
         for m in range(1, len(coeffs)):
             if coeffs[m] != 0.0:
                 if m not in derivs:
-                    derivs[m] = gridmod.ds_any(w.values, m, w.grid.h)
+                    derivs[m] = stencils.apply_derivative(w.values, m, w.grid.h)
                 out = out + coeffs[m] * derivs[m]
         outs.append(out)
     return outs

@@ -27,7 +27,6 @@ from .errors import CompatibilityError, GridError, SolverError
 
 KL = 5  # sub-diagonals: widest shifted interior stencil
 KU = 6  # super-diagonals: left closure row reaches node 6
-EDGE_SKIP = 8  # nodes at each end that interior_residual leaves out
 FAR_BAND = (3.5, 1.5)  # far_field_rate's band below s_max, kept clear of the clamp rows
 FAR_MIN_NODES = 10  # fewest tail nodes far_field_rate fits a slope to
 
@@ -226,7 +225,7 @@ def interior_residual(op, lam, u, g):
     absu = np.abs(u.values)
     den = op.abs_csr @ absu
     den += lam * absu + np.abs(g.values) + 1e-300
-    sl = slice(EDGE_SKIP, op.n - EDGE_SKIP)
+    sl = slice(polyops.EDGE_SKIP, op.n - polyops.EDGE_SKIP)
     return float(np.max(np.abs(res[sl]) / den[sl]))
 
 

@@ -47,51 +47,23 @@ def fd_weights(offsets, x0, m):
     return c[:, m]
 
 
-def _check_size(n, m):
-    need = max(_CENTER_POINTS[m], m + 4)
-    if n < need + 2:
-        raise GridError(f"grid with {n} nodes too small for order-{m} stencil")
-
-
-def boundary_rows(n, m):
-    """(row, start, weights) for the one-sided rows of d^m/ds^m, h = 1.
-
-    The centered window does not fit within ``half`` nodes of either edge;
-    those rows get shifted (m+4)-point stencils of the same order.
-    """
-    _check_size(n, m)
-    half = _CENTER_POINTS[m] // 2
-    span = m + 4
-    rows = []
-    for i in range(half):
-        rows.append((i, 0, fd_weights(np.arange(span), float(i), m)))
-    for i in range(n - half, n):
-        start = n - span
-        rows.append((i, start, fd_weights(np.arange(span), float(i - start), m)))
-    return rows
-
-
-def center_weights(m):
-    """Centered fourth-order weights for d^m/ds^m, h = 1."""
-    p = _CENTER_POINTS[m]
-    half = p // 2
-    return fd_weights(np.arange(-half, half + 1), 0.0, m)
-
-
 @functools.lru_cache(maxsize=64)
 def _plan(n, m):
     """(centered weights, half width, left block, right block) of d^m/ds^m on n nodes, h = 1.
 
-    Built once per (n, m). The blocks hold the one-sided rows of each edge,
-    shape (half, m+4): the left block acts on the first m+4 nodes, the right
-    block on the last m+4. The arrays are shared by every caller, so they are
-    read-only.
+    Built once per (n, m). The centered window does not fit within ``half``
+    nodes of either edge; those rows get shifted (m+4)-point stencils of the
+    same order. The blocks hold them, shape (half, m+4): the left block acts on
+    the first m+4 nodes, the right block on the last m+4. The arrays are shared
+    by every caller, so they are read-only.
     """
-    center = center_weights(m)
-    half = len(center) // 2
-    rows = boundary_rows(n, m)
-    left = np.array([bw for _, _, bw in rows[:half]])
-    right = np.array([bw for _, _, bw in rows[half:]])
+    half, span = _CENTER_POINTS[m] // 2, m + 4
+    if n < max(_CENTER_POINTS[m], span) + 2:
+        raise GridError(f"grid with {n} nodes too small for order-{m} stencil")
+    center = fd_weights(np.arange(-half, half + 1), 0.0, m)
+    left = np.array([fd_weights(np.arange(span), float(i), m) for i in range(half)])
+    right = np.array([fd_weights(np.arange(span), float(span - half + i), m)
+                      for i in range(half)])
     for w in (center, left, right):
         w.flags.writeable = False
     return center, half, left, right

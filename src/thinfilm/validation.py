@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 H_FLOOR_REL = 1e-6
+SMYTH_HILL_X = 1.0
 
 
 @dataclass
@@ -33,14 +34,14 @@ def equilibrium(t, y):
     return np.where(y >= 0.0, y * y, 0.0) + 0.0 * np.asarray(t, dtype=float)
 
 
-def smyth_hill(t, y, X=1.0):
-    """Source-type self-similar droplet of mass X^5 * 2/225."""
+def smyth_hill(t, y):
+    """Source-type self-similar droplet of mass X^5 * 2/225, X = SMYTH_HILL_X."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     scale = (t + 1.0) ** (-0.2)
     x = scale * y
-    prof = (x * x - X * X) ** 2 / 120.0
-    return np.where(np.abs(x) <= X, scale * prof, 0.0)
+    prof = (x * x - SMYTH_HILL_X * SMYTH_HILL_X) ** 2 / 120.0
+    return np.where(np.abs(x) <= SMYTH_HILL_X, scale * prof, 0.0)
 
 
 def tfe_residual(h, t_span, y_span, dt, dy):

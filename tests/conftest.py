@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from thinfilm import grid as gridmod
+from thinfilm import stencils
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +18,18 @@ def fine_grid():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def ds_any(values, j, h):
+    """d^j/ds^j for any j >= 0, on its own: fourth-order applications composed
+    D^4 first and the remainder last, as the derivative tower of grid does."""
+    out = np.asarray(values, dtype=float)
+    while j > 4:
+        out = stencils.apply_derivative(out, 4, h)
+        j -= 4
+    if j > 0:
+        out = stencils.apply_derivative(out, j, h)
+    return out
 
 
 def _smoothstep(t):

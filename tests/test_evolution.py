@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import ds_any
 from thinfilm import evolution, nonlinear, resolvent, stencils
 from thinfilm import grid as gridmod
 from thinfilm.errors import GridError, PicardError
@@ -129,12 +130,12 @@ def test_leading_coefficients_known_field():
 
 
 def _per_call_tilde_energies(u, alpha, k):
-    """tilde_energies as written before the (D-1)u and weight caches."""
+    """tilde_energies as written before the weight cache and the derivative tower."""
     grid = u.grid
     tu = gridmod.shifted_derivative(u, 1.0).values
     weight = np.exp(-2.0 * alpha * grid.s)
     e0 = stencils.trapezoid(weight * tu * tu, grid.h)
-    dk = gridmod.ds_any(tu, k, grid.h)
+    dk = ds_any(tu, k, grid.h)
     ek = stencils.trapezoid(weight * dk * dk, grid.h)
     return float(e0), float(ek)
 
@@ -175,18 +176,19 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
                               alpha=0.75, k=3, store_every=2)
     stored = len(state.steps)
     assert stored == 4
-    # one (D-1)u per monitored field: every step (linear) or every stored step
-    # (nonlinear); (D-2)(D-1)u only for the stored steps' coefficients
-    assert shifts.count(1.0) == (6 if not nonlinear_run else stored)
+    # (D-1)u is not shared between monitors: a linear run takes it at every
+    # step for its energy flags and twice more per stored step (energy pair and
+    # coefficients), a nonlinear run once per stored step (coefficients);
+    # (D-2)(D-1)u only for the stored steps' coefficients
+    assert shifts.count(1.0) == (6 + 2 * stored if not nonlinear_run else stored)
     assert shifts.count(2.0) == stored
-    # a linear run: the D^k energy once per stored step, and |(D-1)u|^2 also at
-    # every step for its energy flags, which each stored pair re-reads; a
-    # nonlinear run records no energy
+    # a linear run: |(D-1)u|^2 at every step, the pair with the D^k energy once
+    # per stored step; a nonlinear run records no energy
     if nonlinear_run:
         assert energy_calls == [] and state.energy_log == []
     else:
         assert energy_calls.count("tilde_energies") == stored
-        assert energy_calls.count("tilde_energy") == 6 + stored
+        assert energy_calls.count("tilde_energy") == 6
         assert len(state.energy_log) == stored
     monkeypatch.undo()
     for (_, u), entry in zip(state.steps, state.energy_log):

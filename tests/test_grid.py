@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import gaussian_bump
+from conftest import ds_any, gaussian_bump
 from thinfilm import grid as gridmod
 from thinfilm import nonlinear, stencils
 from thinfilm.errors import GridError
@@ -61,26 +61,27 @@ def test_gridfunction_immutable_and_checked(default_grid):
 
 
 def test_d_derivative_examples(default_grid):
-    # e^{2s} -> 2 e^{2s} at fourth order, confirmed by halving h
+    # D^j = d^j/ds^j on the log grid: e^{2s} -> 2 e^{2s} at fourth order,
+    # confirmed by halving h
     errs = []
     for g in (gridmod.LogGrid(-12, 4, 513), gridmod.LogGrid(-12, 4, 1025),
               gridmod.LogGrid(-12, 4, 2049)):
-        w = gridmod.monomial(g, 2)
-        d = gridmod.d_derivative(w, 1)
-        errs.append(np.max(np.abs(d.values / w.values - 2.0)))
+        w = gridmod.monomial(g, 2).values
+        d = stencils.apply_derivative(w, 1, g.h)
+        errs.append(np.max(np.abs(d / w - 2.0)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 3.5
 
     # zero analytically; the bound reflects the h^{-4}-scaled weight roundoff
-    const = gridmod.GridFunction(default_grid, np.full(default_grid.n, 2.5))
+    g = default_grid
+    const = np.full(g.n, 2.5)
     for j in range(1, 5):
-        assert np.max(np.abs(gridmod.d_derivative(const, j).values)) < 1e-5
+        assert np.max(np.abs(stencils.apply_derivative(const, j, g.h))) < 1e-5
 
-    lin = gridmod.GridFunction(default_grid, default_grid.s)
-    assert np.max(np.abs(gridmod.d_derivative(lin, 2).values)) < 1e-9
+    assert np.max(np.abs(stencils.apply_derivative(g.s, 2, g.h))) < 1e-9
 
-    with pytest.raises(GridError):
-        gridmod.d_derivative(const, 5)
+    with pytest.raises(ValueError, match="not in 1..4"):
+        stencils.apply_derivative(const, 5, g.h)
 
 
 def test_weighted_norm_closed_forms(default_grid):
@@ -243,8 +244,8 @@ def _parent_sol_norm(traj, N, k, delta):
             if key in seen:
                 continue
             seen.add(key)
-            total += float(np.max(gridmod._norm_series(dvalues[l], dcoeffs[l], grid, kn,
-                                                       alpha + m + r, fl + m + r)))
+            total += float(np.max(_per_row_series(dvalues[l], dcoeffs[l], grid, kn,
+                                                  alpha + m + r, fl + m + r)))
     for alpha, l, m in second:
         fl = int(np.floor(alpha))
         for r in range(m + 1):
@@ -253,13 +254,13 @@ def _parent_sol_norm(traj, N, k, delta):
             key = ("iu", l + 1, sub, alpha + m + r - 1, kn)
             if key not in seen:
                 seen.add(key)
-                total += float(stencils.trapezoid(gridmod._norm_series(
+                total += float(stencils.trapezoid(_per_row_series(
                     dunder[l + 1], ducoeffs[l + 1], grid, kn, alpha + m + r - 1, sub), dt))
             kn = k + 4 * (N - l) + 3
             key = ("ih", l, fl + m + r + 1, alpha + m + r + 1, kn)
             if key not in seen:
                 seen.add(key)
-                total += float(stencils.trapezoid(gridmod._norm_series(
+                total += float(stencils.trapezoid(_per_row_series(
                     dvalues[l], dcoeffs[l], grid, kn, alpha + m + r + 1, fl + m + r + 1), dt))
     return float(np.sqrt(total))
 
@@ -291,8 +292,8 @@ def _parent_rhs_norm(traj, N, k, delta):
                 if key in seen:
                     continue
                 seen.add(key)
-                total += float(np.max(gridmod._norm_series(dvalues[l], dcoeffs[l], grid, kn,
-                                                           alpha + m + r, fl + m + r)))
+                total += float(np.max(_per_row_series(dvalues[l], dcoeffs[l], grid, kn,
+                                                      alpha + m + r, fl + m + r)))
     _, second = gridmod.index_sets(N, delta)
     for alpha, l, m in second:
         fl = int(np.floor(alpha))
@@ -303,7 +304,7 @@ def _parent_rhs_norm(traj, N, k, delta):
             if key in seen:
                 continue
             seen.add(key)
-            total += float(stencils.trapezoid(gridmod._norm_series(
+            total += float(stencils.trapezoid(_per_row_series(
                 dunder[l], ducoeffs[l], grid, kn, alpha + m + r - 1, sub), dt))
     return float(np.sqrt(total))
 
@@ -375,24 +376,32 @@ def _per_row_norm_sq(values, k, alpha, grid):
     weight = grid.exp(-2.0 * alpha)
     total = 0.0
     for j in range(k + 1):
-        dj = values if j == 0 else gridmod.ds_any(values, j, grid.h)
+        dj = ds_any(values, j, grid.h)
         total += stencils.trapezoid(weight * dj * dj, grid.h)
     return max(total, 0.0)
+
+
+def _per_row_series(values, coeffs, grid, kn, alpha, sub):
+    """|w(t) - sum_{j<=sub} c_j(t) x^j|_{kn,alpha}^2 at every stored step, one
+    step and one row at a time."""
+    return np.array([_per_row_norm_sq(gridmod._minus_expansion(v, c[:sub], grid), kn, alpha, grid)
+                     for v, c in zip(values, coeffs)])
 
 
 @pytest.mark.parametrize("kn", [0, 4, 8, 11])
 @pytest.mark.parametrize("sub", [0, 2, 5])
 def test_norm_series_matches_per_step_ds_any(kn, sub):
-    # each stored step on its own, each order from ds_any: the tower composes
-    # D^4 first, as ds_any does, so the series agree bitwise
+    # each stored step and each (sub, alpha) row on its own, each order from
+    # ds_any: the tower composes D^4 first, as ds_any does, and a stacked
+    # stencil call equals its per-row calls, so the series agree bitwise
     x = _COARSE.x
     values = np.stack([np.exp(-2 * t) * _BASES[1](x) for t in np.linspace(0.0, 0.2, 6)])
     coeffs = gridmod._fit_expansion(values, _COARSE, 5)
-    expected = np.array([_per_row_norm_sq(gridmod._minus_expansion(v, c[:sub], _COARSE),
-                                          kn, 0.75, _COARSE)
-                         for v, c in zip(values, coeffs)])
-    assert np.array_equal(gridmod._norm_series(values, coeffs, _COARSE, kn, 0.75, sub),
-                          expected)
+    rows = [(sub, 0.75), (0, 1.25), (3, 0.25)]
+    got = gridmod._norm_series(values, coeffs, _COARSE, kn, rows)
+    assert got.shape == (6, 3)
+    for col, (row_sub, alpha) in zip(got.T, rows):
+        assert np.array_equal(col, _per_row_series(values, coeffs, _COARSE, kn, alpha, row_sub))
 
 
 @pytest.mark.parametrize("N", [0, 1, 2])

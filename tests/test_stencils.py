@@ -45,15 +45,28 @@ def test_derivative_annihilates_constants(m):
     assert np.max(np.abs(out)) < 1e-8
 
 
+_CENTER_POINTS = {1: 5, 2: 5, 3: 7, 4: 7}  # fourth-order centered window of d^m/ds^m
+
+
+def _fresh_edge_rows(n, m):
+    """(row, start, weights) of the one-sided rows of d^m/ds^m on n nodes, h = 1,
+    from fd_weights: within half a centered window of either edge, the rows get
+    shifted (m+4)-point windows of the same order."""
+    half, span = _CENTER_POINTS[m] // 2, m + 4
+    starts = [(i, 0) for i in range(half)] + [(i, n - span) for i in range(n - half, n)]
+    return [(i, start, stencils.fd_weights(np.arange(span), float(i - start), m))
+            for i, start in starts]
+
+
 def _uncached_derivative(values, m, h):
     """apply_derivative rebuilt from freshly generated weights on every call,
     each edge's one-sided rows applied as one block."""
     n = values.size
-    w = stencils.center_weights(m)
-    half = len(w) // 2
-    rows = stencils.boundary_rows(n, m)
+    half = _CENTER_POINTS[m] // 2
+    center = stencils.fd_weights(np.arange(-half, half + 1), 0.0, m)
+    rows = _fresh_edge_rows(n, m)
     out = np.empty(n)
-    out[half:n - half] = np.correlate(values, w, mode="valid")
+    out[half:n - half] = np.correlate(values, center, mode="valid")
     for edge in (rows[:half], rows[half:]):
         block = np.array([bw for _, _, bw in edge])
         start = edge[0][1]
@@ -98,7 +111,7 @@ def test_edge_blocks_match_row_dot_products(m, n):
     # per row to a few ulps of the summed magnitudes
     values = np.random.default_rng(n - m).standard_normal(n)
     got = stencils.apply_derivative(values, m, 1.0)
-    for i, start, bw in stencils.boundary_rows(n, m):
+    for i, start, bw in _fresh_edge_rows(n, m):
         terms = bw * values[start:start + len(bw)]
         assert abs(got[i] - bw @ values[start:start + len(bw)]) <= (
             4 * np.finfo(float).eps * np.sum(np.abs(terms)))
@@ -107,6 +120,15 @@ def test_edge_blocks_match_row_dot_products(m, n):
 def test_derivative_too_small_grid():
     with pytest.raises(GridError):
         stencils.apply_derivative(np.zeros(6), 4, 0.1)
+
+
+@pytest.mark.parametrize("m, floor", [(1, 7), (2, 8), (3, 9), (4, 10)])
+def test_derivative_size_floor(m, floor):
+    # the smallest grid holds both windows (centered and shifted one-sided)
+    # and two nodes more; one node fewer is a GridError, not a wrong answer
+    with pytest.raises(GridError, match=f"too small for order-{m} stencil"):
+        stencils.apply_derivative(np.ones(floor - 1), m, 0.1)
+    assert np.max(np.abs(stencils.apply_derivative(np.ones(floor), m, 0.1))) < 1e-8
 
 
 def test_cumulative_integral_fourth_order():
