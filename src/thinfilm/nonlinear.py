@@ -10,6 +10,7 @@ the discretization.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import evolution, resolvent, stencils
 from . import grid as gridmod
-from .errors import GuardError
+from .errors import GridError, GuardError
 
 LIPSCHITZ_THRESHOLD = 0.5  # 1 + v_x > 0 with margin: the guard needs sup |v_x| below it
 PICARD_TOL = 1e-10
@@ -164,8 +165,10 @@ def reconstruct(u, t, y_grid, upsample=8):
     The parametric samples are refined in s first (the wave profile is exact
     on the refined nodes and only the smooth, small v needs interpolating),
     which keeps third-derivative oracles of the output meaningful at large x
-    where the raw spacing x h would be coarse.
+    where the raw spacing x h would be coarse. ``upsample`` is an integer >= 1.
     """
+    if not isinstance(upsample, numbers.Integral) or upsample < 1:
+        raise GridError(f"upsample must be an integer >= 1, got {upsample!r}")
     grid = u.grid
     v = to_v(u)
     lipschitz_guard(v, "in the reconstruction (the height map may fold over)")
@@ -175,11 +178,19 @@ def reconstruct(u, t, y_grid, upsample=8):
     y_param = x + 6.0 * t + v_fine
     if np.any(np.diff(y_param) <= 0):
         raise GuardError("non-monotone height map")
-    height = x**3 + x * x
-    interp = PchipInterpolator(y_param, height, extrapolate=False)
     y = np.asarray(y_grid, dtype=float)
-    h = np.where(y < y_param[0], 0.0, interp(y))
-    h = np.where(np.isnan(h), 0.0, h)
+    h = np.zeros(y.shape)
+    finite = y[np.isfinite(y)]
+    if finite.size:
+        # pchip slopes are local (nodes k-1..k+1; one-sided only at the two
+        # ends), so the interpolant on the samples that bracket the finite y,
+        # with two more on each side, is the full one bitwise on that range
+        lo = max(np.searchsorted(y_param, finite.min(), "right") - 3, 0)
+        hi = np.searchsorted(y_param, finite.max(), "left") + 3
+        xw = x[lo:hi]
+        interp = PchipInterpolator(y_param[lo:hi], xw**3 + xw * xw, extrapolate=False)
+        h = np.where(y < y_param[0], 0.0, interp(y))
+        h = np.where(np.isnan(h), 0.0, h)
     y0 = 6.0 * t + contact_line_shift(u)
     u1, u2 = gridmod.extract_coefficients(u, 2)
     return FilmReconstruction(t=t, y=y, h=h, contact_line=y0, coefficients=(u1, u2))

@@ -48,22 +48,23 @@ def fd_weights(offsets, x0, m):
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(n, m):
-    """(centered weights, half width, left block, right block) of d^m/ds^m on n nodes, h = 1.
+def _plan(n, m, h):
+    """(centered weights, half width, left block, right block) of d^m/ds^m on n nodes.
 
-    Built once per (n, m). The centered window does not fit within ``half``
-    nodes of either edge; those rows get shifted (m+4)-point stencils of the
-    same order. The blocks hold them, shape (half, m+4): the left block acts on
-    the first m+4 nodes, the right block on the last m+4. The arrays are shared
-    by every caller, so they are read-only.
+    Built once per (n, m, h), every array already divided by h^m. The centered
+    window does not fit within ``half`` nodes of either edge; those rows get
+    shifted (m+4)-point stencils of the same order. The blocks hold them, shape
+    (half, m+4): the left block acts on the first m+4 nodes, the right block on
+    the last m+4. The arrays are shared by every caller, so they are read-only.
     """
     half, span = _CENTER_POINTS[m] // 2, m + 4
     if n < max(_CENTER_POINTS[m], span) + 2:
         raise GridError(f"grid with {n} nodes too small for order-{m} stencil")
-    center = fd_weights(np.arange(-half, half + 1), 0.0, m)
-    left = np.array([fd_weights(np.arange(span), float(i), m) for i in range(half)])
+    scale = h**m
+    center = fd_weights(np.arange(-half, half + 1), 0.0, m) / scale
+    left = np.array([fd_weights(np.arange(span), float(i), m) for i in range(half)]) / scale
     right = np.array([fd_weights(np.arange(span), float(span - half + i), m)
-                      for i in range(half)])
+                      for i in range(half)]) / scale
     for w in (center, left, right):
         w.flags.writeable = False
     return center, half, left, right
@@ -73,22 +74,24 @@ def apply_derivative(values, m, h):
     """Fourth-order d^m/ds^m of uniformly sampled values, m in 1..4.
 
     ``values`` is one field or a (..., n) stack of fields, differentiated
-    along its last axis. Each row gets one centered correlation and one
-    matrix-vector product per edge block, so a stacked call equals its
-    per-row calls bitwise.
+    along its last axis. The rows, laid end to end, get one centered
+    correlation; the windows that straddle two rows land on edge rows, which
+    one matrix-vector product per row and edge block then overwrites. So a
+    stacked call equals its per-row calls bitwise. With 1/h^m in the weights,
+    the result equals correlating with the h = 1 weights and dividing by h^m
+    exactly when h is a power of two, and to the last bits otherwise.
     """
     if m not in _CENTER_POINTS:
         raise ValueError(f"derivative order {m} not in 1..4")
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    w, half, left, right = _plan(n, m)
+    w, half, left, right = _plan(n, m, h)
     span = left.shape[1]
     out = np.empty(values.shape)
-    for row, dst in zip(values.reshape(-1, n), out.reshape(-1, n)):
-        dst[half:n - half] = np.correlate(row, w, mode="valid")
+    if values.size:
+        out.reshape(-1)[half:-half] = np.correlate(values.reshape(-1), w, mode="valid")
     out[..., :half] = (left @ values[..., :span, None])[..., 0]
     out[..., n - half:] = (right @ values[..., n - span:, None])[..., 0]
-    out /= h**m
     return out
 
 

@@ -2,10 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from thinfilm import grid as gridmod
 from thinfilm import nonlinear, stencils, validation
-from thinfilm.errors import GuardError, PicardError
+from thinfilm.errors import GridError, GuardError, PicardError
 
 
 def wave_shaped(grid, eps, taper=True):
@@ -244,3 +247,67 @@ def test_reconstruct_invariants(default_grid):
     coef, _, _, _ = np.linalg.lstsq(a, hq, rcond=None)
     assert abs(coef[1]) < 1e-6
 
+
+def _full_sample_heights(u, t, y, upsample):
+    """Film heights of reconstruct from one PchipInterpolator over every fine
+    sample: the reference its windowed interpolant must equal bitwise."""
+    grid = u.grid
+    s_fine = np.linspace(grid.s_min, grid.s_max, upsample * (grid.n - 1) + 1)
+    x = np.exp(s_fine)
+    v_fine = CubicSpline(grid.s, nonlinear.to_v(u).values)(s_fine)
+    y_param = x + 6.0 * t + v_fine
+    interp = PchipInterpolator(y_param, x**3 + x * x, extrapolate=False)
+    y = np.asarray(y, dtype=float)
+    h = np.where(y < y_param[0], 0.0, interp(y))
+    return np.where(np.isnan(h), 0.0, h)
+
+
+_Y_KINDS = ("oracle", "unsorted", "straddling", "one point", "empty", "with nan")
+
+
+@st.composite
+def _time_and_points(draw, kind):
+    """(t, y): a row of the criterion-10 oracle at t0 = 2.5, or y of one kind
+    about the film at a drawn t."""
+    if kind == "oracle":
+        dt_s, dy_s = draw(st.sampled_from(((0.2, 0.8), (0.1, 0.4), (0.05, 0.2))))
+        t = round(2.5 + dt_s * draw(st.integers(-2, 2)), 10)
+        return t, np.arange(6 * 2.5 + 1.2, 6 * 2.5 + 8.0 + 0.5 * dy_s, dy_s)
+    t = draw(st.floats(0.0, 3.0))
+
+    def points(lo, hi, min_size=1, max_size=40):
+        values = draw(st.lists(st.floats(lo, hi), min_size=min_size, max_size=max_size))
+        return 6 * t + np.array(values)
+
+    if kind == "unsorted":
+        return t, points(0.0, 20.0)
+    if kind == "straddling":
+        # below y_param[0] ~ 6t + 6e-6 and past y_param[-1] ~ 6t + e^4, some between
+        return t, np.concatenate((points(-3.0, 0.0), points(0.0, 60.0, 0, 5),
+                                  points(55.0, 100.0)))
+    if kind == "one point":
+        return t, points(-1.0, 60.0, 1, 1)
+    if kind == "empty":
+        return t, np.array([])
+    nan_at = draw(st.one_of(st.just([True] * 8), st.lists(st.booleans(), min_size=8, max_size=8)))
+    return t, np.where(nan_at, np.nan, points(-1.0, 30.0, 8, 8))
+
+
+@pytest.mark.parametrize("kind", _Y_KINDS)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_windowed_reconstruct_matches_full_samples(default_grid, kind, data):
+    t, y = data.draw(_time_and_points(kind), label="t, y")
+    upsample = data.draw(st.sampled_from((1, 8, 16)), label="upsample")
+    # the criterion-9 initial field, so the fine samples are not the bare wave's
+    x = default_grid.x
+    u = gridmod.GridFunction(default_grid, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    got = nonlinear.reconstruct(u, t, y, upsample=upsample).h
+    want = _full_sample_heights(u, t, y, upsample)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("upsample", [0, -2, 2.5])
+def test_reconstruct_rejects_bad_upsample(default_grid, upsample):
+    with pytest.raises(GridError, match="upsample must be an integer >= 1"):
+        nonlinear.reconstruct(gridmod.zero(default_grid), 0.0, np.zeros(3), upsample=upsample)

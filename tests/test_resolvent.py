@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -35,13 +37,16 @@ def test_assembled_rows_match_independent_application(fine_grid):
     assert np.max(np.abs(via_rows - via_stencils)[interior]) / scale < 1e-6
 
 
+@functools.lru_cache(maxsize=8)
 def _loop_rows(grid):
     """Row-by-row operator the vectorized assemble must reproduce, flattened
-    to (row, column, value) arrays."""
+    to read-only (row, column, value) arrays; built once per grid, as it does
+    not depend on lambda."""
     n, h, s = grid.n, grid.h, grid.s
     p, q = polyops.symbol_pair(0)
     pc, qc = p.coefficients(), q.coefficients()
 
+    @functools.cache  # all but the few edge rows share one (offset, width)
     def pattern(offset_of_node, width):
         offsets = np.arange(width, dtype=float) - offset_of_node
         prow = np.zeros(width)
@@ -72,6 +77,8 @@ def _loop_rows(grid):
     row = np.concatenate([np.full(len(w), i) for i, (_, w) in enumerate(rows)])
     col = np.concatenate([np.arange(start, start + len(w)) for start, w in rows])
     val = np.concatenate([w for _, w in rows]).astype(float)
+    for a in (row, col, val):
+        a.flags.writeable = False
     return row, col, val
 
 

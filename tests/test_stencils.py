@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thinfilm import grid as gridmod
 from thinfilm import stencils
 from thinfilm.errors import GridError
 
@@ -58,21 +59,25 @@ def _fresh_edge_rows(n, m):
             for i, start in starts]
 
 
-def _uncached_derivative(values, m, h):
+def _uncached_derivative(values, m, h, divide_last=False):
     """apply_derivative rebuilt from freshly generated weights on every call,
-    each edge's one-sided rows applied as one block."""
+    each edge's one-sided rows applied as one block. The weights are divided
+    by h^m before they are applied, as in the kernel; with ``divide_last`` the
+    h = 1 result is divided by h^m instead."""
     n = values.size
     half = _CENTER_POINTS[m] // 2
-    center = stencils.fd_weights(np.arange(-half, half + 1), 0.0, m)
+    scale = 1.0 if divide_last else h**m
+    center = stencils.fd_weights(np.arange(-half, half + 1), 0.0, m) / scale
     rows = _fresh_edge_rows(n, m)
     out = np.empty(n)
     out[half:n - half] = np.correlate(values, center, mode="valid")
     for edge in (rows[:half], rows[half:]):
-        block = np.array([bw for _, _, bw in edge])
+        block = np.array([bw for _, _, bw in edge]) / scale
         start = edge[0][1]
         nodes = values[start:start + block.shape[1]]
         out[[i for i, _, _ in edge]] = (block @ nodes[:, None])[:, 0]
-    out /= h**m
+    if divide_last:
+        out /= h**m
     return out
 
 
@@ -84,10 +89,23 @@ def test_cached_plan_matches_fresh_weights(m, n):
     want = _uncached_derivative(values, m, h)
     for _ in range(2):  # the first call builds the plan, the second reuses it
         assert np.array_equal(stencils.apply_derivative(values, m, h), want)
-    center, _, left, right = stencils._plan(n, m)
+    center, _, left, right = stencils._plan(n, m, h)
     for weights in (center, left, right):
         with pytest.raises(ValueError):
             weights[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [513, 1025, 4097])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_scaled_weights_exact_at_power_of_two_h(m, n):
+    # on [-12, 4] these h are powers of two, so dividing the weights by h^m
+    # and dividing the h = 1 result by h^m give the same bits
+    h = gridmod.LogGrid(-12.0, 4.0, n).h
+    assert h == 2.0 ** np.round(np.log2(h))
+    rng = np.random.default_rng(3 * n + m)
+    values = rng.standard_normal(n) * np.exp(8.0 * rng.standard_normal(n))
+    want = _uncached_derivative(values, m, h, divide_last=True)
+    assert np.array_equal(stencils.apply_derivative(values, m, h), want)
 
 
 @pytest.mark.parametrize("n", [16, 513, 1025, 4097])
@@ -95,13 +113,17 @@ def test_cached_plan_matches_fresh_weights(m, n):
 def test_stacked_call_matches_per_row_calls(m, n):
     rng = np.random.default_rng(10 * n + m)
     h = 16.0 / (n - 1)
-    for shape in ((3, n), (2, 3, n)):
-        # rows of very different scales, as in N(u) and the norm towers
-        values = rng.standard_normal(shape) * np.exp(8.0 * rng.standard_normal(shape))
+    # rows of very different scales, as in N(u) and the norm towers
+    big = rng.standard_normal((4, 6, n + 3)) * np.exp(8.0 * rng.standard_normal((4, 6, n + 3)))
+    # C-ordered (3, n) and (2, 3, n) stacks, an empty one, a Fortran-ordered
+    # one and a non-contiguous (2, 3, n) slice of the larger array
+    stacks = (big[0, :3, :n].copy(), big[1:3, :3, :n].copy(), big[0, :0, :n].copy(),
+              np.asfortranarray(big[3, :4, :n]), big[::2, ::2, 2:n + 2])
+    for values in stacks:
         got = stencils.apply_derivative(values, m, h)
-        assert got.shape == shape
+        assert got.shape == values.shape
         want = [stencils.apply_derivative(row, m, h) for row in values.reshape(-1, n)]
-        assert np.array_equal(got.reshape(-1, n), np.array(want))
+        assert np.array_equal(got.reshape(-1, n), np.array(want).reshape(-1, n))
 
 
 @pytest.mark.parametrize("n", [16, 1025])
