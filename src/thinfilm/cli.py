@@ -40,14 +40,12 @@ def _write_json(path, payload, cfg=None):
 
 
 def _csv_header(cfg):
-    if cfg is None:
-        return []
     lines = [f"# config {key} = {val}" for key, val in cfg.resolved().items()]
     lines.append(f"# config_sha256 = {cfg.content_hash()}")
     return lines
 
 
-def _write_csv(path, header_cols, rows, cfg=None):
+def _write_csv(path, header_cols, rows, cfg):
     with open(path, "w") as fh:
         for line in _csv_header(cfg):
             fh.write(line + "\n")
@@ -156,12 +154,11 @@ def cmd_linear_evolve(args):
         rows.append((t, e["tilde_sq"], e["tilde_dk_sq"], c[0], c[1], c[2]))
     _write_csv(os.path.join(out_dir, "linear_trajectory.csv"),
                ["t", "tilde_sq", "tilde_dk_sq", "u1", "u2", "u3"], rows, cfg)
-    if cfg["output"]["snapshots"]:
-        for t_req in cfg["output"]["snapshots"]:
-            idx = int(np.argmin(np.abs(state.times - t_req)))
-            t, u = state.steps[idx]
-            _write_csv(os.path.join(out_dir, f"snapshot_t{t:g}.csv"), ["s", "u"],
-                       list(zip(grid.s.tolist(), u.values.tolist())), cfg)
+    for t_req in cfg["output"]["snapshots"]:
+        idx = int(np.argmin(np.abs(state.times - t_req)))
+        t, u = state.steps[idx]
+        _write_csv(os.path.join(out_dir, f"snapshot_t{t:g}.csv"), ["s", "u"],
+                   list(zip(grid.s.tolist(), u.values.tolist())), cfg)
     if state.flags:
         print(f"completed with {len(state.flags)} energy flags", file=sys.stderr)
     print(f"linear evolution done: {len(state.steps)} stored steps")
@@ -208,9 +205,9 @@ def cmd_validate(args):
                    for r in (1, 2, 4)]
         orders = [float(np.log2(reports[i].max_residual / reports[i + 1].max_residual))
                   for i in range(2)]
-        return reports, orders
+        return orders
 
-    _, tw_orders = residual_orders(validation.traveling_wave, (0.0, 0.8), (1.0, 6.0), 0.05, 0.1)
+    tw_orders = residual_orders(validation.traveling_wave, (0.0, 0.8), (1.0, 6.0), 0.05, 0.1)
     checks["traveling_wave_order"] = {"orders": tw_orders,
                                       "pass": all(o >= 1.8 for o in tw_orders)}
     eq_reports = [validation.tfe_residual(validation.equilibrium, (0.0, 0.8), (0.5, 4.0),
@@ -219,7 +216,7 @@ def cmd_validate(args):
     checks["equilibrium_residual"] = {
         "max": [r.max_residual for r in eq_reports],
         "pass": all(r.max_residual < 1e-6 for r in eq_reports)}
-    _, sh_orders = residual_orders(validation.smyth_hill, (0.0, 0.8), (-0.6, 0.6), 0.02, 0.02)
+    sh_orders = residual_orders(validation.smyth_hill, (0.0, 0.8), (-0.6, 0.6), 0.02, 0.02)
     checks["smyth_hill_order"] = {"orders": sh_orders,
                                   "pass": all(o >= 1.8 for o in sh_orders)}
     x = np.linspace(0.0, 3.0, 301)

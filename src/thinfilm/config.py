@@ -18,7 +18,8 @@ from .errors import ConfigError, GridError
 
 # {section: {key: (kind, default)}}; kind "floats" is a comma-separated list
 _SCHEMA = {
-    "grid": {"s_min": (float, -12.0), "s_max": (float, 4.0), "n": (int, 1025)},
+    "grid": {"s_min": (float, gridmod.DEFAULT_S_MIN), "s_max": (float, gridmod.DEFAULT_S_MAX),
+             "n": (int, gridmod.DEFAULT_N)},
     "solver": {"dt": (float, 1e-2), "T": (float, 1.0), "store_every": (int, 1)},
     "norms": {"N": (int, 1), "k": (int, 3), "delta": (float, 0.25), "alpha": (float, 0.25)},
     "nonlinear": {"eps": (float, 1e-3)},
@@ -26,7 +27,15 @@ _SCHEMA = {
                "u0_csv": (str, "")},
 }
 
-_U0_CATALOG = ("x3_decay", "kernel_x", "kernel_x2", "wave_shift", "zero")
+# output.u0 name -> builder(grid, eps) of the initial data
+_U0_PROFILES = {
+    "x3_decay": lambda grid, eps: gridmod.GridFunction(grid, grid.x**3 * np.exp(-grid.x)),
+    "kernel_x": lambda grid, eps: gridmod.monomial(grid, 1),
+    "kernel_x2": lambda grid, eps: gridmod.monomial(grid, 2),
+    "wave_shift": lambda grid, eps: gridmod.GridFunction(
+        grid, eps * (3 * grid.x * grid.x + 2 * grid.x) * np.exp(-grid.x)),
+    "zero": lambda grid, eps: gridmod.zero(grid),
+}
 
 
 def _parse_value(section, key, raw, kind):
@@ -66,8 +75,8 @@ class ExperimentConfig:
             raise ConfigError("grid.s_min", "must be below grid.s_max")
         if g["s_min"] > gridmod.RESOLVED_S_MIN:
             raise ConfigError("grid.s_min", f"must be at most {gridmod.RESOLVED_S_MIN:g}")
-        if g["n"] < 64:
-            raise ConfigError("grid.n", "need at least 64 nodes")
+        if g["n"] < gridmod.SOLVER_MIN_NODES:
+            raise ConfigError("grid.n", f"need at least {gridmod.SOLVER_MIN_NODES} nodes")
         if self.values["solver"]["store_every"] < 1:
             raise ConfigError("solver.store_every", "must be at least 1")
         nm = self.values["norms"]
@@ -81,8 +90,8 @@ class ExperimentConfig:
         if nl["eps"] < 0:
             raise ConfigError("nonlinear.eps", "must be non-negative")
         out = self.values["output"]
-        if out["u0"] not in _U0_CATALOG:
-            raise ConfigError("output.u0", f"unknown profile (choose from {_U0_CATALOG})")
+        if out["u0"] not in _U0_PROFILES:
+            raise ConfigError("output.u0", f"unknown profile (choose from {tuple(_U0_PROFILES)})")
 
     def resolved(self):
         """Flat, JSON-friendly echo of every setting."""
@@ -158,15 +167,4 @@ def initial_profile(cfg, grid_obj):
     path = cfg["output"]["u0_csv"]
     if path:
         return read_field(path, "output.u0_csv", grid_obj)
-    name = cfg["output"]["u0"]
-    eps = cfg["nonlinear"]["eps"]
-    x = grid_obj.x
-    if name == "zero":
-        return gridmod.zero(grid_obj)
-    if name == "kernel_x":
-        return gridmod.monomial(grid_obj, 1)
-    if name == "kernel_x2":
-        return gridmod.monomial(grid_obj, 2)
-    if name == "wave_shift":
-        return gridmod.GridFunction(grid_obj, eps * (3 * x * x + 2 * x) * np.exp(-x))
-    return gridmod.GridFunction(grid_obj, x**3 * np.exp(-x))
+    return _U0_PROFILES[cfg["output"]["u0"]](grid_obj, cfg["nonlinear"]["eps"])

@@ -99,12 +99,11 @@ def apply_S(g):
     gamma = decay_exponent(g.values, grid)
     if gamma <= PROBE_MIN_EXPONENT:
         raise DecayProbeError(f"decay probe failed (fitted exponent {gamma:.3f})")
-    s = grid.s
     x = grid.x
-    i4 = cumulative_from_zero(np.exp(s) * g.values, grid)
+    i4 = cumulative_from_zero(x * g.values, grid)
     i3 = cumulative_from_zero(i4, grid)
-    i2 = cumulative_from_zero(np.exp(-s) * i3, grid)
-    i1 = cumulative_from_zero(np.exp(2 * s) * i2 / (x + 1.0) ** 3, grid)
+    i2 = cumulative_from_zero(grid.inv_x * i3, grid)
+    i1 = cumulative_from_zero(grid.exp(2.0) * i2 / (x + 1.0) ** 3, grid)
     return gridmod.GridFunction(grid, (x + 1.0) ** 2 * i1)
 
 

@@ -70,15 +70,18 @@ def leading_coefficients(u):
     return float(u1), float(u2), float(u3)
 
 
-def average_rhs(f, j, dt):
+def average_rhs(f, j, dt, grid):
     """Three-point Simpson average of f over [(j-1) dt, j dt].
 
     f is a callable t -> GridFunction (None means zero and is handled by
-    callers). Exact for right-hand sides linear in t.
+    callers); GridError unless each sample lies on grid. Exact for
+    right-hand sides linear in t.
     """
     t0 = (j - 1) * dt
     a, m, b = f(t0), f(t0 + dt / 2), f(t0 + dt)
-    return gridmod.GridFunction(a.grid, (a.values + 4.0 * m.values + b.values) / 6.0)
+    for w in (a, m, b):
+        gridmod.require_grid(w, grid, "the forcing f")
+    return gridmod.GridFunction(grid, (a.values + 4.0 * m.values + b.values) / 6.0)
 
 
 def tilde_energy(u, alpha):
@@ -123,12 +126,13 @@ def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
     PicardError, which reports the last increment and rate: the iteration
     may still be contracting, only too slowly for the budget.
     """
-    iterate = u_prev if u_older is None else 2.0 * u_prev - u_older
+    iterate = u_prev if u_older is None else gridmod.GridFunction(
+        op.grid, 2.0 * u_prev.values - u_older.values)
     last = None
     for count in range(1, model.picard_max + 1):
         g = model.N(iterate)
         if f_avg is not None:
-            g = f_avg + g
+            g = gridmod.GridFunction(op.grid, f_avg.values + g.values)
         u_next = step(op, u_prev, g, dt, factorization=fac)
         delta = float(np.max(np.abs(u_next.values - iterate.values)))
         iterate = u_next
@@ -162,7 +166,8 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     """Implicit-Euler trajectory with energy and coefficient bookkeeping.
 
     Stored steps (t = 0, every store_every-th step and t = T) record the
-    expansion coefficients.
+    expansion coefficients. GridError unless u0 and every sample of f lie on
+    op.grid.
 
     Linear (nonlinear = None): one solve per step. With f = None the energy
     |(D-1)u|_a^2, taken at every step, must not increase beyond a 1e-10
@@ -178,6 +183,7 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     n_steps = step_count(dt, T)
     if store_every < 1:
         raise GridError("store_every must be at least 1")
+    gridmod.require_grid(u0, op.grid, "u0")
     fac = resolvent.Factorization(op, 1.0 / dt)
     state = EvolutionState(steps=[], energy_log=[], coefficient_tracks=[])
 
@@ -198,7 +204,7 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     e0 = tilde_energy(u0, alpha) if nonlinear is None else None
     store(0.0, u0)
     for j in range(1, n_steps + 1):
-        f_avg = None if f is None else average_rhs(f, j, dt)
+        f_avg = None if f is None else average_rhs(f, j, dt, op.grid)
         if nonlinear is None:
             u = step(op, u, f_avg, dt, factorization=fac)
             prev_e0, e0 = e0, tilde_energy(u, alpha)

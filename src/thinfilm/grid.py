@@ -26,24 +26,24 @@ from .errors import GridError
 DEFAULT_S_MIN = -12.0
 DEFAULT_S_MAX = 4.0
 DEFAULT_N = 1025
+SOLVER_MIN_NODES = 64  # fewest nodes resolvent assembly, and so every configured grid, takes
 FIT_BAND = 2.0
 RESOLVED_S_MIN = -6.0  # contact-line fits need s_min at or below this (x << 1)
 
 
 @functools.lru_cache(maxsize=64)
-def _coords(s_min, s_max, n):
-    """Read-only (s, e^s, e^{-s}, e^{-2s}) of one grid, computed once."""
+def _s(s_min, s_max, n):
+    """Read-only nodes s of one grid, computed once."""
     s = np.linspace(s_min, s_max, n)
-    out = (s, np.exp(s), np.exp(-s), np.exp(-2.0 * s))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    s.flags.writeable = False
+    return s
 
 
 @functools.lru_cache(maxsize=128)
 def _exp_s(s_min, s_max, n, a):
-    """Read-only e^{a s} of one grid, computed once per (grid, a)."""
-    w = np.exp(a * _coords(s_min, s_max, n)[0])
+    """Read-only e^{a s} of one grid, computed once per (grid, a): the one table
+    of x = e^s, 1/x, 1/x^2, the monomials and the norm weights."""
+    w = np.exp(a * _s(s_min, s_max, n))
     w.flags.writeable = False
     return w
 
@@ -68,21 +68,21 @@ class LogGrid:
 
     @property
     def s(self):
-        return _coords(self.s_min, self.s_max, self.n)[0]
+        return _s(self.s_min, self.s_max, self.n)
 
     @property
     def x(self):
-        return _coords(self.s_min, self.s_max, self.n)[1]
+        return self.exp(1.0)
 
     @property
     def inv_x(self):
         """e^{-s} = 1/x, evaluated as exp(-s)."""
-        return _coords(self.s_min, self.s_max, self.n)[2]
+        return self.exp(-1.0)
 
     @property
     def inv_x2(self):
         """e^{-2s} = 1/x^2, evaluated as exp(-2 s)."""
-        return _coords(self.s_min, self.s_max, self.n)[3]
+        return self.exp(-2.0)
 
     def exp(self, a):
         """e^{a s}: the norm weights x^a, read-only and computed once per (grid, a)."""
@@ -90,7 +90,8 @@ class LogGrid:
 
 
 class GridFunction:
-    """Real samples on a LogGrid. Values are immutable after construction."""
+    """Real samples on a LogGrid: an immutable, validated record with no arithmetic.
+    Fields combine through ``.values``; solver entries check grids (require_grid)."""
 
     __slots__ = ("grid", "values")
 
@@ -107,32 +108,11 @@ class GridFunction:
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
 
-    def _compatible(self, other):
-        if self.grid != other.grid:
-            raise GridError("arithmetic between functions on different grids")
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._compatible(other)
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._compatible(other)
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - other)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._compatible(other)
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
+def require_grid(w, grid, name):
+    """GridError unless the field w is sampled on grid."""
+    if w.grid != grid:
+        raise GridError(f"{name} is sampled on {w.grid}, the solver works on {grid}")
 
 
 def zero(grid):
@@ -141,7 +121,7 @@ def zero(grid):
 
 def monomial(grid, j):
     """Samples of x^j."""
-    return GridFunction(grid, np.exp(j * grid.s))
+    return GridFunction(grid, grid.exp(j))
 
 
 @dataclass(frozen=True)
@@ -179,7 +159,7 @@ def _fit_matrix(s_min, s_max, n, lo, hi, terms):
     """
     if s_min > RESOLVED_S_MIN:
         raise GridError(f"grid does not resolve x << 1 (need s_min <= {RESOLVED_S_MIN:g})")
-    s, x = _coords(s_min, s_max, n)[:2]
+    s, x = _s(s_min, s_max, n), _exp_s(s_min, s_max, n, 1.0)
     nodes = np.flatnonzero((s >= s_min + lo) & (s <= s_min + hi))
     if nodes.size < max(8, terms + 2):
         raise GridError("fit band too coarse near the contact line")

@@ -37,9 +37,6 @@ class PolynomialOperator:
             raise ValueError("expected exactly 4 roots")
         object.__setattr__(self, "roots", tuple(sorted(float(r) for r in self.roots)))
 
-    def __call__(self, zeta):
-        return eval_poly(self, zeta)
-
     def coefficients(self):
         """Monomial coefficients c[m] of sum c_m zeta^m, ascending; read-only."""
         return _coefficients(self.roots)

@@ -87,18 +87,10 @@ def _left_closure_weights(grid):
     return [basis[target] @ pinv for target in (0, 1)]
 
 
-@functools.lru_cache(maxsize=16)
-def _window_weights(width, offset, m):
-    """Read-only h = 1 weights of D^m, m >= 1, at node ``offset`` of a ``width``-node window."""
-    w = stencils.fd_weights(np.arange(width, dtype=float) - offset, 0.0, m)
-    w.flags.writeable = False
-    return w
-
-
 def assemble(grid):
-    """Banded discretization with closure rows; n >= 64."""
-    if grid.n < 64:
-        raise GridError("resolvent assembly needs at least 64 nodes")
+    """Banded discretization with closure rows; n >= gridmod.SOLVER_MIN_NODES."""
+    if grid.n < gridmod.SOLVER_MIN_NODES:
+        raise GridError(f"resolvent assembly needs at least {gridmod.SOLVER_MIN_NODES} nodes")
     n, h = grid.n, grid.h
     p, q = polyops.symbol_pair(0)
     pc, qc = p.coefficients(), q.coefficients()
@@ -111,7 +103,7 @@ def assemble(grid):
         prow = np.zeros(width)
         qrow = np.zeros(width)
         for m in range(5):
-            wm = (_window_weights(width, offset_of_node, m) / h**m if m else
+            wm = (stencils.window_weights(width, offset_of_node, m) / h**m if m else
                   (np.arange(width) == offset_of_node).astype(float))
             prow += pc[m] * wm
             qrow += qc[m] * wm
@@ -230,7 +222,9 @@ def interior_residual(op, lam, u, g):
 
 
 def solve(op, lam, g, factorization=None):
-    """Solve (lambda + A) u = g with closure-augmented right-hand side."""
+    """Solve (lambda + A) u = g with closure-augmented right-hand side;
+    GridError unless g lies on op.grid."""
+    gridmod.require_grid(g, op.grid, "the right-hand side g")
     _compatibility_probe(g)
     fac = factorization if factorization is not None else Factorization(op, lam)
     u = fac.solve(g)

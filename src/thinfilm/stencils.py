@@ -48,6 +48,15 @@ def fd_weights(offsets, x0, m):
 
 
 @functools.lru_cache(maxsize=64)
+def window_weights(width, offset, m):
+    """Read-only h = 1 weights of d^m/ds^m at node ``offset`` of a ``width``-node window:
+    the one Fornberg weight cache, read by _plan and resolvent.assemble."""
+    w = fd_weights(np.arange(width) - offset, 0.0, m)
+    w.flags.writeable = False
+    return w
+
+
+@functools.lru_cache(maxsize=64)
 def _plan(n, m, h):
     """(centered weights, half width, left block, right block) of d^m/ds^m on n nodes.
 
@@ -61,10 +70,9 @@ def _plan(n, m, h):
     if n < max(_CENTER_POINTS[m], span) + 2:
         raise GridError(f"grid with {n} nodes too small for order-{m} stencil")
     scale = h**m
-    center = fd_weights(np.arange(-half, half + 1), 0.0, m) / scale
-    left = np.array([fd_weights(np.arange(span), float(i), m) for i in range(half)]) / scale
-    right = np.array([fd_weights(np.arange(span), float(span - half + i), m)
-                      for i in range(half)]) / scale
+    center = window_weights(2 * half + 1, half, m) / scale
+    left = np.array([window_weights(span, i, m) for i in range(half)]) / scale
+    right = np.array([window_weights(span, span - half + i, m) for i in range(half)]) / scale
     for w in (center, left, right):
         w.flags.writeable = False
     return center, half, left, right

@@ -84,10 +84,11 @@ def tfe_residual(h, t_span, y_span, dt, dy):
 
 
 def tw_ode_check(V, nu, x_samples):
-    """Max deviation of the wave profile from its defining conditions.
+    """Max deviation of the wave profile's third derivative from V.
 
-    The profile (V/6) x^3 + nu x^2 must have numerically constant third
-    derivative V and vanish with its slope at the contact point.
+    The profile (V/6) x^3 + nu x^2 vanishes with its slope at the contact
+    point by construction; its centered third difference on the uniform
+    x_samples must equal V to rounding.
     """
     x = np.asarray(x_samples, dtype=float)
     if x.size < 5:
@@ -98,7 +99,4 @@ def tw_ode_check(V, nu, x_samples):
     step = dx[0]
     prof = (V / 6.0) * x**3 + nu * x * x
     third = (prof[4:] - 2 * prof[3:-1] + 2 * prof[1:-3] - prof[:-4]) / (2 * step**3)
-    err_ode = float(np.max(np.abs(third - V)))
-    h0 = (V / 6.0) * 0.0**3 + nu * 0.0**2
-    dh0 = (V / 2.0) * 0.0**2 + 2.0 * nu * 0.0
-    return max(err_ode, abs(h0), abs(dh0))
+    return float(np.max(np.abs(third - V)))

@@ -63,6 +63,12 @@ def test_resolvent_command(tmp_path, capsys):
     sol = np.loadtxt(out_dir / "resolvent_solution.csv", delimiter=",", skiprows=1 + len(report["config"]) + 1)
     assert sol.shape == (513, 2)
 
+    # a right-hand side that does not vanish at the contact line: a validation failure
+    csv.write_text("s,value\n" + "".join(f"{s!r},1.0\n" for s in g.s.tolist()))
+    assert cli.main(["resolvent", "--lambda", "1.0", "--g", str(csv), "--config", cfg,
+                     "--out", str(out_dir)]) == 2
+    assert "does not vanish at the contact line" in capsys.readouterr().err
+
 
 def test_linear_evolve_and_determinism(tmp_path):
     cfg = write_config(tmp_path / "exp.ini", f"""
@@ -74,9 +80,13 @@ T = 0.1
 [output]
 dir = {tmp_path / 'run'}
 u0 = x3_decay
+snapshots = 0.05, 0.1
 """)
     assert cli.main(["linear-evolve", "--config", cfg]) == 0
     traj = (tmp_path / "run" / "linear_trajectory.csv").read_bytes()
+    for t in ("0.05", "0.1"):
+        snap = _data_rows(tmp_path / "run" / f"snapshot_t{t}.csv")
+        assert [row[0] for row in snap] == gridmod.LogGrid(-12.0, 4.0, 257).s.tolist()
     assert cli.main(["linear-evolve", "--config", cfg]) == 0
     assert (tmp_path / "run" / "linear_trajectory.csv").read_bytes() == traj
     text = traj.decode()
@@ -191,6 +201,13 @@ def test_malformed_config_messages(tmp_path, capsys):
     ("[solver]\nT = inf\n", "solver.T"),
     ("[nonlinear]\npicard_tol = nan\n", "nonlinear.picard_tol"),
     ("[output]\nsnapshots = 1.0, nan\n", "output.snapshots"),
+    # values that parse but fail validation
+    ("[grid]\ns_min = 5\n", "grid.s_min"),
+    ("[grid]\nn = 63\n", "grid.n"),
+    ("[solver]\nstore_every = 0\n", "solver.store_every"),
+    ("[norms]\nN = 3\n", "norms.N"),
+    ("[norms]\nk = -1\n", "norms.k"),
+    ("[nonlinear]\neps = -1e-3\n", "nonlinear.eps"),
 ])
 def test_unparsable_config_is_a_config_error(tmp_path, capsys, text, key):
     path = write_config(tmp_path / "bad.ini", text)
@@ -198,7 +215,8 @@ def test_unparsable_config_is_a_config_error(tmp_path, capsys, text, key):
         config.load(path)
     assert exc.value.key.endswith(key)
     assert cli.main(["linear-evolve", "--config", path]) == 1
-    assert capsys.readouterr().err.startswith("error: config key")
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key") and f"{key}'" in err
 
 
 @pytest.mark.parametrize("text, key", [
@@ -219,16 +237,25 @@ def test_removed_config_keys_are_rejected(tmp_path, capsys, text, key):
 
 
 _FIELD_GRID = gridmod.LogGrid(-12.0, 4.0, 65)
-_NONUNIFORM = _FIELD_GRID.s + 0.1 * _FIELD_GRID.h * (np.arange(65) == 5)
-_BAD_FIELDS = {  # CSV text, or None for a missing file
-    "missing file": None,
-    "no data rows": "s,value\n",
-    "unparsable cell": "s,value\n" + "".join(f"{s!r},abc\n" for s in _FIELD_GRID.s),
-    "single column": "s\n" + "".join(f"{s!r}\n" for s in _FIELD_GRID.s),
-    "fewer than 16 rows": "s,value\n" + "".join(f"{s!r},0.0\n" for s in np.linspace(-12, 4, 8)),
-    "non-uniform s": "s,value\n" + "".join(f"{s!r},0.0\n" for s in _NONUNIFORM),
-    "s off the grid": "s,value\n" + "".join(f"{s!r},0.0\n" for s in np.linspace(-12, 4, 129)),
-    "non-finite value": "s,value\n" + "".join(f"{s!r},nan\n" for s in _FIELD_GRID.s),
+_FIELD_S = _FIELD_GRID.s.tolist()  # python floats: the repr of a numpy float is not a number
+_NONUNIFORM = (_FIELD_GRID.s + 0.1 * _FIELD_GRID.h * (np.arange(65) == 5)).tolist()
+_BAD_FIELDS = {  # CSV text (None: a missing file), the error read without and with a grid
+    "missing file": (None, "cannot read", "cannot read"),
+    "no data rows": ("s,value\n", "no data rows", "no data rows"),
+    "unparsable cell": ("s,value\n" + "".join(f"{s!r},abc\n" for s in _FIELD_S),
+                        "cannot read", "cannot read"),
+    "single column": ("s\n" + "".join(f"{s!r}\n" for s in _FIELD_S),
+                      "two columns", "two columns"),
+    "fewer than 16 rows": ("s,value\n" + "".join(f"{s!r},0.0\n" for s in
+                                                 np.linspace(-12, 4, 8).tolist()),
+                           "at least 16 nodes", "do not match"),
+    "non-uniform s": ("s,value\n" + "".join(f"{s!r},0.0\n" for s in _NONUNIFORM),
+                      "not uniform", "do not match"),
+    "s off the grid": ("s,value\n" + "".join(f"{s!r},0.0\n" for s in
+                                             np.linspace(-12, 4, 129).tolist()),
+                       None, "do not match"),
+    "non-finite value": ("s,value\n" + "".join(f"{s!r},nan\n" for s in _FIELD_S),
+                         "finite", "finite"),
 }
 
 
@@ -238,8 +265,9 @@ _BAD_FIELDS = {  # CSV text, or None for a missing file
     if (source, case) != ("--csv", "s off the grid")])
 def test_bad_input_csv_is_a_config_error(tmp_path, capsys, recwarn, source, case):
     csv, out_dir = tmp_path / "field.csv", tmp_path / "out"
-    if _BAD_FIELDS[case] is not None:
-        csv.write_text(_BAD_FIELDS[case])
+    text, no_grid_error, grid_error = _BAD_FIELDS[case]
+    if text is not None:
+        csv.write_text(text)
     cfg = write_config(tmp_path / "exp.ini", f"[grid]\nn = 65\n[output]\ndir = {out_dir}\n"
                        + (f"u0_csv = {csv}\n" if source == "output.u0_csv" else ""))
     argv = {"--csv": ["norms", "--csv", str(csv), "--spec", "0:0.25:0"],
@@ -249,6 +277,7 @@ def test_bad_input_csv_is_a_config_error(tmp_path, capsys, recwarn, source, case
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert f"error: config key '{source}'" in err
+    assert (no_grid_error if source == "--csv" else grid_error) in err
     assert "Traceback" not in err
     assert not recwarn.list  # numpy's loadtxt only warns on a file with no data rows
     assert not out_dir.exists()
@@ -426,6 +455,20 @@ def test_sweep_checks_steps_of_its_values_not_solver_dt(tmp_path, capsys):
                      "--config", _sweep_config(tmp_path, T=0.075)]) == 0
     assert (tmp_path / "run" / "sweep_summary.json").exists()
     assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, want", [  # want(s, x), x = e^s; eps defaults to 1e-3
+    ("x3_decay", lambda s, x: x**3 * np.exp(-x)),
+    ("kernel_x", lambda s, x: np.exp(s)),
+    ("kernel_x2", lambda s, x: np.exp(2.0 * s)),
+    ("wave_shift", lambda s, x: 1e-3 * (3 * x * x + 2 * x) * np.exp(-x)),
+    ("zero", lambda s, x: np.zeros_like(s)),
+])
+def test_u0_profiles(name, want):
+    grid = gridmod.LogGrid(-12.0, 4.0, 65)
+    u0 = config.initial_profile(config.ExperimentConfig({"output": {"u0": name}}), grid)
+    assert u0.grid == grid
+    assert u0.values.tobytes() == want(grid.s, np.exp(grid.s)).tobytes()
 
 
 def test_config_defaults_and_validation():

@@ -17,13 +17,14 @@ def kernel_op():
 def test_average_rhs_exactness(default_grid):
     w = gridmod.monomial(default_grid, 1)
 
-    const = evolution.average_rhs(lambda t: w, 3, 0.1)
+    const = evolution.average_rhs(lambda t: w, 3, 0.1, default_grid)
     assert np.allclose(const.values, w.values)
 
-    linear = evolution.average_rhs(lambda t: t * w, 3, 0.1)
+    linear = evolution.average_rhs(lambda t: gridmod.GridFunction(default_grid, t * w.values),
+                                   3, 0.1, default_grid)
     assert np.allclose(linear.values, 0.25 * w.values, rtol=1e-14)
 
-    zero = evolution.average_rhs(lambda t: gridmod.zero(default_grid), 1, 0.1)
+    zero = evolution.average_rhs(lambda t: gridmod.zero(default_grid), 1, 0.1, default_grid)
     assert np.max(np.abs(zero.values)) == 0.0
 
 
@@ -85,7 +86,7 @@ def test_run_coefficient_relation(kernel_op):
 def test_run_kernel_plus_perturbation(kernel_op):
     x = KERNEL_GRID.x
     pert = gridmod.GridFunction(KERNEL_GRID, 1e-2 * x**2 * np.exp(-x))
-    u0 = gridmod.monomial(KERNEL_GRID, 1) + pert
+    u0 = gridmod.GridFunction(KERNEL_GRID, gridmod.monomial(KERNEL_GRID, 1).values + pert.values)
     state = evolution.run(kernel_op, u0, None, 1e-2, 2.0, store_every=20)
     u1 = state.coefficient_tracks[:, 0]
     # the perturbation feeds u1 through the recursion until its u3 dies out;
@@ -254,6 +255,18 @@ def test_picard_with_zero_nonlinearity_is_the_linear_step(default_grid):
     assert len(pic.lipschitz_track) == len(pic.contact_line_track) == len(pic.steps) == 3
 
 
+@pytest.mark.parametrize("other", [gridmod.LogGrid(-10.0, 6.0, 257),
+                                   gridmod.LogGrid(-12.0, 4.0, 129)])
+@pytest.mark.parametrize("field", ["u0", "forcing"])
+def test_run_rejects_fields_off_the_operator_grid(other, field):
+    # a field from another domain with the same n, or with another n
+    op = resolvent.assemble(SMALL_GRID)
+    u0 = gridmod.monomial(other if field == "u0" else SMALL_GRID, 2)
+    forcing = gridmod.monomial(other if field == "forcing" else SMALL_GRID, 2)
+    with pytest.raises(GridError, match=field):
+        evolution.run(op, u0, lambda t: forcing, 0.1, 0.2)
+
+
 def test_step_rejects_nan_dt():
     with pytest.raises(GridError, match="dt must be positive"):
         evolution.step(resolvent.assemble(SMALL_GRID), gridmod.zero(SMALL_GRID), None, np.nan)
@@ -266,7 +279,7 @@ def _absolute_increment_picard(op, u_prev, u_older, f_avg, dt, fac, model, j, ra
     for count in range(1, model.picard_max + 1):
         g = model.N(iterate)
         if f_avg is not None:
-            g = f_avg + g
+            g = gridmod.GridFunction(op.grid, f_avg.values + g.values)
         u_next = evolution.step(op, u_prev, g, dt, factorization=fac)
         delta = float(np.max(np.abs(u_next.values - iterate.values)))
         iterate = u_next

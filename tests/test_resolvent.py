@@ -22,6 +22,14 @@ def manufactured(grid, lam):
             gridmod.GridFunction(grid, np.exp(-x) * gpoly))
 
 
+@pytest.mark.parametrize("other", [gridmod.LogGrid(-10.0, 6.0, 257),
+                                   gridmod.LogGrid(-12.0, 4.0, 129)])
+def test_solve_rejects_rhs_off_the_operator_grid(other):
+    op = resolvent.assemble(gridmod.LogGrid(-12.0, 4.0, 257))
+    with pytest.raises(GridError, match="right-hand side"):
+        resolvent.solve(op, 1.0, manufactured(other, 1.0)[1])
+
+
 def test_assemble_requires_nodes():
     with pytest.raises(GridError):
         resolvent.assemble(gridmod.LogGrid(-12, 4, 32))
@@ -89,7 +97,7 @@ def test_vectorized_assemble_matches_row_loop(n):
     for a, b in zip((op.row, op.col, op.val), _loop_rows(grid)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert np.array_equal(op.indptr, np.searchsorted(op.row, np.arange(n + 1)))
-    for a in (op.row, op.col, op.val, op.indptr, resolvent._window_weights(7, 3, 4)):
+    for a in (op.row, op.col, op.val, op.indptr, stencils.window_weights(7, 3, 4)):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -217,7 +225,8 @@ def test_solve_zero_and_linearity(fine_grid):
     _, g = manufactured(fine_grid, 2.0)
     fac = resolvent.Factorization(op, 2.0)
     u1 = resolvent.solve(op, 2.0, g, factorization=fac).solution.values
-    u3 = resolvent.solve(op, 2.0, 3.0 * g, factorization=fac).solution.values
+    g3 = gridmod.GridFunction(fine_grid, 3.0 * g.values)
+    u3 = resolvent.solve(op, 2.0, g3, factorization=fac).solution.values
     # linear up to the refinement step's rounding
     assert np.max(np.abs(u3 - 3.0 * u1)) <= 1e-8 * np.max(np.abs(u3))
 
