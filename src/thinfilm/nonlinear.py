@@ -14,7 +14,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import evolution, resolvent, stencils
 from . import grid as gridmod
@@ -167,6 +166,9 @@ def reconstruct(u, t, y_grid, upsample=8):
     which keeps third-derivative oracles of the output meaningful at large x
     where the raw spacing x h would be coarse. ``upsample`` is an integer >= 1.
     """
+    # the only user of scipy.interpolate: runs that draw no film never load it
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     if not isinstance(upsample, numbers.Integral) or upsample < 1:
         raise GridError(f"upsample must be an integer >= 1, got {upsample!r}")
     grid = u.grid

@@ -71,7 +71,9 @@ class DiscreteOperator:
         return self.csr(np.abs(self.val))
 
     def apply(self, w):
-        """Row-wise product; closure rows evaluate their residual relation."""
+        """Row-wise product; closure rows evaluate their residual relation.
+        GridError unless w lies on the operator's grid."""
+        gridmod.require_grid(w, self.grid, "the field w")
         return gridmod.GridFunction(self.grid, self.csr(self.val) @ w.values)
 
 
@@ -181,6 +183,8 @@ class Factorization:
         return (y + self._back_substitute(r)) * self._col_scale
 
     def solve(self, g):
+        """The solution on the operator's grid; GridError unless g lies on it."""
+        gridmod.require_grid(g, self.op.grid, "the right-hand side g")
         return gridmod.GridFunction(self.op.grid, self.solve_values(g.values))
 
 

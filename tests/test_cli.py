@@ -1,9 +1,15 @@
+import contextlib
+import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinfilm import cli, config, evolution, nonlinear, resolvent
 from thinfilm import grid as gridmod
@@ -236,6 +242,89 @@ def test_removed_config_keys_are_rejected(tmp_path, capsys, text, key):
     assert f"'{key}'" in capsys.readouterr().err
 
 
+_NAME = st.from_regex(r"[a-z][a-z0-9_]{0,9}", fullmatch=True)
+_LETTERS = st.from_regex(r"[a-z]{1,6}", fullmatch=True)  # no int; a float only if not finite
+_UNPARSABLE = {int: st.sampled_from(["1.5", "1e3", "", "0x10"]) | _LETTERS,
+               float: st.sampled_from(["", "1.0.0", "1,5", "--1"]) | _LETTERS,
+               "floats": st.sampled_from(["1.0, 1.0.0", "2,--1"]) | _LETTERS}
+# (section, key) -> (values that parse but are rejected, the key the error names)
+_OUT_OF_RANGE = {
+    ("grid", "n"): (st.integers(-10, gridmod.SOLVER_MIN_NODES - 1), "grid.n"),
+    ("grid", "s_min"): (st.floats(gridmod.RESOLVED_S_MIN, 1e6, exclude_min=True), "grid.s_min"),
+    ("grid", "s_max"): (st.floats(-1e6, gridmod.DEFAULT_S_MIN), "grid.s_min"),
+    ("solver", "dt"): (st.floats(-1e6, 0.0), "solver.dt"),
+    ("solver", "T"): (st.floats(-1e6, 0.0), "solver.T"),
+    ("solver", "store_every"): (st.integers(-10, 0), "solver.store_every"),
+    ("norms", "N"): (st.integers(-10, 10).filter(lambda v: v not in (0, 1, 2)), "norms.N"),
+    ("norms", "k"): (st.integers(-10, -1), "norms.k"),
+    ("norms", "delta"): (st.floats(-1.0, 0.0) | st.floats(0.5, 10.0), "norms.delta"),
+    ("nonlinear", "eps"): (st.floats(-1.0, 0.0, exclude_max=True), "nonlinear.eps"),
+    ("output", "u0"): (_NAME.filter(lambda v: v not in config._U0_PROFILES), "output.u0"),
+}
+_KEYS = [(sec, key) for sec, keys in config._SCHEMA.items() for key in keys]
+
+
+@st.composite
+def _malformed_ini(draw, out_dir, path):
+    """(sections, the key its ConfigError names): a small valid run plus one defect."""
+    kind = draw(st.sampled_from(["unknown section", "unknown key", "unparsable value",
+                                 "out-of-range value", "duplicate key", "line without ="]))
+    sections = {"grid": ["n = 129"], "solver": ["dt = 1e-2", "T = 2e-2"],
+                "output": [f"dir = {out_dir}"]}
+    if kind == "unknown section":
+        name = draw(_NAME.filter(lambda v: v not in config._SCHEMA))
+        sections[name] = draw(st.sampled_from([[], ["n = 129"]]))
+        return sections, name
+    if kind == "line without =":
+        sec = draw(st.sampled_from(sorted(sections)))
+        line = draw(st.from_regex(r"[a-z][a-z0-9_ .]{0,12}", fullmatch=True))
+        sections[sec].insert(draw(st.integers(0, len(sections[sec]))), line)
+        return sections, path
+    if kind == "unknown key":
+        sec = draw(st.sampled_from(sorted(config._SCHEMA)))
+        key = draw(_NAME.filter(lambda v: v not in config._SCHEMA[sec]))
+        line, want = f"{key} = 1", f"{sec}.{key}"
+    elif kind == "unparsable value":
+        sec, key = draw(st.sampled_from([k for k in _KEYS if config._SCHEMA[k[0]][k[1]][0] in
+                                         _UNPARSABLE]))
+        raw = draw(_UNPARSABLE[config._SCHEMA[sec][key][0]])
+        line, want = f"{key} = {raw}", f"{sec}.{key}"
+    elif kind == "out-of-range value":
+        sec, key = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+        values, want = _OUT_OF_RANGE[sec, key]
+        line = f"{key} = {draw(values)}"
+    else:  # duplicate key: configparser rejects the second copy before reading values
+        sec, key = draw(st.sampled_from(_KEYS))
+        line, want = f"{key} = 1", f"{sec}.{key}"
+    # the defect is the only line of its key, apart from its own duplicate
+    lines = [ln for ln in sections.get(sec, []) if not ln.startswith(f"{key} =")]
+    if kind == "duplicate key":
+        lines.append(line)
+    lines.insert(draw(st.integers(0, len(lines))), line)
+    sections[sec] = lines
+    return sections, want
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_malformed_config_is_a_config_error_without_traceback(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("malformed")
+    path = str(root / "bad.ini")
+    sections, want = data.draw(_malformed_ini(root / "out", path), label="sections, key")
+    text = "".join(f"[{sec}]\n" + "".join(f"{ln}\n" for ln in lines)
+                   for sec, lines in sections.items())
+    with open(path, "w") as fh:
+        fh.write(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(["linear-evolve", "--config", path])
+    err = err.getvalue()
+    assert status == 1, err
+    assert err.startswith(f"error: config key '{want}'"), err
+    assert "Traceback" not in err
+    assert not (root / "out").exists()  # no run started
+
+
 _FIELD_GRID = gridmod.LogGrid(-12.0, 4.0, 65)
 _FIELD_S = _FIELD_GRID.s.tolist()  # python floats: the repr of a numpy float is not a number
 _NONUNIFORM = (_FIELD_GRID.s + 0.1 * _FIELD_GRID.h * (np.arange(65) == 5)).tolist()
@@ -455,6 +544,39 @@ def test_sweep_checks_steps_of_its_values_not_solver_dt(tmp_path, capsys):
                      "--config", _sweep_config(tmp_path, T=0.075)]) == 0
     assert (tmp_path / "run" / "sweep_summary.json").exists()
     assert "error" not in capsys.readouterr().err
+
+
+_IMPORT_SET_SCRIPT = """
+import json
+import sys
+import numpy as np
+from thinfilm import cli, nonlinear
+from thinfilm import grid as gridmod
+status = cli.main(["sweep", "--param", "dt", "--values", "1e-2,5e-3,2.5e-3",
+                   "--config", sys.argv[1]])
+after_sweep = "scipy.interpolate" in sys.modules
+g = gridmod.LogGrid(-12.0, 4.0, 129)
+u = gridmod.GridFunction(g, 1e-3 * (3 * g.x * g.x + 2 * g.x) * np.exp(-g.x))
+film = nonlinear.reconstruct(u, 0.0, np.linspace(0.0, 5.0, 11))
+print(json.dumps({"status": status, "after_sweep": after_sweep,
+                  "after_film": "scipy.interpolate" in sys.modules,
+                  "finite": bool(np.all(np.isfinite(film.h)))}))
+"""
+
+
+def test_only_the_film_reconstruction_loads_scipy_interpolate(tmp_path):
+    # a fresh interpreter: the test modules themselves import scipy.interpolate
+    cfg = write_config(tmp_path / "exp.ini", f"[grid]\nn = 129\n[solver]\nT = 1e-2\n"
+                                             f"[output]\ndir = {tmp_path / 'run'}\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT, cfg], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got == {"status": 0, "after_sweep": False, "after_film": True, "finite": True}
+    assert (tmp_path / "run" / "sweep_summary.json").exists()
 
 
 @pytest.mark.parametrize("name, want", [  # want(s, x), x = e^s; eps defaults to 1e-3

@@ -267,6 +267,24 @@ def test_run_rejects_fields_off_the_operator_grid(other, field):
         evolution.run(op, u0, lambda t: forcing, 0.1, 0.2)
 
 
+_OFF_GRID_CALLS = {
+    "field w": lambda op, on, off: op.apply(off),
+    "u_prev": lambda op, on, off: evolution.step(op, off, None, 0.1),
+    "f_avg": lambda op, on, off: evolution.step(op, on, off, 0.1),
+    "right-hand side": lambda op, on, off: resolvent.Factorization(op, 10.0).solve(off),
+}
+
+
+@pytest.mark.parametrize("name", list(_OFF_GRID_CALLS))
+def test_public_entries_reject_fields_off_the_operator_grid(name):
+    # same n on another domain: the values fit, so only the grid check stops the call
+    op = resolvent.assemble(SMALL_GRID)
+    on = gridmod.monomial(SMALL_GRID, 2)
+    off = gridmod.monomial(gridmod.LogGrid(-10.0, 6.0, SMALL_GRID.n), 2)
+    with pytest.raises(GridError, match=name):
+        _OFF_GRID_CALLS[name](op, on, off)
+
+
 def test_step_rejects_nan_dt():
     with pytest.raises(GridError, match="dt must be positive"):
         evolution.step(resolvent.assemble(SMALL_GRID), gridmod.zero(SMALL_GRID), None, np.nan)
