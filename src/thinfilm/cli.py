@@ -3,8 +3,8 @@
 Subcommands: coercivity, norms, resolvent, linear-evolve, nonlinear-evolve,
 validate, sweep. Every artifact embeds the resolved configuration and its
 content hash; outputs are bit-identical for identical config.
-Exit codes: 0 success, 1 malformed config or input file, 2 validation
-failure, 3 numerical-guard failure.
+Exit codes: 0 success, 1 malformed config, flag, input file or output path,
+2 validation failure, 3 numerical-guard failure.
 """
 
 import argparse
@@ -39,20 +39,31 @@ def _write_json(path, payload, cfg=None):
         fh.write("\n")
 
 
-def _csv_header(cfg):
-    lines = [f"# config {key} = {val}" for key, val in cfg.resolved().items()]
-    lines.append(f"# config_sha256 = {cfg.content_hash()}")
-    return lines
-
-
 def _write_csv(path, header_cols, rows, cfg):
     with open(path, "w") as fh:
-        for line in _csv_header(cfg):
-            fh.write(line + "\n")
+        for key, val in cfg.resolved().items():
+            fh.write(f"# config {key} = {val}\n")
+        fh.write(f"# config_sha256 = {cfg.content_hash()}\n")
         fh.write(",".join(header_cols) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
                               for v in row) + "\n")
+
+
+def _make_out_dir(path, key):
+    """Create the output directory path, before any computation; ConfigError keyed key."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(key, f"cannot create directory {path!r}: {exc.strerror or exc}") from exc
+    return path
+
+
+def _snapshots(cfg, state):
+    """The stored (t, u) nearest each output.snapshots time."""
+    times = state.times
+    for t_req in cfg["output"]["snapshots"]:
+        yield state.steps[int(np.argmin(np.abs(times - t_req)))]
 
 
 def cmd_coercivity(args):
@@ -119,16 +130,17 @@ def cmd_norms(args):
 
 def cmd_resolvent(args):
     cfg, grid = _load_cfg_and_grid(args)
+    if not 0 < args.lam < np.inf:
+        raise ConfigError("--lambda", f"not a positive finite number: {args.lam!r}")
     rhs = config.read_field(args.g, "--g", grid)
-    op = resolvent.assemble(grid)
-    sol = resolvent.solve(op, args.lam, rhs)
-    out_dir = args.out or cfg["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out_dir(args.out or cfg["output"]["dir"],
+                            "--out" if args.out else "output.dir")
+    sol = resolvent.solve(resolvent.assemble(grid), args.lam, rhs)
     _write_csv(os.path.join(out_dir, "resolvent_solution.csv"), ["s", "u"],
                list(zip(grid.s.tolist(), sol.solution.values.tolist())), cfg)
     coeffs = gridmod.extract_coefficients(sol.solution, 3)
     _write_json(os.path.join(out_dir, "resolvent_report.json"), {
-        "lambda": sol.lam,
+        "lambda": args.lam,
         "interior_residual": sol.residual_norm,
         "decay_rate_fit": None if np.isnan(sol.decay_rate_fit) else sol.decay_rate_fit,
         "coefficients": list(coeffs),
@@ -141,12 +153,11 @@ def cmd_linear_evolve(args):
     cfg, grid = _load_cfg_and_grid(args)
     _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
     u0 = config.initial_profile(cfg, grid)
-    op = resolvent.assemble(grid)
+    out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     s = cfg["solver"]
-    state = evolution.run(op, u0, None, s["dt"], s["T"], alpha=cfg["norms"]["alpha"],
-                          k=cfg["norms"]["k"], store_every=s["store_every"])
-    out_dir = cfg["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    state = evolution.run(resolvent.assemble(grid), u0, None, s["dt"], s["T"],
+                          alpha=cfg["norms"]["alpha"], k=cfg["norms"]["k"],
+                          store_every=s["store_every"])
     rows = []
     for i, (t, _) in enumerate(state.steps):
         e = state.energy_log[i]
@@ -154,9 +165,7 @@ def cmd_linear_evolve(args):
         rows.append((t, e["tilde_sq"], e["tilde_dk_sq"], c[0], c[1], c[2]))
     _write_csv(os.path.join(out_dir, "linear_trajectory.csv"),
                ["t", "tilde_sq", "tilde_dk_sq", "u1", "u2", "u3"], rows, cfg)
-    for t_req in cfg["output"]["snapshots"]:
-        idx = int(np.argmin(np.abs(state.times - t_req)))
-        t, u = state.steps[idx]
+    for t, u in _snapshots(cfg, state):
         _write_csv(os.path.join(out_dir, f"snapshot_t{t:g}.csv"), ["s", "u"],
                    list(zip(grid.s.tolist(), u.values.tolist())), cfg)
     if state.flags:
@@ -169,11 +178,10 @@ def cmd_nonlinear_evolve(args):
     cfg, grid = _load_cfg_and_grid(args)
     _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
     u0 = config.initial_profile(cfg, grid)
+    out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     s, nm = cfg["solver"], cfg["norms"]
     state = nonlinear.run_nonlinear(u0, s["dt"], s["T"], norm_N=nm["N"], norm_k=nm["k"],
                                     delta=nm["delta"], store_every=s["store_every"])
-    out_dir = cfg["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     n_steps = len(state.picard_counts)
     for i, (t, _) in enumerate(state.steps):
@@ -184,9 +192,7 @@ def cmd_nonlinear_evolve(args):
     _write_csv(os.path.join(out_dir, "nonlinear_trajectory.csv"),
                ["t", "init_norm", "u1", "u2", "sup_vx", "Y0", "picard_iterations"],
                rows, cfg)
-    for t_req in cfg["output"]["snapshots"]:
-        idx = int(np.argmin(np.abs(state.times - t_req)))
-        t, u = state.steps[idx]
+    for t, u in _snapshots(cfg, state):
         film = nonlinear.reconstruct(u, t, np.linspace(6 * t - 0.5, 6 * t + 4.0, 600))
         _write_csv(os.path.join(out_dir, f"film_t{t:g}.csv"), ["y", "h"],
                    list(zip(film.y.tolist(), film.h.tolist())), cfg)
@@ -198,6 +204,10 @@ def cmd_nonlinear_evolve(args):
 
 
 def cmd_validate(args):
+    if args.out:
+        _make_out_dir(os.path.dirname(args.out) or os.curdir, "--out")
+        if os.path.isdir(args.out):
+            raise ConfigError("--out", f"{args.out!r} is a directory, not a file")
     checks = {}
 
     def residual_orders(h, t_span, y_span, base_dt, base_dy):
@@ -244,11 +254,12 @@ def cmd_sweep(args):
     if len(values) < 3:
         raise ConfigError("--values", "need at least three values for a Richardson summary")
     _check_steps(cfg, values, "--values")
-    T = cfg["solver"]["T"]
+    T, alpha = cfg["solver"]["T"], cfg["norms"]["alpha"]
     u0 = config.initial_profile(cfg, grid)
+    out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     op = resolvent.assemble(grid)
     # only the final state is read: store t = 0 and t = T, check the energy every step
-    states = [evolution.run(op, u0, None, dt, T, store_every=evolution.MAX_STEPS)
+    states = [evolution.run(op, u0, None, dt, T, alpha=alpha, store_every=evolution.MAX_STEPS)
               for dt in values]
     for dt, state in zip(values, states):
         if state.flags:
@@ -260,8 +271,6 @@ def cmd_sweep(args):
     # null where the finals coincide: strict JSON has no NaN or infinity
     orders = [float(np.log2(diffs[i] / diffs[i + 1])) if diffs[i] > 0 and diffs[i + 1] > 0
               else None for i in range(len(diffs) - 1)]
-    out_dir = cfg["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
     payload = {"param": "dt", "values": values, "final_state_diffs": diffs,
                "richardson_orders": orders}
     _write_json(os.path.join(out_dir, "sweep_summary.json"), payload, cfg)

@@ -116,22 +116,13 @@ def range_numeric(p, alpha_lo, alpha_hi, n_scan=2000):
         raise ValueError("n_scan must be at least 100")
     alphas = np.linspace(alpha_lo, alpha_hi, n_scan)
     margins = np.array([symbol_margin(p, a) for a in alphas])
-    pos = margins > 0.0
+    # a positive run i..j starts and ends where margins > 0 changes sign
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], margins > 0.0, [0]))))
     intervals = []
-    i = 0
-    while i < n_scan:
-        if not pos[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_scan and pos[j + 1]:
-            j += 1
+    for i, j in zip(edges[::2], edges[1::2] - 1):
         lo = alphas[i] if i == 0 else _bisect_zero(p, alphas[i - 1], alphas[i], margins[i - 1])
         hi = alphas[j] if j == n_scan - 1 else _bisect_zero(p, alphas[j + 1], alphas[j], margins[j + 1])
-        if lo > hi:
-            lo, hi = hi, lo
-        intervals.append((lo, hi))
-        i = j + 1
+        intervals.append(tuple(sorted((lo, hi))))
     return intervals
 
 

@@ -73,16 +73,21 @@ def cumulative_from_zero(integrand, grid):
     return _tail_closure(integrand, grid) + stencils.cumulative_integral(integrand, grid.h)
 
 
+def _require_decay(w, rho=PROBE_MIN_EXPONENT):
+    """DecayProbeError unless w vanishes like o(x^rho) at the contact line (leftmost band)."""
+    gamma = decay_exponent(w.values, w.grid)
+    if gamma <= rho:
+        raise DecayProbeError(f"decay probe failed (fitted exponent {gamma:.3f})")
+
+
 def apply_B_inverse(f):
     """Inverse of B: (x+1)^2 times the cumulative (x'+1)^{-3} f dx'/x'.
 
     f must vanish at the contact line; the decay probe on the leftmost band
     enforces a positive power.
     """
+    _require_decay(f)
     grid = f.grid
-    gamma = decay_exponent(f.values, grid)
-    if gamma <= PROBE_MIN_EXPONENT:
-        raise DecayProbeError(f"decay probe failed (fitted exponent {gamma:.3f})")
     x = grid.x
     integrand = f.values / (x + 1.0) ** 3
     integral = cumulative_from_zero(integrand, grid)
@@ -95,10 +100,8 @@ def apply_S(g):
     The result has value and first and second x-derivative zero at the left
     edge by construction.
     """
+    _require_decay(g)
     grid = g.grid
-    gamma = decay_exponent(g.values, grid)
-    if gamma <= PROBE_MIN_EXPONENT:
-        raise DecayProbeError(f"decay probe failed (fitted exponent {gamma:.3f})")
     x = grid.x
     i4 = cumulative_from_zero(x * g.values, grid)
     i3 = cumulative_from_zero(i4, grid)
@@ -160,9 +163,7 @@ def polynomial_elliptic_check(p, w, rho, k=0):
     w must be supported in the interior and pass the o(x^rho) probe at the
     left edge.
     """
-    exponent = decay_exponent(w.values, w.grid)
-    if exponent <= rho:
-        raise DecayProbeError(f"left-edge probe failed (exponent {exponent:.3f} <= {rho})")
+    _require_decay(w, rho)
     _require_compact_support(w)
     lhs = gridmod.weighted_norm(w, gridmod.NormSpec(k + 4, rho))
     pw = polyops.apply_symbol(p, w)

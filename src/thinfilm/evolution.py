@@ -15,6 +15,7 @@ step, for its energy-increase flags, and records it with its k-th D-derivative
 |D^k (D-1)u|_{a}^2 at stored steps.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +171,7 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
 
     Stored steps (t = 0, every store_every-th step and t = T) record the
     expansion coefficients. GridError unless u0 and every sample of f lie on
-    op.grid.
+    op.grid, store_every is an integer >= 1, k an integer >= 0 and alpha finite.
 
     Linear (nonlinear = None): one solve per step. With f = None the energy
     |(D-1)u|_a^2, taken at every step, must not increase beyond a 1e-10
@@ -184,8 +185,12 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     record it and ``nonlinear.records(t, u)`` (initial-data norm, Y0).
     """
     n_steps = step_count(dt, T)
-    if store_every < 1:
-        raise GridError("store_every must be at least 1")
+    if not isinstance(store_every, numbers.Integral) or store_every < 1:
+        raise GridError(f"store_every must be an integer >= 1, got {store_every!r}")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise GridError(f"k must be an integer >= 0, got {k!r}")
+    if not np.isfinite(alpha):
+        raise GridError(f"alpha must be finite, got {alpha!r}")
     gridmod.require_grid(u0, op.grid, "u0")
     fac = resolvent.Factorization(op, 1.0 / dt)
     state = EvolutionState(steps=[], energy_log=[], coefficient_tracks=[])

@@ -140,6 +140,8 @@ class NormSpec:
     def __post_init__(self):
         if self.k < 0:
             raise GridError("k must be non-negative")
+        if not np.isfinite(self.alpha):
+            raise GridError("alpha must be finite")
         if not 0 <= self.sub <= 3:
             raise GridError("sub must lie in 0..3")
 

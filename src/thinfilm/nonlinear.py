@@ -28,11 +28,9 @@ PICARD_MAX = 25
 class FilmReconstruction:
     """Physical film profile h(y) at one time, in contact-line coordinates."""
 
-    t: float
     y: np.ndarray
     h: np.ndarray
     contact_line: float  # Y0
-    coefficients: tuple  # (u1, u2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -193,6 +191,4 @@ def reconstruct(u, t, y_grid, upsample=8):
         interp = PchipInterpolator(y_param[lo:hi], xw**3 + xw * xw, extrapolate=False)
         h = np.where(y < y_param[0], 0.0, interp(y))
         h = np.where(np.isnan(h), 0.0, h)
-    y0 = 6.0 * t + contact_line_shift(u)
-    u1, u2 = gridmod.extract_coefficients(u, 2)
-    return FilmReconstruction(t=t, y=y, h=h, contact_line=y0, coefficients=(u1, u2))
+    return FilmReconstruction(y=y, h=h, contact_line=6.0 * t + contact_line_shift(u))

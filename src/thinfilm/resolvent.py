@@ -190,7 +190,6 @@ class Factorization:
 
 @dataclass
 class ResolventSolve:
-    lam: float
     solution: gridmod.GridFunction
     residual_norm: float
     decay_rate_fit: float
@@ -234,7 +233,7 @@ def solve(op, lam, g, factorization=None):
     u = fac.solve(g)
     res = interior_residual(op, lam, u, g)
     rate = far_field_rate(u, lam)
-    return ResolventSolve(lam=lam, solution=u, residual_norm=res, decay_rate_fit=rate)
+    return ResolventSolve(solution=u, residual_norm=res, decay_rate_fit=rate)
 
 
 def far_field_rate(u, lam):

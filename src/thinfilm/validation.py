@@ -16,9 +16,6 @@ SMYTH_HILL_X = 1.0
 @dataclass
 class ResidualReport:
     max_residual: float
-    l2_residual: float
-    dt: float
-    dy: float
     n_centers: int
 
 
@@ -76,11 +73,7 @@ def tfe_residual(h, t_span, y_span, dt, dy):
     if not np.any(keep):
         raise ValueError("no stencil lies inside the positivity region")
     vals = residual[keep]
-    return ResidualReport(
-        max_residual=float(np.max(np.abs(vals))),
-        l2_residual=float(np.sqrt(np.mean(vals**2))),
-        dt=dt, dy=dy, n_centers=int(vals.size),
-    )
+    return ResidualReport(max_residual=float(np.max(np.abs(vals))), n_centers=int(vals.size))
 
 
 def tw_ode_check(V, nu, x_samples):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinfilm import cli, config, evolution, nonlinear, resolvent
+from thinfilm import cli, config, evolution, nonlinear, resolvent, validation
 from thinfilm import grid as gridmod
 from thinfilm.errors import ConfigError
 
@@ -436,6 +436,48 @@ def test_validate_command(tmp_path, capsys):
     assert payload["checks"]["traveling_wave_order"]["pass"]
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the computation ran before the output path was checked")
+
+
+@pytest.mark.parametrize("argv, patched, key", [
+    (["linear-evolve", "--config", "{cfg}"], (evolution, "run"), "output.dir"),
+    (["nonlinear-evolve", "--config", "{cfg}"], (nonlinear, "run_nonlinear"), "output.dir"),
+    (["sweep", "--param", "dt", "--values", "1e-2,5e-3,2.5e-3", "--config", "{cfg}"],
+     (evolution, "run"), "output.dir"),
+    (["resolvent", "--lambda", "1", "--g", "{csv}", "--config", "{cfg}"], (resolvent, "solve"),
+     "output.dir"),
+    (["resolvent", "--lambda", "1", "--g", "{csv}", "--config", "{cfg}", "--out", "{blocker}/run"],
+     (resolvent, "solve"), "--out"),
+    (["validate", "--out", "{blocker}/r.json"], (validation, "tfe_residual"), "--out"),
+], ids=["linear-evolve", "nonlinear-evolve", "sweep", "resolvent", "resolvent-out", "validate"])
+def test_unwritable_output_path_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                      argv, patched, key):
+    # a regular file: no directory can be made under it. Before, the run went to
+    # its end and died in os.makedirs (or open) with a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    csv = tmp_path / "g.csv"
+    csv.write_text("s,value\n" + "".join(f"{s!r},0.0\n"
+                                         for s in gridmod.LogGrid(-12.0, 4.0, 129).s.tolist()))
+    cfg = write_config(tmp_path / "exp.ini", f"[grid]\nn = 129\n[solver]\nT = 2e-2\n"
+                                             f"[output]\ndir = {blocker / 'run'}\n")
+    monkeypatch.setattr(*patched, _never_called)
+    assert cli.main([a.format(cfg=cfg, csv=csv, blocker=blocker) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key '{key}': cannot create directory ")
+    assert err.count("\n") == 1
+
+
+def test_validate_out_that_is_a_directory_fails_before_the_run(tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(validation, "tfe_residual", _never_called)
+    assert cli.main(["validate", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key '--out': ") and err.count("\n") == 1
+    assert "is a directory" in err
+
+
 def _sweep_config(tmp_path, u0="x3_decay", T=None):
     return write_config(tmp_path / "exp.ini", f"""
 [grid]
@@ -506,6 +548,24 @@ def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
                    "completed with 2 energy flags at dt=0.04"]
 
 
+def test_sweep_checks_energy_at_the_configured_weight(tmp_path, monkeypatch):
+    cfg = _sweep_config(tmp_path)
+    with open(cfg, "a") as fh:
+        fh.write("[norms]\nalpha = 0.75\n")
+    alphas = set()
+    tilde_energy = evolution.tilde_energy
+
+    def recorded(u, alpha):
+        alphas.add(alpha)
+        return tilde_energy(u, alpha)
+
+    monkeypatch.setattr(evolution, "tilde_energy", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,4e-2",
+                         "--config", cfg]) == 0
+    assert alphas == {0.75}  # the energy flags were checked at 0.25 whatever the config said
+
+
 @pytest.mark.parametrize("values, T, message", [  # T None: the default 0.08
     ("2e-2,abc,5e-3", None, "config key '--values': not comma-separated numbers"),
     ("2e-2,,5e-3", None, "config key '--values': not comma-separated numbers"),
@@ -525,13 +585,22 @@ def test_sweep_rejects_bad_input(tmp_path, capsys, values, T, message):
     (["sweep", "--param", "eps", "--values", "1e-2,5e-3,2.5e-3"], "--param"),
     (["sweep", "--param", "dt", "--values", "1e-2,5e-3"], "--values"),
     (["norms", "--spec", "a:b:c"], "--spec"),
-], ids=["--param", "--values", "--spec"])
+    (["norms", "--spec", "0:nan:0"], "--spec"),  # printed NaN and exited 0
+    (["norms", "--spec", "0:inf:0"], "--spec"),
+    # lambda is checked before --g is read, so this field's grid is never compared
+    (["resolvent", "--lambda", "-1"], "--lambda"),  # exited 2 with no key named
+    (["resolvent", "--lambda", "0"], "--lambda"),
+    (["resolvent", "--lambda", "nan"], "--lambda"),
+    (["resolvent", "--lambda", "inf"], "--lambda"),
+], ids=["--param", "--values", "--spec", "--spec-nan", "--spec-inf", "--lambda-neg",
+        "--lambda-zero", "--lambda-nan", "--lambda-inf"])
 def test_flag_errors_are_config_errors(tmp_path, capsys, argv, key):
     # main is the only place that prints an error
     csv = tmp_path / "field.csv"
     csv.write_text("s,value\n" + "".join(f"{s!r},0.0\n" for s in _FIELD_GRID.s.tolist()))
-    extra = ["--csv", str(csv)] if argv[0] == "norms" else ["--config", _sweep_config(tmp_path)]
-    assert cli.main(argv + extra) == 1
+    cfg = ["--config", _sweep_config(tmp_path)]
+    extra = {"norms": ["--csv", str(csv)], "resolvent": ["--g", str(csv)] + cfg}
+    assert cli.main(argv + extra.get(argv[0], cfg)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config key '{key}': ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()

@@ -88,6 +88,43 @@ def test_numeric_range_sharp_at_root_gap_edges():
     assert intervals == []  # margin is 0 at xi = 0 for every weight
 
 
+def _index_walk_range(p, alpha_lo, alpha_hi, n_scan):
+    # reference: the positive runs found by walking the scan index by index
+    alphas = np.linspace(alpha_lo, alpha_hi, n_scan)
+    margins = np.array([coercivity.symbol_margin(p, a) for a in alphas])
+    intervals, i = [], 0
+    while i < n_scan:
+        if not margins[i] > 0.0:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n_scan and margins[j + 1] > 0.0:
+            j += 1
+        lo = alphas[i] if i == 0 else coercivity._bisect_zero(
+            p, alphas[i - 1], alphas[i], margins[i - 1])
+        hi = alphas[j] if j == n_scan - 1 else coercivity._bisect_zero(
+            p, alphas[j + 1], alphas[j], margins[j + 1])
+        intervals.append((min(lo, hi), max(lo, hi)))
+        i = j + 1
+    return intervals
+
+
+@pytest.mark.parametrize("margin", [
+    lambda a: np.sin(3.0 * a),  # several runs, one touching each end of the scan
+    lambda a: -np.sin(3.0 * a),
+    lambda a: np.sin(40.0 * a),  # runs a few scan points long
+    lambda a: 1.0,  # one run over the whole scan
+], ids=["sin", "-sin", "fast-sin", "positive"])
+@pytest.mark.parametrize("alpha_lo, alpha_hi, n_scan", [(-5.0, 5.0, 2000), (5.0, -5.0, 300)])
+def test_range_numeric_runs_match_the_index_walk(monkeypatch, margin, alpha_lo, alpha_hi,
+                                                 n_scan):
+    monkeypatch.setattr(coercivity, "symbol_margin", lambda p, a: float(margin(a)))
+    p, _ = polyops.symbol_pair(0)
+    want = _index_walk_range(p, alpha_lo, alpha_hi, n_scan)
+    assert coercivity.range_numeric(p, alpha_lo, alpha_hi, n_scan) == want
+    assert want  # every case has a positive run
+
+
 def test_range_scan_requires_resolution():
     p, _ = polyops.symbol_pair(0)
     with pytest.raises(ValueError):

@@ -217,6 +217,7 @@ def _run_nonlinear(dt, T, store_every):
     (1e-2, 0.015, 1, "integer number of steps"),
     (1e-7, 0.2, 1, "too many steps"),
     (1e-2, 0.05, 0, "store_every"),
+    (1e-2, 0.05, 2.5, "store_every must be an integer"),  # stored only t = 0 and t = T
     (0.0, 0.05, 1, "dt must be positive"),
     (-0.01, 0.05, 1, "dt must be positive"),
     (1e-2, 0.0, 1, "T must be positive"),
@@ -230,6 +231,18 @@ def _run_nonlinear(dt, T, store_every):
 def test_run_rejects_bad_step_requests(driver, dt, T, store_every, message):
     with pytest.raises(GridError, match=message):
         driver(dt, T, store_every)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k": -1}, "k must be an integer >= 0"),  # recorded tilde_dk_sq == tilde_sq
+    ({"k": 1.5}, "k must be an integer >= 0"),  # a TypeError deep in the derivative tower
+    ({"alpha": np.nan}, "alpha must be finite"),  # NaN energies that never flag
+    ({"alpha": np.inf}, "alpha must be finite"),
+], ids=["k-negative", "k-fraction", "alpha-nan", "alpha-inf"])
+def test_run_rejects_bad_energy_weights(kwargs, message):
+    with pytest.raises(GridError, match=message):
+        evolution.run(resolvent.assemble(SMALL_GRID), gridmod.zero(SMALL_GRID), None,
+                      1e-2, 0.05, **kwargs)
 
 
 def test_picard_with_zero_nonlinearity_is_the_linear_step(default_grid):

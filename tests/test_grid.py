@@ -495,6 +495,9 @@ def test_normspec_validation():
         gridmod.NormSpec(-1, 0.0)
     with pytest.raises(GridError):
         gridmod.NormSpec(2, 0.0, sub=-1)
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(GridError, match="alpha must be finite"):
+            gridmod.NormSpec(2, alpha)
     for sub in (4, 5):  # extract_coefficients fits at most 3 expansion terms
         with pytest.raises(GridError, match="sub must lie in 0..3"):
             gridmod.NormSpec(2, 0.5, sub=sub)

@@ -219,9 +219,8 @@ def test_reconstruct_contact_line_shift(default_grid):
 
 def test_reconstruct_near_contact_expansion(default_grid):
     u = wave_shaped(default_grid, 0.01)
-    probe = nonlinear.reconstruct(u, 0.0, np.linspace(0.0, 1.0, 20))
-    u1, u2 = probe.coefficients
-    y0 = probe.contact_line
+    u1, u2 = gridmod.extract_coefficients(u, 2)
+    y0 = nonlinear.reconstruct(u, 0.0, np.linspace(0.0, 1.0, 20)).contact_line
     yq = y0 + np.linspace(1e-4, 1e-2, 50)
     film = nonlinear.reconstruct(u, 0.0, yq)
     denom = 1 + 0.5 * u2 - 0.75 * u1
