@@ -114,6 +114,15 @@ def _check_steps(cfg, dts, key):
                               f"{exc} (dt={dt!r}, solver.T={T!r})") from exc
 
 
+def _check_snapshots(cfg):
+    """ConfigError keyed output.snapshots unless every snapshot time lies in [0, solver.T]."""
+    T = cfg["solver"]["T"]
+    outside = [t for t in cfg["output"]["snapshots"] if not 0.0 <= t <= T]
+    if outside:
+        raise ConfigError("output.snapshots",
+                          f"times {outside} lie outside the run [0, solver.T={T!r}]")
+
+
 def cmd_norms(args):
     w = config.read_field(args.csv, "--csv")
     out = {}
@@ -152,6 +161,7 @@ def cmd_resolvent(args):
 def cmd_linear_evolve(args):
     cfg, grid = _load_cfg_and_grid(args)
     _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
+    _check_snapshots(cfg)
     u0 = config.initial_profile(cfg, grid)
     out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     s = cfg["solver"]
@@ -177,6 +187,7 @@ def cmd_linear_evolve(args):
 def cmd_nonlinear_evolve(args):
     cfg, grid = _load_cfg_and_grid(args)
     _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
+    _check_snapshots(cfg)
     u0 = config.initial_profile(cfg, grid)
     out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     s, nm = cfg["solver"], cfg["norms"]

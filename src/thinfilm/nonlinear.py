@@ -14,6 +14,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from . import evolution, resolvent, stencils
 from . import grid as gridmod
@@ -154,6 +155,91 @@ def contact_line_shift(u):
     return float(gridmod.fit_powers(to_v(u).values, u.grid, -np.inf, gridmod.FIT_BAND, 3)[0])
 
 
+def _locate(x, q):
+    """(i, q - x[i]): the interval i of each q, x[i] <= q < x[i+1], the end
+    intervals extended beyond x (scipy's PPoly rule; NaN falls in the last)."""
+    i = np.clip(np.searchsorted(x, q, "right") - 1, 0, len(x) - 2)
+    return i, q - x[i]
+
+
+@functools.lru_cache(maxsize=8)
+def _refined(grid, upsample):
+    """Read-only (e^s, i, d) of the refined samples s of one grid, computed once
+    per upsample; (i, d) = _locate(grid.s, s) is searched, not taken from the
+    refinement, since rounding may put a sample at a node on either side."""
+    s = np.linspace(grid.s_min, grid.s_max, upsample * (grid.n - 1) + 1)
+    out = (np.exp(s),) + _locate(grid.s, s)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _hermite(x, y, dydx, i, d):
+    """The piecewise cubic through (x, y) with slopes dydx, at x[i] + d.
+
+    scipy 1.17.1's CubicHermiteSpline coefficients and its compiled PPoly
+    evaluation, operation for operation, so the values are scipy's bitwise:
+    the local power sum starts from 0.0 and adds the terms from the constant
+    one up, so even the sign of a zero result matches.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+    c0, c1, c2, c3 = c.take(i, axis=1)
+    dd = d * d
+    return 0.0 + c3 + c2 * d + c1 * dd + c0 * (dd * d)
+
+
+def _not_a_knot(x, y, i, d):
+    """scipy's not-a-knot CubicSpline(x, y) at x[i] + d, for len(x) > 3: the
+    slopes solve its tridiagonal system, the not-a-knot end rows included."""
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    b = np.empty(n)
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    w = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], w
+    b[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / w
+    w = x[-1] - x[-3]
+    ab[1, -1], ab[-1, -2] = dx[-2], w
+    b[-1] = (dx[-1]**2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
+    dydx = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    return _hermite(x, y, dydx, i, d)
+
+
+def _pchip(x, y, q):
+    """scipy's PchipInterpolator(x, y, extrapolate=False)(q) for len(x) >= 3:
+    NaN outside [x[0], x[-1]].
+
+    Inner slopes are the weighted harmonic mean of the neighbouring secants
+    (Fritsch & Carlson 1980), 0 where the secants change sign or one
+    vanishes; the end slopes are the one-sided three-point estimate, set to 0
+    against the sign of the first secant and capped at 3 times it where the
+    secants change sign (Moler, Numerical Computing with MATLAB, 3.6).
+    """
+    hk = np.diff(x)
+    mk = np.diff(y) / hk
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    dydx = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dydx[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    h0, h1, m0, m1 = hk[[0, -1]], hk[[1, -2]], mk[[0, -1]], mk[[1, -2]]
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    dydx[[0, -1]] = np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
+    return np.where((q >= x[0]) & (q <= x[-1]), _hermite(x, y, dydx, *_locate(x, q)), np.nan)
+
+
 def reconstruct(u, t, y_grid, upsample=8):
     """Film profile h on y_grid from the parametric pairs (Y(t,x), x^3 + x^2).
 
@@ -163,19 +249,16 @@ def reconstruct(u, t, y_grid, upsample=8):
     on the refined nodes and only the smooth, small v needs interpolating),
     which keeps third-derivative oracles of the output meaningful at large x
     where the raw spacing x h would be coarse. ``upsample`` is an integer >= 1.
+    Both interpolants (not-a-knot cubic spline in s, pchip in y) equal scipy
+    1.17.1's bitwise.
     """
-    # the only user of scipy.interpolate: runs that draw no film never load it
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
     if not isinstance(upsample, numbers.Integral) or upsample < 1:
         raise GridError(f"upsample must be an integer >= 1, got {upsample!r}")
     grid = u.grid
     v = to_v(u)
     lipschitz_guard(v, "in the reconstruction (the height map may fold over)")
-    s_fine = np.linspace(grid.s_min, grid.s_max, upsample * (grid.n - 1) + 1)
-    x = np.exp(s_fine)
-    v_fine = CubicSpline(grid.s, v.values)(s_fine)
-    y_param = x + 6.0 * t + v_fine
+    x, i, d = _refined(grid, upsample)
+    y_param = x + 6.0 * t + _not_a_knot(grid.s, v.values, i, d)
     if np.any(np.diff(y_param) <= 0):
         raise GuardError("non-monotone height map")
     y = np.asarray(y_grid, dtype=float)
@@ -188,7 +271,6 @@ def reconstruct(u, t, y_grid, upsample=8):
         lo = max(np.searchsorted(y_param, finite.min(), "right") - 3, 0)
         hi = np.searchsorted(y_param, finite.max(), "left") + 3
         xw = x[lo:hi]
-        interp = PchipInterpolator(y_param[lo:hi], xw**3 + xw * xw, extrapolate=False)
-        h = np.where(y < y_param[0], 0.0, interp(y))
+        h = np.where(y < y_param[0], 0.0, _pchip(y_param[lo:hi], xw**3 + xw * xw, y))
         h = np.where(np.isnan(h), 0.0, h)
     return FilmReconstruction(y=y, h=h, contact_line=6.0 * t + contact_line_shift(u))

@@ -624,28 +624,52 @@ from thinfilm import grid as gridmod
 status = cli.main(["sweep", "--param", "dt", "--values", "1e-2,5e-3,2.5e-3",
                    "--config", sys.argv[1]])
 after_sweep = "scipy.interpolate" in sys.modules
+nl_status = cli.main(["nonlinear-evolve", "--config", sys.argv[2]])
+after_evolve = "scipy.interpolate" in sys.modules
 g = gridmod.LogGrid(-12.0, 4.0, 129)
 u = gridmod.GridFunction(g, 1e-3 * (3 * g.x * g.x + 2 * g.x) * np.exp(-g.x))
 film = nonlinear.reconstruct(u, 0.0, np.linspace(0.0, 5.0, 11))
-print(json.dumps({"status": status, "after_sweep": after_sweep,
+print(json.dumps({"status": [status, nl_status], "after_sweep": after_sweep,
+                  "after_evolve": after_evolve,
                   "after_film": "scipy.interpolate" in sys.modules,
                   "finite": bool(np.all(np.isfinite(film.h)))}))
 """
 
 
-def test_only_the_film_reconstruction_loads_scipy_interpolate(tmp_path):
+def test_no_command_loads_scipy_interpolate(tmp_path):
     # a fresh interpreter: the test modules themselves import scipy.interpolate
     cfg = write_config(tmp_path / "exp.ini", f"[grid]\nn = 129\n[solver]\nT = 1e-2\n"
                                              f"[output]\ndir = {tmp_path / 'run'}\n")
+    nl_cfg = write_config(tmp_path / "nl.ini", f"[grid]\nn = 129\n[solver]\ndt = 1e-2\n"
+                                               f"T = 2e-2\n[output]\ndir = {tmp_path / 'nl'}\n"
+                                               f"u0 = wave_shift\nsnapshots = 0.02\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT, cfg], env=env,
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT, cfg, nl_cfg], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout.splitlines()[-1])
-    assert got == {"status": 0, "after_sweep": False, "after_film": True, "finite": True}
+    assert got == {"status": [0, 0], "after_sweep": False, "after_evolve": False,
+                   "after_film": False, "finite": True}
     assert (tmp_path / "run" / "sweep_summary.json").exists()
+    assert (tmp_path / "nl" / "film_t0.02.csv").exists()
+
+
+@pytest.mark.parametrize("command, snapshots", [
+    ("nonlinear-evolve", "-5, 0.02, 100"),  # wrote film_t0 and film_t0.02 twice, exit 0
+    ("nonlinear-evolve", "-1e-9"),
+    ("linear-evolve", "7"),  # wrote snapshot_t0.02, exit 0
+    ("linear-evolve", "0, 0.020000001"),
+])
+def test_snapshot_times_outside_the_run_are_config_errors(tmp_path, capsys, command, snapshots):
+    cfg = write_config(tmp_path / "exp.ini", f"[grid]\nn = 129\n[solver]\ndt = 1e-2\n"
+                                             f"T = 2e-2\n[output]\ndir = {tmp_path / 'run'}\n"
+                                             f"u0 = wave_shift\nsnapshots = {snapshots}\n")
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'output.snapshots': ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("name, want", [  # want(s, x), x = e^s; eps defaults to 1e-3

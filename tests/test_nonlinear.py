@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
@@ -310,3 +310,71 @@ def test_windowed_reconstruct_matches_full_samples(default_grid, kind, data):
 def test_reconstruct_rejects_bad_upsample(default_grid, upsample):
     with pytest.raises(GridError, match="upsample must be an integer >= 1"):
         nonlinear.reconstruct(gridmod.zero(default_grid), 0.0, np.zeros(3), upsample=upsample)
+
+
+def _same_bits(got, want):
+    """Equal bit for bit where finite, NaN at the same places (NaN payloads aside)."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def _queries(x, refined):
+    """The refined samples, every node, one point below x[0], one past x[-1], NaN."""
+    span = x[-1] - x[0]
+    return np.concatenate((refined, x, [x[0] - 0.1 * span, x[-1] + 0.1 * span, np.nan]))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=st.sampled_from((16, 17, 65, 129, 257, 300)),
+       s_max=st.sampled_from((4.0, 3.7, np.pi)),
+       upsample=st.sampled_from((1, 3, 8, 16)),
+       scale=st.sampled_from((1e-8, 1e-3, 1.0, 1e3)),
+       seed=st.integers(0, 2**16))
+@example(n=257, s_max=np.pi, upsample=3, scale=1.0, seed=0)  # samples off k // 3, see below
+def test_not_a_knot_spline_equals_scipys_bitwise(n, s_max, upsample, scale, seed):
+    # -12 to 3.7 or pi gives an h that is no power of two; n = 16 is the grid minimum
+    s = np.linspace(-12.0, s_max, n)
+    y = scale * np.random.default_rng(seed).standard_normal(n)
+    q = _queries(s, np.linspace(-12.0, s_max, upsample * (n - 1) + 1))
+    got = nonlinear._not_a_knot(s, y, *nonlinear._locate(s, q))
+    assert _same_bits(got, CubicSpline(s, y)(q))
+
+
+@st.composite
+def _pchip_data(draw):
+    """(x, y): uneven increasing x and small-integer y, so runs of equal y (zero
+    secants), sign changes and steep ends come up often."""
+    n = draw(st.integers(3, 40))
+    x = np.cumsum(draw(st.lists(st.floats(1e-3, 4.0), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=float)
+    return x, 0.3 * y
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(xy=_pchip_data())
+@example(xy=(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 11.0, 11.0])))  # d against m0: 0
+@example(xy=(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, -9.0, -9.0])))  # |d| > 3|m0|: 3 m0
+@example(xy=(np.array([0.0, 0.5, 2.0]), np.array([1.0, 1.0, 1.0])))  # flat
+def test_pchip_equals_scipys_bitwise(xy):
+    x, y = xy
+    mid = 0.5 * (x[1:] + x[:-1])
+    q = _queries(x, np.concatenate((mid, np.linspace(x[0], x[-1], 97))))
+    got = nonlinear._pchip(x, y, q)
+    assert _same_bits(got, PchipInterpolator(x, y, extrapolate=False)(q))
+    assert np.isnan(got[-3:]).all()  # below x[0], past x[-1] and at NaN
+
+
+def test_refined_samples_are_searched_not_assumed():
+    # on this grid the refined sample k lies in interval k // 3 only up to
+    # rounding: 74 samples that equal a node in exact arithmetic fall just below it
+    grid = gridmod.LogGrid(-12.0, np.pi, 257)
+    x, i, d = nonlinear._refined(grid, 3)
+    s = np.linspace(grid.s_min, grid.s_max, 3 * (grid.n - 1) + 1)
+    assert x.tobytes() == np.exp(s).tobytes()
+    assert np.all(grid.s[i] <= s) and np.all((s < grid.s[i + 1]) | (i == grid.n - 2))
+    assert np.count_nonzero(i != np.minimum(np.arange(s.size) // 3, grid.n - 2)) == 74
+    assert d.tobytes() == (s - grid.s[i]).tobytes()
+    for table in (x, i, d):
+        with pytest.raises(ValueError):
+            table[0] = 0
