@@ -60,10 +60,10 @@ def _make_out_dir(path, key):
 
 
 def _snapshots(cfg, state):
-    """The stored (t, u) nearest each output.snapshots time."""
+    """The stored (t, u) nearest the output.snapshots times, each step once."""
     times = state.times
-    for t_req in cfg["output"]["snapshots"]:
-        yield state.steps[int(np.argmin(np.abs(times - t_req)))]
+    picks = dict.fromkeys(int(np.argmin(np.abs(times - t))) for t in cfg["output"]["snapshots"])
+    return [state.steps[i] for i in picks]
 
 
 def cmd_coercivity(args):
@@ -115,12 +115,21 @@ def _check_steps(cfg, dts, key):
 
 
 def _check_snapshots(cfg):
-    """ConfigError keyed output.snapshots unless every snapshot time lies in [0, solver.T]."""
-    T = cfg["solver"]["T"]
+    """ConfigError keyed output.snapshots unless every snapshot time lies in [0, solver.T]
+    and its nearest step is stored (every solver.store_every-th step and the last)."""
+    s = cfg["solver"]
+    T, dt, every = s["T"], s["dt"], s["store_every"]
     outside = [t for t in cfg["output"]["snapshots"] if not 0.0 <= t <= T]
     if outside:
         raise ConfigError("output.snapshots",
                           f"times {outside} lie outside the run [0, solver.T={T!r}]")
+    n_steps = evolution.step_count(dt, T)
+    unstored = [t for t in cfg["output"]["snapshots"]
+                if (j := round(t / dt)) % every and j != n_steps]
+    if unstored:
+        raise ConfigError("output.snapshots",
+                          f"times {unstored} are not on stored steps "
+                          f"(solver.dt={dt!r}, solver.store_every={every!r})")
 
 
 def cmd_norms(args):

@@ -538,8 +538,9 @@ def test_sweep_summary_is_strict_json_when_finals_coincide(tmp_path, capsys):
 
 
 def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
-    energies = itertools.count(1.0)  # rises at every step
-    monkeypatch.setattr(evolution, "tilde_energy", lambda u, alpha: next(energies))
+    energies = itertools.count(1.0)  # rises at every step, one stack of steps per call
+    monkeypatch.setattr(evolution, "tilde_energy",
+                        lambda values, grid, alpha: np.array([next(energies) for _ in values]))
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,4e-2",
                      "--config", _sweep_config(tmp_path)]) == 0
     err = capsys.readouterr().err.splitlines()
@@ -555,9 +556,9 @@ def test_sweep_checks_energy_at_the_configured_weight(tmp_path, monkeypatch):
     alphas = set()
     tilde_energy = evolution.tilde_energy
 
-    def recorded(u, alpha):
+    def recorded(values, grid, alpha):
         alphas.add(alpha)
-        return tilde_energy(u, alpha)
+        return tilde_energy(values, grid, alpha)
 
     monkeypatch.setattr(evolution, "tilde_energy", recorded)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -670,6 +671,50 @@ def test_snapshot_times_outside_the_run_are_config_errors(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("error: config key 'output.snapshots': ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+def _snapshot_config(tmp_path, snapshots, store_every=1):
+    return write_config(tmp_path / "exp.ini", f"[grid]\nn = 129\n[solver]\ndt = 1e-2\n"
+                                              f"T = 5e-2\nstore_every = {store_every}\n"
+                                              f"[output]\ndir = {tmp_path / 'run'}\n"
+                                              f"u0 = wave_shift\nsnapshots = {snapshots}\n")
+
+
+@pytest.mark.parametrize("command", ["nonlinear-evolve", "linear-evolve"])
+@pytest.mark.parametrize("snapshots", ["0.02, 0.03", "0.05, 0.04", "0.015"])
+def test_snapshot_times_off_the_stored_steps_are_config_errors(tmp_path, capsys, command,
+                                                               snapshots):
+    # steps 0 and 5 are stored; 0.02, 0.03 wrote film_t0 and film_t0.05, exit 0
+    assert cli.main([command, "--config", _snapshot_config(tmp_path, snapshots, 5)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'output.snapshots': ") and err.count("\n") == 1
+    assert "store_every=5" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_snapshots_near_stored_steps_are_written(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["nonlinear-evolve", "--config",
+                         _snapshot_config(tmp_path, "0, 0.049", 5)]) == 0
+    assert sorted(os.listdir(tmp_path / "run")) == ["film_t0.05.csv", "film_t0.csv",
+                                                    "nonlinear_trajectory.csv"]
+
+
+def test_each_snapshot_step_is_reconstructed_once(tmp_path, monkeypatch):
+    films = []
+    reconstruct = nonlinear.reconstruct
+
+    def counted(u, t, y):
+        films.append(t)
+        return reconstruct(u, t, y)
+
+    monkeypatch.setattr(nonlinear, "reconstruct", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["nonlinear-evolve", "--config",
+                         _snapshot_config(tmp_path, "0.011, 0.012, 0.03, 0.009")]) == 0
+    assert films == [0.01, 0.03]  # 0.011, 0.012 and 0.009 all pick step 1: one film
+    assert sorted(os.listdir(tmp_path / "run")) == ["film_t0.01.csv", "film_t0.03.csv",
+                                                    "nonlinear_trajectory.csv"]
 
 
 @pytest.mark.parametrize("name, want", [  # want(s, x), x = e^s; eps defaults to 1e-3

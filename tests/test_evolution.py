@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ds_any
 from thinfilm import evolution, nonlinear, resolvent, stencils
@@ -162,10 +164,10 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
         return shifted_derivative(w, a)
 
     monkeypatch.setattr(gridmod, "shifted_derivative", counted)
-    energy_calls = []
+    energy_calls = []  # (name, stack height or None)
     for name in ("tilde_energy", "tilde_energies"):
         def counted_energy(*args, _name=name, _original=getattr(evolution, name)):
-            energy_calls.append(_name)
+            energy_calls.append((_name, len(args[0]) if _name == "tilde_energy" else None))
             return _original(*args)
         monkeypatch.setattr(evolution, name, counted_energy)
     x = default_grid.x
@@ -177,19 +179,19 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
                               alpha=0.75, k=3, store_every=2)
     stored = len(state.steps)
     assert stored == 4
-    # (D-1)u is not shared between monitors: a linear run takes it at every
-    # step for its energy flags and twice more per stored step (energy pair and
-    # coefficients), a nonlinear run once per stored step (coefficients);
-    # (D-2)(D-1)u only for the stored steps' coefficients
-    assert shifts.count(1.0) == (6 + 2 * stored if not nonlinear_run else stored)
+    # (D-1)u is not shared between monitors: a linear run takes it twice per
+    # stored step (energy pair and coefficients), a nonlinear run once per stored
+    # step (coefficients); (D-2)(D-1)u only for the stored steps' coefficients.
+    # The energy flags take (D-1)u of their stacks inside tilde_energy.
+    assert shifts.count(1.0) == (2 * stored if not nonlinear_run else stored)
     assert shifts.count(2.0) == stored
-    # a linear run: |(D-1)u|^2 at every step, the pair with the D^k energy once
-    # per stored step; a nonlinear run records no energy
+    # a linear run: |(D-1)u|^2 of u0 and its 5 steps as one stack of 6 rows, the
+    # pair with the D^k energy once per stored step; a nonlinear run records no energy
     if nonlinear_run:
         assert energy_calls == [] and state.energy_log == []
     else:
-        assert energy_calls.count("tilde_energies") == stored
-        assert energy_calls.count("tilde_energy") == 6
+        assert energy_calls.count(("tilde_energies", None)) == stored
+        assert [c for c in energy_calls if c[0] == "tilde_energy"] == [("tilde_energy", 6)]
         assert len(state.energy_log) == stored
     monkeypatch.undo()
     for (_, u), entry in zip(state.steps, state.energy_log):
@@ -201,6 +203,73 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
 
 
 SMALL_GRID = gridmod.LogGrid(-12.0, 4.0, 257)
+K = evolution.ENERGY_BATCH
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.sampled_from((64, 257, 1025)), height=st.integers(1, 2 * K + 1),
+       alpha=st.sampled_from((0.25, 0.75, -0.5, 1.5)), seed=st.integers(0, 2**32 - 1))
+def test_stacked_energies_equal_per_row_energies(n, height, alpha, seed):
+    grid = gridmod.LogGrid(-12.0, 4.0, n)
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-8.0, 3.0, (height, 1))
+    stack = scales * rng.standard_normal((height, n)) * np.exp(-grid.x)
+    energies = evolution.tilde_energy(stack, grid, alpha)
+    assert energies.shape == (height,)
+    for row, e in zip(stack, energies):
+        # the one-field form and the stored-step pair's |(D-1)u|_a^2, bitwise
+        assert e == evolution.tilde_energy(row, grid, alpha)
+        assert e == evolution.tilde_energies(gridmod.GridFunction(grid, row), alpha, 0)[0]
+
+
+def _per_step_flags(state, alpha):
+    """The energy flags of a linear run, taken by a loop over its steps (all stored)."""
+    flags, prev = [], None
+    for j, (_, u) in enumerate(state.steps):
+        e = float(evolution.tilde_energy(u.values, u.grid, alpha))
+        if prev is not None and e > prev * (1.0 + evolution.ENERGY_SLACK) + 1e-300:
+            flags.append(f"energy increase at step {j}: {prev:.6e} -> {e:.6e}")
+        prev = e
+    return flags
+
+
+@pytest.mark.parametrize("n_steps", [K + 1, 2 * K, 2 * K + 5, 3 * K + 1])
+def test_energy_rises_at_stack_edges_flag_as_per_step(monkeypatch, n_steps):
+    # the steps are scaled copies of one field, so |(D-1)u|^2 falls at every
+    # step but K-1, K, K+1 and the last: on both sides of the first stack's edge
+    x = SMALL_GRID.x
+    base = x * x * np.exp(-x)
+    rises = {K - 1, K, K + 1, n_steps}
+    scales = np.cumprod([1.5 if j in rises else 0.9 for j in range(1, n_steps + 1)])
+    fields = iter(scales)
+    monkeypatch.setattr(evolution, "step", lambda *args, factorization:
+                        gridmod.GridFunction(SMALL_GRID, next(fields) * base))
+    state = evolution.run(resolvent.assemble(SMALL_GRID), gridmod.GridFunction(SMALL_GRID, base),
+                          None, 1e-2, n_steps * 1e-2, alpha=0.75)
+    assert len(state.steps) == n_steps + 1
+    assert state.flags == _per_step_flags(state, 0.75)
+    assert [int(f.split()[4][:-1]) for f in state.flags] == sorted(rises)
+
+
+def test_energy_is_checked_once_per_stack_and_not_with_forcing(kernel_op, monkeypatch):
+    heights = []
+    tilde_energy = evolution.tilde_energy
+
+    def counted(values, grid, alpha):
+        heights.append(len(values))
+        return tilde_energy(values, grid, alpha)
+
+    monkeypatch.setattr(evolution, "tilde_energy", counted)
+    u0 = gridmod.monomial(KERNEL_GRID, 2)
+    n_steps = 2 * K + 3
+    evolution.run(kernel_op, u0, None, 1e-2, n_steps * 1e-2, store_every=n_steps)
+    # u0 and K steps, then the last checked step and K (then 3) new ones
+    assert heights == [K + 1, K + 1, 4]
+    heights.clear()
+    state = evolution.run(kernel_op, u0, lambda t: u0, 1e-2, n_steps * 1e-2,
+                          store_every=n_steps)
+    # only a run without forcing reads the energies, for its flags
+    assert heights == [] and state.flags == []
 
 
 def _run_linear(dt, T, store_every):
