@@ -13,7 +13,11 @@ expansion-coefficient tracks at stored steps. The energy log is recorded for
 linear runs only: such a run records the commuted energy |(D-1)u|_{a}^2 with
 its k-th D-derivative |D^k (D-1)u|_{a}^2 at stored steps. Without forcing it
 also flags every step at which |(D-1)u|_{a}^2 rises, taking the energies of
-ENERGY_BATCH steps at a time as one stack.
+ENERGY_BATCH steps at a time as one stack. The stored steps' records are
+taken on stacks too: t = 0 on its own before the first step, the other stored
+steps after the last, grid.STEP_STACK (K = 8) at a time, with one stencil
+call per derivative order per stack; each record equals its one-field form
+(leading_coefficients, tilde_energies, ...) bitwise.
 """
 
 import numbers
@@ -54,23 +58,29 @@ class EvolutionState:
         return self.steps[-1][1]
 
 
-def leading_coefficients(u):
-    """Expansion coefficients (u1, u2, u3) tuned for evolving fields.
+def stacked_coefficients(values, grid):
+    """Expansion coefficients (u1, u2, u3) tuned for evolving fields, of one field's
+    values or of each row of a (steps, n) stack: shape (..., 3).
 
     u1 comes from the standard left-band fit. u2 and u3 are read off the
     shifted fields (D-1)u = u2 x^2 + 2 u3 x^3 + ... and
     (D-2)(D-1)u = 2 u3 x^3 + 6 u4 x^4 + ..., which annihilate the lower
     expansion terms analytically; their fit bands sit where x is large
     enough that stencil truncation (proportional to the full field) does
-    not swamp the x^2 and x^3 signals.
+    not swamp the x^2 and x^3 signals. A stack takes one stencil call per
+    shift, and each row equals its one-field call bitwise.
     """
-    grid = u.grid
-    u1 = gridmod.extract_coefficients(u, 1)[0]
-    tu = gridmod.shifted_derivative(u, 1.0)
-    u2 = gridmod.fit_powers(tu.values * grid.exp(-2.0), grid, *U2_BAND, 3)[0]
-    cu = gridmod.shifted_derivative(tu, 2.0)
-    u3 = gridmod.fit_powers(cu.values * grid.exp(-3.0), grid, *U3_BAND, 3)[0] / 2.0
-    return float(u1), float(u2), float(u3)
+    u1 = gridmod._fit_expansion(values, grid, 3)[..., 0]
+    tu = gridmod._shifted(values, 1.0, grid.h)
+    u2 = gridmod.fit_powers(tu * grid.exp(-2.0), grid, *U2_BAND, 3)[..., 0]
+    cu = gridmod._shifted(tu, 2.0, grid.h)
+    u3 = gridmod.fit_powers(cu * grid.exp(-3.0), grid, *U3_BAND, 3)[..., 0] / 2.0
+    return np.stack((u1, u2, u3), axis=-1)
+
+
+def leading_coefficients(u):
+    """(u1, u2, u3) of one field: the one-row case of stacked_coefficients."""
+    return tuple(stacked_coefficients(u.values, u.grid).tolist())
 
 
 def average_rhs(f, j, dt, grid):
@@ -97,15 +107,23 @@ def tilde_energy(values, grid, alpha):
     """|(D-1)u|_a^2 of one field's values, or of each row of a (..., n) stack: the
     energy a linear run checks, one stack of steps per call. A stacked call equals
     its per-row calls bitwise."""
-    return _weighted_sq(stencils.apply_derivative(values, 1, grid.h) - values, grid, alpha)
+    return _weighted_sq(gridmod._shifted(values, 1.0, grid.h), grid, alpha)
+
+
+def stacked_energies(values, grid, alpha, k):
+    """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature, of one field's values
+    or of each row of a (steps, n) stack: shape (..., 2), the stored steps' pairs.
+    D^k (D-1)u is the last entry of the derivative tower, one stencil call per order
+    per stack; each row equals its one-field call bitwise."""
+    tu = gridmod._shifted(values, 1.0, grid.h)
+    *_, dk = gridmod._ds_tower(tu, k, grid.h)
+    return np.stack([_weighted_sq(d, grid, alpha) for d in (tu, dk)], axis=-1)
 
 
 def tilde_energies(u, alpha, k):
-    """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature: a stored step's pair,
-    D^k (D-1)u the last entry of the derivative tower."""
-    tu = gridmod.shifted_derivative(u, 1.0).values
-    *_, dk = gridmod._ds_tower(tu, k, u.grid.h)
-    return tuple(float(_weighted_sq(d, u.grid, alpha)) for d in (tu, dk))
+    """A stored step's pair (|(D-1)u|_a^2, |D^k (D-1)u|_a^2): the one-row case of
+    stacked_energies."""
+    return tuple(stacked_energies(u.values, u.grid, alpha, k).tolist())
 
 
 def step(op, u_prev, f_avg, dt, factorization=None):
@@ -178,6 +196,12 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     Stored steps (t = 0, every store_every-th step and t = T) record the
     expansion coefficients. GridError unless u0 and every sample of f lie on
     op.grid, store_every is an integer >= 1, k an integer >= 0 and alpha finite.
+    The time loop stores only (t, u), with sup |v_x| for a nonlinear run; the
+    records are taken on (K, n) stacks of stored steps, K = grid.STEP_STACK,
+    one stencil call per derivative order per stack, and equal per-step records
+    bitwise. t = 0 is recorded on its own before the first solve, so a record
+    that cannot be taken (a grid that does not resolve x << 1) fails before any
+    step; the other stored steps are recorded after the last step.
 
     Linear (nonlinear = None): one solve per step. With f = None the energy
     |(D-1)u|_a^2 must not increase beyond a 1e-10 relative slack per step;
@@ -192,7 +216,8 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
 
     Nonlinear: each step iterates the solve on ``nonlinear.N``, then
     ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
-    record it and ``nonlinear.records(t, u)`` (initial-data norm, Y0).
+    record it and, one stack per call, ``nonlinear.records(t, values, grid)``
+    (initial-data norm, Y0).
     """
     n_steps = step_count(dt, T)
     if not isinstance(store_every, numbers.Integral) or store_every < 1:
@@ -207,15 +232,20 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
 
     def store(t, u):
         state.steps.append((t, u))
-        state.coefficient_tracks.append(leading_coefficients(u))
-        if nonlinear is None:
-            e0, ek = tilde_energies(u, alpha, k)
-            state.energy_log.append({"tilde_sq": e0, "tilde_dk_sq": ek})
-        else:
-            init_norm, y0 = nonlinear.records(t, u)
+        if nonlinear is not None:
             state.lipschitz_track.append(sup_vx)
-            state.init_norm_track.append(init_norm)
-            state.contact_line_track.append(y0)
+
+    def record(stored):
+        """Append the records of the stored steps ``stored``, taken as one stack."""
+        values = np.array([u.values for _, u in stored])
+        state.coefficient_tracks.append(stacked_coefficients(values, op.grid))
+        if nonlinear is None:
+            state.energy_log += [{"tilde_sq": e0, "tilde_dk_sq": ek} for e0, ek
+                                 in stacked_energies(values, op.grid, alpha, k).tolist()]
+        else:
+            init_norm, y0 = nonlinear.records([t for t, _ in stored], values, op.grid)
+            state.init_norm_track += init_norm.tolist()
+            state.contact_line_track += y0.tolist()
 
     # linear with f = None: the last checked step's values, then those not yet checked
     energy_rows = [u0.values] if nonlinear is None and f is None else None
@@ -232,6 +262,7 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     u, u_older, rate = u0, None, None
     sup_vx = None if nonlinear is None else nonlinear.guard(u0, 0)
     store(0.0, u0)
+    record(state.steps)  # t = 0 on its own: a record's error comes before the first solve
     for j in range(1, n_steps + 1):
         f_avg = None if f is None else average_rhs(f, j, dt, op.grid)
         if nonlinear is None:
@@ -249,5 +280,7 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
             sup_vx = nonlinear.guard(u, j)
         if j % store_every == 0 or j == n_steps:
             store(j * dt, u)
-    state.coefficient_tracks = np.array(state.coefficient_tracks)
+    for i in range(1, len(state.steps), gridmod.STEP_STACK):
+        record(state.steps[i:i + gridmod.STEP_STACK])
+    state.coefficient_tracks = np.concatenate(state.coefficient_tracks)
     return state

@@ -126,10 +126,17 @@ class NonlinearModel:
         """sup |v_x| after step j (0: initial data); GuardError when it fails."""
         return lipschitz_guard(to_v(u), "on the initial data" if j == 0 else f"at step {j}")
 
-    def records(self, t, u):
-        """(composite initial-data norm, contact line Y0 = 6t + v(0+))."""
-        init_norm = gridmod.composite_init_norm(u, self.norm_N, self.norm_k, self.delta)
-        return init_norm, 6.0 * t + contact_line_shift(u)
+    def records(self, t, values, grid):
+        """(composite initial-data norms, contact lines Y0 = 6t + v(0+)) of a (steps, n)
+        stack of stored steps at times t, two arrays of shape (steps,).
+
+        evolution.run hands over up to grid.STEP_STACK stored steps at a time; the
+        norm takes one stencil call per derivative order per stack, and each entry
+        equals composite_init_norm and contact_line_shift of its row bitwise.
+        """
+        init_norm = gridmod.stacked_init_norms(values, grid, self.norm_N, self.norm_k,
+                                               self.delta)
+        return init_norm, 6.0 * np.asarray(t) + stacked_contact_line_shifts(values, grid)
 
 
 def run_nonlinear(u0, dt, T, norm_N=1, norm_k=3, delta=0.25, store_every=1):
@@ -150,9 +157,16 @@ def run_nonlinear(u0, dt, T, norm_N=1, norm_k=3, delta=0.25, store_every=1):
                          store_every=store_every, nonlinear=model)
 
 
+def stacked_contact_line_shifts(values, grid):
+    """v(0+) of one field's values or of each row of a (steps, n) stack: the constant
+    term of a quadratic-in-x fit of v = u/(3x^2 + 2x) on the left band."""
+    v = values / _mobility(grid)[0]
+    return gridmod.fit_powers(v, grid, -np.inf, gridmod.FIT_BAND, 3)[..., 0]
+
+
 def contact_line_shift(u):
-    """v(0+): constant term of a quadratic-in-x fit of v on the left band."""
-    return float(gridmod.fit_powers(to_v(u).values, u.grid, -np.inf, gridmod.FIT_BAND, 3)[0])
+    """v(0+) of one field: the one-row case of stacked_contact_line_shifts."""
+    return float(stacked_contact_line_shifts(u.values, u.grid))
 
 
 def _locate(x, q):

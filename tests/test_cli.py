@@ -499,17 +499,17 @@ def _strict_json(path):
 
 def test_sweep_command(tmp_path, capsys, monkeypatch):
     cfg_path = _sweep_config(tmp_path)
-    fits = []
-    leading_coefficients = evolution.leading_coefficients
+    fits = []  # stack heights of the coefficient fits
+    stacked_coefficients = evolution.stacked_coefficients
 
-    def counted(u):
-        fits.append(u)
-        return leading_coefficients(u)
+    def counted(values, grid):
+        fits.append(len(values))
+        return stacked_coefficients(values, grid)
 
-    monkeypatch.setattr(evolution, "leading_coefficients", counted)
+    monkeypatch.setattr(evolution, "stacked_coefficients", counted)
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
                      "--config", cfg_path]) == 0
-    assert len(fits) == 6  # t = 0 and t = T of each of the three runs
+    assert fits == [1] * 6  # t = 0 and t = T of each of the three runs
     monkeypatch.undo()
     results = _strict_json(tmp_path / "run" / "sweep_summary.json")["results"]
     orders = results["richardson_orders"]

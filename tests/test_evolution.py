@@ -156,20 +156,22 @@ def _per_call_leading_coefficients(u):
 
 @pytest.mark.parametrize("nonlinear_run", [False, True])
 def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, nonlinear_run):
-    shifts = []
-    shifted_derivative = gridmod.shifted_derivative
+    shifts = []  # (a, stack height) of each (D - a) taken
+    shifted = gridmod._shifted
 
-    def counted(w, a):
-        shifts.append(a)
-        return shifted_derivative(w, a)
+    def counted(values, a, h):
+        shifts.append((a, len(values)))
+        return shifted(values, a, h)
 
-    monkeypatch.setattr(gridmod, "shifted_derivative", counted)
-    energy_calls = []  # (name, stack height or None)
-    for name in ("tilde_energy", "tilde_energies"):
-        def counted_energy(*args, _name=name, _original=getattr(evolution, name)):
-            energy_calls.append((_name, len(args[0]) if _name == "tilde_energy" else None))
-            return _original(*args)
-        monkeypatch.setattr(evolution, name, counted_energy)
+    monkeypatch.setattr(gridmod, "_shifted", counted)
+    calls = []  # (name, stack height)
+    for module, name in ((evolution, "tilde_energy"), (evolution, "stacked_energies"),
+                         (evolution, "stacked_coefficients"), (gridmod, "stacked_init_norms"),
+                         (nonlinear, "stacked_contact_line_shifts")):
+        def counted_record(values, *args, _name=name, _original=getattr(module, name)):
+            calls.append((_name, len(values)))
+            return _original(values, *args)
+        monkeypatch.setattr(module, name, counted_record)
     x = default_grid.x
     u0 = gridmod.GridFunction(default_grid, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
     if nonlinear_run:
@@ -179,21 +181,24 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
                               alpha=0.75, k=3, store_every=2)
     stored = len(state.steps)
     assert stored == 4
-    # (D-1)u is not shared between monitors: a linear run takes it twice per
-    # stored step (energy pair and coefficients), a nonlinear run once per stored
-    # step (coefficients); (D-2)(D-1)u only for the stored steps' coefficients.
-    # The energy flags take (D-1)u of their stacks inside tilde_energy.
-    assert shifts.count(1.0) == (2 * stored if not nonlinear_run else stored)
-    assert shifts.count(2.0) == stored
-    # a linear run: |(D-1)u|^2 of u0 and its 5 steps as one stack of 6 rows, the
-    # pair with the D^k energy once per stored step; a nonlinear run records no energy
-    if nonlinear_run:
-        assert energy_calls == [] and state.energy_log == []
-    else:
-        assert energy_calls.count(("tilde_energies", None)) == stored
-        assert [c for c in energy_calls if c[0] == "tilde_energy"] == [("tilde_energy", 6)]
-        assert len(state.energy_log) == stored
+    # the stored steps are recorded in two stacks: t = 0 on its own, before the
+    # first solve, then the other three. (D-1)u is not shared between monitors: a
+    # linear run takes it once per stack for the energy pair and once for the
+    # coefficients, a nonlinear run once (coefficients); (D-2)(D-1)u once per
+    # stack, for the coefficients. The energy flags take (D-1)u of their stack of
+    # u0 and its 5 steps inside tilde_energy.
+    stacks = [1, 3]
+    records = ["stacked_coefficients"] + (
+        ["stacked_init_norms", "stacked_contact_line_shifts"] if nonlinear_run
+        else ["stacked_energies"])
+    want = [(name, h) for h in stacks for name in records]
+    want += [] if nonlinear_run else [("tilde_energy", 6)]
+    assert sorted(calls) == sorted(want)
+    want_shifts = [(a, h) for h in stacks for a in (1.0, 2.0)]
+    want_shifts += [] if nonlinear_run else [(1.0, 1), (1.0, 3), (1.0, 6)]
+    assert sorted(shifts) == sorted(want_shifts)
     monkeypatch.undo()
+    assert len(state.energy_log) == (0 if nonlinear_run else stored)
     for (_, u), entry in zip(state.steps, state.energy_log):
         assert (entry["tilde_sq"], entry["tilde_dk_sq"]) == _per_call_tilde_energies(u, 0.75, 3)
         assert evolution.tilde_energies(u, 0.75, 3) == _per_call_tilde_energies(u, 0.75, 3)
@@ -220,6 +225,91 @@ def test_stacked_energies_equal_per_row_energies(n, height, alpha, seed):
         # the one-field form and the stored-step pair's |(D-1)u|_a^2, bitwise
         assert e == evolution.tilde_energy(row, grid, alpha)
         assert e == evolution.tilde_energies(gridmod.GridFunction(grid, row), alpha, 0)[0]
+
+
+STACK = gridmod.STEP_STACK
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.sampled_from((64, 257, 1025)), height=st.integers(1, 2 * STACK + 1),
+       alpha=st.sampled_from((0.25, 0.75, -0.5)), k=st.integers(0, 5),
+       norm=st.sampled_from(((0, 1, 0.25), (1, 3, 0.25), (2, 1, 0.1))),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_records_equal_per_field_records(n, height, alpha, k, norm, seed):
+    grid = gridmod.LogGrid(-12.0, 4.0, n)
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-8.0, 0.0, (height, 1))
+    x = grid.x
+    stack = scales * (1.0 + 0.1 * rng.standard_normal((height, n))) * x * np.exp(-x)
+    t = 1e-2 * np.arange(height)
+    coeffs = evolution.stacked_coefficients(stack, grid)
+    energies = evolution.stacked_energies(stack, grid, alpha, k)
+    init_norms, y0 = nonlinear.NonlinearModel(*norm).records(t, stack, grid)
+    assert coeffs.shape == (height, 3) and energies.shape == (height, 2)
+    assert init_norms.shape == y0.shape == (height,)
+    for i, row in enumerate(stack):
+        u = gridmod.GridFunction(grid, row)
+        assert tuple(coeffs[i]) == evolution.leading_coefficients(u)
+        assert tuple(energies[i]) == evolution.tilde_energies(u, alpha, k)
+        assert init_norms[i] == gridmod.composite_init_norm(u, *norm)
+        assert y0[i] == 6.0 * t[i] + nonlinear.contact_line_shift(u)
+
+
+def _per_step_records(state, alpha, k, model):
+    """The stored-step records of a run, taken by a loop over its stored steps."""
+    records = []
+    for t, u in state.steps:
+        row = [evolution.leading_coefficients(u)]
+        if model is None:
+            row.append(evolution.tilde_energies(u, alpha, k))
+        else:
+            row += [gridmod.composite_init_norm(u, model.norm_N, model.norm_k, model.delta),
+                    6.0 * t + nonlinear.contact_line_shift(u)]
+        records.append(row)
+    return records
+
+
+@pytest.mark.parametrize("nonlinear_run", [False, True])
+@pytest.mark.parametrize("stored", [STACK - 1, STACK, STACK + 1, STACK + 2, 2 * STACK + 1])
+def test_record_stacks_equal_a_per_step_loop(nonlinear_run, stored):
+    x = SMALL_GRID.x
+    u0 = gridmod.GridFunction(SMALL_GRID, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    T = (stored - 1) * 1e-2
+    model = nonlinear.NonlinearModel() if nonlinear_run else None
+    state = evolution.run(resolvent.assemble(SMALL_GRID), u0, None, 1e-2, T, alpha=0.75,
+                          k=3, nonlinear=model)
+    assert len(state.steps) == stored and state.coefficient_tracks.shape == (stored, 3)
+    got = [[tuple(c)] for c in state.coefficient_tracks]
+    if nonlinear_run:
+        assert state.energy_log == []
+        for row, norm, y0 in zip(got, state.init_norm_track, state.contact_line_track):
+            row += [norm, y0]
+    else:
+        for row, entry in zip(got, state.energy_log):
+            row.append((entry["tilde_sq"], entry["tilde_dk_sq"]))
+    assert got == _per_step_records(state, 0.75, 3, model)
+    assert state.flags == ([] if nonlinear_run else _per_step_flags(state, 0.75))
+
+
+@pytest.mark.parametrize("nonlinear_run", [False, True])
+def test_unresolved_grid_fails_before_the_first_solve(monkeypatch, nonlinear_run):
+    # s_min = -5 does not resolve the contact line: the t = 0 records raise before
+    # any step is solved, not after the run
+    grid = gridmod.LogGrid(-5.0, 4.0, 1025)
+    solves = []
+    solve_values = resolvent.Factorization.solve_values
+
+    def counted(self, rhs):
+        solves.append(1)
+        return solve_values(self, rhs)
+
+    monkeypatch.setattr(resolvent.Factorization, "solve_values", counted)
+    with pytest.raises(GridError, match="does not resolve x << 1"):
+        if nonlinear_run:
+            nonlinear.run_nonlinear(gridmod.zero(grid), 1e-2, 0.1)
+        else:
+            evolution.run(resolvent.assemble(grid), gridmod.zero(grid), None, 1e-2, 0.1)
+    assert solves == []
 
 
 def _per_step_flags(state, alpha):

@@ -188,18 +188,23 @@ def test_composite_init_norm_exact_expansion():
 
 def test_composite_init_norm_takes_one_stencil_call_per_order(default_grid, monkeypatch):
     # N = 1, k = 3: three (sub, beta) rows and 8 s-derivatives, the rows
-    # differentiated as one stack: one call per derivative order
+    # differentiated as one stack: one call per derivative order; a stack of
+    # stored steps takes its steps' rows as one stack, STEP_STACK steps at a time
     w = gaussian_bump(default_grid)
-    rows = []
+    shapes = []
     apply_derivative = stencils.apply_derivative
 
     def counted(values, m, h):
-        rows.append(np.shape(values)[0])
+        shapes.append(np.shape(values))
         return apply_derivative(values, m, h)
 
     monkeypatch.setattr(stencils, "apply_derivative", counted)
+    n, K = default_grid.n, gridmod.STEP_STACK
     gridmod.composite_init_norm(w, 1, 3, 0.25)
-    assert rows == [3] * 8
+    assert shapes == [(1, 3, n)] * 8
+    shapes.clear()
+    gridmod.stacked_init_norms(np.tile(w.values, (2 * K + 1, 1)), default_grid, 1, 3, 0.25)
+    assert shapes == [(K, 3, n)] * 16 + [(1, 3, n)] * 8
 
 
 def test_composite_norm_dispatch_and_bounds(default_grid):

@@ -111,6 +111,24 @@ def test_nonlinearity_quadratic_smallness(fine_grid):
     assert spread < 0.10
 
 
+def test_nonlinearity_is_fourth_order_under_grid_refinement():
+    # N(u) of u = 1e-2 (3x^2 + 2x) x e^{-x} on four grids, each halving h: the
+    # coarser grid's nodes are every other node of the finer one. Away from both
+    # edges (-8 < s < 2) the differences fall like h^4 (measured orders 3.98, 3.99)
+    fields = []
+    for n in (257, 513, 1025, 2049):
+        grid = gridmod.LogGrid(-12.0, 4.0, n)
+        x = grid.x
+        u = gridmod.GridFunction(grid, 1e-2 * (3 * x * x + 2 * x) * x * np.exp(-x))
+        fields.append((grid, nonlinear.eval_nonlinearity(u).values))
+    diffs = []
+    for (coarse, nc), (_, nf) in zip(fields, fields[1:]):
+        inner = (coarse.s > -8.0) & (coarse.s < 2.0)
+        diffs.append(np.max(np.abs(nc - nf[::2])[inner]))
+    orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
+    assert np.all((3.5 <= orders) & (orders <= 4.5)), (diffs, orders)
+
+
 def test_run_nonlinear_zero_fixed_point(default_grid):
     state = nonlinear.run_nonlinear(gridmod.zero(default_grid), 1e-2, 1.0)
     assert max(np.max(np.abs(u.values)) for _, u in state.steps) <= 1e-12
