@@ -14,7 +14,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import evolution, resolvent, stencils
 from . import grid as gridmod
@@ -171,7 +170,7 @@ def contact_line_shift(u):
 
 def _locate(x, q):
     """(i, q - x[i]): the interval i of each q, x[i] <= q < x[i+1], the end
-    intervals extended beyond x (scipy's PPoly rule; NaN falls in the last)."""
+    intervals extended beyond x."""
     i = np.clip(np.searchsorted(x, q, "right") - 1, 0, len(x) - 2)
     return i, q - x[i]
 
@@ -189,102 +188,52 @@ def _refined(grid, upsample):
 
 
 def _hermite(x, y, dydx, i, d):
-    """The piecewise cubic through (x, y) with slopes dydx, at x[i] + d.
+    """(value, slope) at x[i] + d of the piecewise cubic through (x, y) with slopes dydx.
 
-    scipy 1.17.1's CubicHermiteSpline coefficients and its compiled PPoly
-    evaluation, operation for operation, so the values are scipy's bitwise:
-    the local power sum starts from 0.0 and adds the terms from the constant
-    one up, so even the sign of a zero result matches.
+    Each piece depends on its two end samples alone, so a slice of the samples
+    that holds the pieces in i gives the same values as the whole.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-    c0, c1, c2, c3 = c.take(i, axis=1)
-    dd = d * d
-    return 0.0 + c3 + c2 * d + c1 * dd + c0 * (dd * d)
-
-
-def _not_a_knot(x, y, i, d):
-    """scipy's not-a-knot CubicSpline(x, y) at x[i] + d, for len(x) > 3: the
-    slopes solve its tridiagonal system, the not-a-knot end rows included."""
-    n = len(x)
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    ab = np.zeros((3, n))
-    b = np.empty(n)
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    w = x[2] - x[0]
-    ab[1, 0], ab[0, 1] = dx[1], w
-    b[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / w
-    w = x[-1] - x[-3]
-    ab[1, -1], ab[-1, -2] = dx[-2], w
-    b[-1] = (dx[-1]**2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
-    dydx = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
-    return _hermite(x, y, dydx, i, d)
-
-
-def _pchip(x, y, q):
-    """scipy's PchipInterpolator(x, y, extrapolate=False)(q) for len(x) >= 3:
-    NaN outside [x[0], x[-1]].
-
-    Inner slopes are the weighted harmonic mean of the neighbouring secants
-    (Fritsch & Carlson 1980), 0 where the secants change sign or one
-    vanishes; the end slopes are the one-sided three-point estimate, set to 0
-    against the sign of the first secant and capped at 3 times it where the
-    secants change sign (Moler, Numerical Computing with MATLAB, 3.6).
-    """
-    hk = np.diff(x)
-    mk = np.diff(y) / hk
-    smk = np.sign(mk)
-    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-    dydx = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-        dydx[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-    h0, h1, m0, m1 = hk[[0, -1]], hk[[1, -2]], mk[[0, -1]], mk[[1, -2]]
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    dydx[[0, -1]] = np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
-    return np.where((q >= x[0]) & (q <= x[-1]), _hermite(x, y, dydx, *_locate(x, q)), np.nan)
+    c2 = (3.0 * slope - 2.0 * dydx[:-1] - dydx[1:]) / dx
+    c3 = (dydx[:-1] + dydx[1:] - 2.0 * slope) / (dx * dx)
+    y0, m0, c2, c3 = np.stack((y[:-1], dydx[:-1], c2, c3)).take(i, axis=1)
+    return y0 + d * (m0 + d * (c2 + d * c3)), m0 + d * (2.0 * c2 + 3.0 * d * c3)
 
 
 def reconstruct(u, t, y_grid, upsample=8):
     """Film profile h on y_grid from the parametric pairs (Y(t,x), x^3 + x^2).
 
-    Monotone cubic interpolation in y; below the first resolved sample the
-    film height is reported as zero. The contact line is Y0 = 6t + v(0+).
-    The parametric samples are refined in s first (the wave profile is exact
-    on the refined nodes and only the smooth, small v needs interpolating),
-    which keeps third-derivative oracles of the output meaningful at large x
-    where the raw spacing x h would be coarse. ``upsample`` is an integer >= 1.
-    Both interpolants (not-a-knot cubic spline in s, pchip in y) equal scipy
-    1.17.1's bitwise.
+    The film is h = x^3 + x^2 at y = x + 6t + v(x). The parametric samples
+    are taken on s refined by ``upsample`` (an integer >= 1): v and its slope
+    there come from the cubic Hermite interpolant of v through the grid values
+    with the fourth-order D^1 stencil slopes. h is then the cubic Hermite
+    interpolant in y through those samples with the exact slopes
+    dh/dy = (3x^3 + 2x^2) / (dy/ds), dy/ds = x + v_s. Below the first sample,
+    past the last and at a NaN y the film height is reported as zero. The
+    contact line is Y0 = 6t + v(0+).
     """
     if not isinstance(upsample, numbers.Integral) or upsample < 1:
         raise GridError(f"upsample must be an integer >= 1, got {upsample!r}")
+    if not np.isfinite(t):
+        raise GridError(f"reconstruction time t must be finite, got {t!r}")
     grid = u.grid
     v = to_v(u)
     lipschitz_guard(v, "in the reconstruction (the height map may fold over)")
     x, i, d = _refined(grid, upsample)
-    y_param = x + 6.0 * t + _not_a_knot(grid.s, v.values, i, d)
-    if np.any(np.diff(y_param) <= 0):
+    v_fine, vs_fine = _hermite(grid.s, v.values, stencils.apply_derivative(v.values, 1, grid.h), i, d)
+    y_param = x + 6.0 * t + v_fine
+    dy_ds = x + vs_fine
+    if np.any(dy_ds <= 0) or np.any(np.diff(y_param) <= 0):
         raise GuardError("non-monotone height map")
     y = np.asarray(y_grid, dtype=float)
     h = np.zeros(y.shape)
-    finite = y[np.isfinite(y)]
-    if finite.size:
-        # pchip slopes are local (nodes k-1..k+1; one-sided only at the two
-        # ends), so the interpolant on the samples that bracket the finite y,
-        # with two more on each side, is the full one bitwise on that range
-        lo = max(np.searchsorted(y_param, finite.min(), "right") - 3, 0)
-        hi = np.searchsorted(y_param, finite.max(), "left") + 3
-        xw = x[lo:hi]
-        h = np.where(y < y_param[0], 0.0, _pchip(y_param[lo:hi], xw**3 + xw * xw, y))
-        h = np.where(np.isnan(h), 0.0, h)
+    inside = (y >= y_param[0]) & (y <= y_param[-1])
+    i, d = _locate(y_param, y[inside])
+    if i.size:
+        # only the pieces that hold a requested y are built
+        w = slice(i.min(), i.max() + 2)
+        xw = x[w]
+        h[inside] = _hermite(y_param[w], xw**3 + xw * xw, (3.0 * xw**3 + 2.0 * xw * xw) / dy_ds[w],
+                             i - w.start, d)[0]
     return FilmReconstruction(y=y, h=h, contact_line=6.0 * t + contact_line_shift(u))

@@ -245,6 +245,21 @@ def test_manufactured_convergence():
     assert min(orders) >= 2.0
 
 
+def test_manufactured_error_meets_the_roundoff_floor():
+    # past n = 1025 rounding amplified by h^-4, the fourth-order operator's
+    # conditioning, outgrows the truncation error: the error rises ~16x per halving
+    lam = 0.1
+    errs = []
+    for n in (513, 1025, 2049, 4097):
+        g = gridmod.LogGrid(-12, 4, n)
+        ustar, rhs = manufactured(g, lam)
+        sol = resolvent.solve(resolvent.assemble(g), lam, rhs)
+        errs.append(np.linalg.norm(sol.solution.values - ustar.values)
+                    / np.linalg.norm(ustar.values))
+    assert int(np.argmin(errs)) == 1
+    assert 3.0 <= np.log2(errs[3] / errs[2]) <= 5.0
+
+
 def test_manufactured_residual_is_small(fine_grid):
     ustar, rhs = manufactured(fine_grid, 1.0)
     op = resolvent.assemble(fine_grid)
