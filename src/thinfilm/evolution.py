@@ -8,7 +8,11 @@ starts from the extrapolant 2u^n - u^(n-1) (Ascher, Ruuth & Wetton 1995,
 SIAM J. Numer. Anal. 32:797) and stops when its increment, or the error
 estimate theta/(1 - theta) times it with the contraction rate theta carried
 over from step to step (Hairer & Wanner, Solving ODEs II, IV.8), is below
-PICARD_TOL; on small data that is one solve per step. Every run records the
+PICARD_TOL; on small data that is one solve per step. The iteration runs on
+value arrays (the model's N takes and returns values) with the operands and
+order of the GridFunction calls, so its iterates equal theirs bitwise, and it
+builds one GridFunction per solve, which checks the solve output is finite.
+The linear step stays evolution.step. Every run records the
 expansion-coefficient tracks at stored steps. The energy log is recorded for
 linear runs only: such a run records the commuted energy |(D-1)u|_{a}^2 with
 its k-th D-derivative |D^k (D-1)u|_{a}^2 at stored steps. Without forcing it
@@ -144,33 +148,41 @@ def step(op, u_prev, f_avg, dt, factorization=None):
 def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
     """Iterate u = step(u_prev, f_avg + N(u)) to a fixed point; (u, solves, rate).
 
-    The iteration starts from the extrapolant 2 u_prev - u_older (from u_prev
-    when u_older is None) and measures the contraction rate
-    delta_k / delta_(k-1) of its max-norm increments; until it has two
-    increments it uses ``rate``, the last rate measured (None: none yet). It
-    stops when delta < model.picard_tol, or when rate < 1 and the error estimate
-    rate / (1 - rate) * delta is at most model.picard_tol. A rate >= 1 only
-    disables the estimate. Running out of the model.picard_max budget raises
-    PicardError, which reports the last increment and rate: the iteration
-    may still be contracting, only too slowly for the budget.
+    The iteration runs on value arrays: the extrapolant 2 u_prev - u_older
+    (u_prev when u_older is None), model.N(values, grid), the right-hand side
+    lambda u_prev + (f_avg + N(u)) with lambda u_prev taken once per step, each
+    sum with the operands and grouping of ``step``, so an iterate equals the
+    step of the GridFunction calls bitwise. The one GridFunction of an
+    iteration is its solve output, which checks that the iterate is finite.
+    The iteration measures the contraction rate delta_k / delta_(k-1) of its
+    max-norm increments; until it has two increments it uses ``rate``, the
+    last rate measured (None: none yet). It stops when delta < model.picard_tol,
+    or when rate < 1 and the error estimate rate / (1 - rate) * delta is at
+    most model.picard_tol. A rate >= 1 only disables the estimate. Running out
+    of the model.picard_max budget raises PicardError, which reports the last
+    increment and rate: the iteration may still be contracting, only too
+    slowly for the budget.
     """
-    iterate = u_prev if u_older is None else gridmod.GridFunction(
-        op.grid, 2.0 * u_prev.values - u_older.values)
+    grid = op.grid
+    base = (1.0 / dt) * u_prev.values
+    iterate = u_prev.values if u_older is None else 2.0 * u_prev.values - u_older.values
     last = None
     for count in range(1, model.picard_max + 1):
-        g = model.N(iterate)
+        rhs = model.N(iterate, grid)
         if f_avg is not None:
-            g = gridmod.GridFunction(op.grid, f_avg.values + g.values)
-        u_next = step(op, u_prev, g, dt, factorization=fac)
-        delta = float(np.max(np.abs(u_next.values - iterate.values)))
-        iterate = u_next
+            np.add(f_avg.values, rhs, out=rhs)
+        rhs += base
+        u_next = gridmod.GridFunction(grid, fac.solve_values(rhs))
+        increment = u_next.values - iterate
+        delta = float(np.max(np.abs(increment, out=increment)))
+        iterate = u_next.values
         if last:
             rate = delta / last
         last = delta
         if delta < model.picard_tol or (
                 rate is not None and rate < 1.0
                 and rate / (1.0 - rate) * delta <= model.picard_tol):
-            return iterate, count, rate
+            return u_next, count, rate
     raise PicardError(f"Picard stalled at step {j}: picard_max = {model.picard_max} "
                       f"iterations used, last increment {delta:.3e}, last measured rate "
                       + ("none" if rate is None else f"{rate:.3f}"))

@@ -50,26 +50,34 @@ def to_v(u):
 
 def _dx(values, grid):
     # d/dx = e^{-s} d/ds
-    return grid.inv_x * stencils.apply_derivative(values, 1, grid.h)
+    d = stencils.apply_derivative(values, 1, grid.h)
+    d *= grid.inv_x
+    return d
 
 
-def _guarded_dx(v, where):
-    """(sup |v_x|, v_x); GuardError naming ``where`` unless sup |v_x| < LIPSCHITZ_THRESHOLD."""
-    vx = _dx(v.values, v.grid)
+def _vx(values, grid):
+    """v_x of the coordinate perturbation v = u / (3x^2 + 2x), from the values of u."""
+    return _dx(values / _mobility(grid)[0], grid)
+
+
+def _guarded_sup(vx, where):
+    """sup |v_x| of the values vx; GuardError naming ``where`` unless it is below
+    LIPSCHITZ_THRESHOLD. The one guard comparison: N(u), every step, the initial
+    data and each reconstruction go through it."""
     sup = float(np.max(np.abs(vx)))
     if not sup < LIPSCHITZ_THRESHOLD:
         raise GuardError(f"Lipschitz guard tripped {where}: sup |v_x| = {sup:.4f} "
                          f"is not below {LIPSCHITZ_THRESHOLD}")
-    return sup, vx
+    return sup
 
 
 def lipschitz_guard(v, where="on v"):
     """sup |v_x| of the coordinate perturbation v; GuardError when the guard fails."""
-    return _guarded_dx(v, where)[0]
+    return _guarded_sup(_dx(v.values, v.grid), where)
 
 
-def eval_nonlinearity(u):
-    """N(u) by pointwise evaluation of the closed form.
+def _nonlinearity(values, grid):
+    """N(u) of the values of u on grid, as values: the one implementation.
 
     Requires the Lipschitz guard to pass; raises GuardError otherwise (the
     height map would be invalid). The evaluation uses the algebraically
@@ -83,34 +91,65 @@ def eval_nonlinearity(u):
     (chain rule applied to ((1+v_x)^{-1} dx)^2 (1+v_x)^{-1} m - 6 + dx^3 u)
     but every term is explicitly quadratic in v_x, so the traveling wave and
     its contact-line shifts are exact fixed points of the discretization and
-    no O(1) cancellation is left to floating point.
+    no O(1) cancellation is left to floating point. The intermediate fields are
+    scaled and summed in place, each sum and product with the operands and
+    grouping of the written bracket, so the result does not depend on it.
     """
-    grid = u.grid
-    vx = _guarded_dx(to_v(u), "in N(u)")[1]
+    vx = _vx(values, grid)
+    _guarded_sup(vx, "in N(u)")
+    inv = 1.0 + vx
+    np.divide(1.0, inv, out=inv)
+    zw = np.empty((2, grid.n))
+    z, w = zw
+    np.multiply(vx, inv, out=w)
+    np.multiply(vx, w, out=z)  # v_x^2 / (1 + v_x)
     mob, mob1, height = _mobility(grid)
-    inv = 1.0 / (1.0 + vx)
-    w = vx * inv
-    z = vx * w  # v_x^2 / (1 + v_x)
 
     # d/dx = e^{-s} D and d^2/dx^2 = e^{-2s} (D^2 - D); the fields that do not
     # depend on each other are stacked: D of (z m, w m, z m', w m') in one call,
     # D^2 of (z m, w m) in another
-    zw = np.array([z, w])
-    fields = np.concatenate((zw * mob, zw * mob1))
+    fields = np.empty((4, grid.n))
+    np.multiply(zw, mob, out=fields[:2])
+    np.multiply(zw, mob1, out=fields[2:])
     d1 = stencils.apply_derivative(fields, 1, grid.h)
     d2 = stencils.apply_derivative(fields[:2], 2, grid.h)
-    dx_zm, t, dx_zm1, dx_wm1 = grid.inv_x * d1
-    dx2_zm, dx2_wm = grid.inv_x2 * (d2 - d1[:2])
-    lin = dx2_zm + dx_zm1 + 6.0 * z
-    dx_wt = _dx(w * t, grid)
-    quad = dx_wt + w * dx2_wm + w * dx_wm1 - w * dx_wt
-    bracket = lin + quad
-    return gridmod.GridFunction(grid, _dx(height * bracket, grid))
+    d2 -= d1[:2]
+    d2 *= grid.inv_x2
+    d1 *= grid.inv_x
+    dx_zm, t, dx_zm1, dx_wm1 = d1
+    dx2_zm, dx2_wm = d2
+    lin = dx2_zm  # dx^2(z m) + dx(z m') + 6 z
+    lin += dx_zm1
+    z *= 6.0
+    lin += z
+    t *= w
+    dx_wt = _dx(t, grid)
+    quad = dx2_wm  # dx(w t) + w dx^2(w m) + w dx(w m') - w dx(w t), t = dx(w m)
+    quad *= w
+    np.add(dx_wt, quad, out=quad)
+    dx_wm1 *= w
+    quad += dx_wm1
+    dx_wt *= w
+    quad -= dx_wt
+    lin += quad  # the bracket
+    lin *= height
+    return _dx(lin, grid)
+
+
+def eval_nonlinearity(u):
+    """N(u) of a GridFunction, as one: the public form of ``_nonlinearity``."""
+    return gridmod.GridFunction(u.grid, _nonlinearity(u.values, u.grid))
 
 
 @dataclass
 class NonlinearModel:
-    """What evolution.run needs for the nonlinear problem u_t + A u = N(u)."""
+    """What evolution.run needs for the nonlinear problem u_t + A u = N(u).
+
+    The Picard iteration runs on value arrays: ``N(values, grid)`` takes the
+    values of an iterate and returns those of N(u), a new array of shape (n,)
+    the caller may overwrite, and need not be finite; the solve output built
+    from it is checked. ``guard(u, j)`` takes the GridFunction of step j.
+    """
 
     picard_tol = PICARD_TOL  # class attributes, not fields: the stopping rule is fixed
     picard_max = PICARD_MAX
@@ -118,12 +157,13 @@ class NonlinearModel:
     norm_k: int = 3
     delta: float = 0.25
 
-    def N(self, u):
-        return eval_nonlinearity(u)
+    def N(self, values, grid):
+        return _nonlinearity(values, grid)
 
     def guard(self, u, j):
         """sup |v_x| after step j (0: initial data); GuardError when it fails."""
-        return lipschitz_guard(to_v(u), "on the initial data" if j == 0 else f"at step {j}")
+        return _guarded_sup(_vx(u.values, u.grid),
+                            "on the initial data" if j == 0 else f"at step {j}")
 
     def records(self, t, values, grid):
         """(composite initial-data norms, contact lines Y0 = 6t + v(0+)) of a (steps, n)
@@ -218,10 +258,11 @@ def reconstruct(u, t, y_grid, upsample=8):
     if not np.isfinite(t):
         raise GridError(f"reconstruction time t must be finite, got {t!r}")
     grid = u.grid
-    v = to_v(u)
-    lipschitz_guard(v, "in the reconstruction (the height map may fold over)")
+    v = u.values / _mobility(grid)[0]
+    vs = stencils.apply_derivative(v, 1, grid.h)
+    _guarded_sup(grid.inv_x * vs, "in the reconstruction (the height map may fold over)")
     x, i, d = _refined(grid, upsample)
-    v_fine, vs_fine = _hermite(grid.s, v.values, stencils.apply_derivative(v.values, 1, grid.h), i, d)
+    v_fine, vs_fine = _hermite(grid.s, v, vs, i, d)
     y_param = x + 6.0 * t + v_fine
     dy_ds = x + vs_fine
     if np.any(dy_ds <= 0) or np.any(np.diff(y_param) <= 0):

@@ -166,6 +166,7 @@ class Factorization:
         self._matrix = op.csr(w)  # the scaled operator, for the refinement residual
         self._row_scale = row_scale
         self._col_scale = col_scale
+        self._closure_rows = np.array(op.closure_rows())
 
     def _back_substitute(self, b):
         y, info = _gbtrs(self._lu, KL, KU, b, self._piv)
@@ -174,13 +175,20 @@ class Factorization:
         return y
 
     def solve_values(self, rhs_interior):
+        """The solution's values for the right-hand side values ``rhs_interior``,
+        a new array; the argument is not changed.
+
+        The right-hand side is scaled by the row scales, and its closure rows
+        (the factorization's index of them) are set to zero. The scaled system
+        is solved by back-substitution with one step of iterative refinement in
+        working precision, and the result is scaled back by the column scales.
+        """
         b = rhs_interior * self._row_scale
-        for i in self.op.closure_rows():
-            b[i] = 0.0
+        b[self._closure_rows] = 0.0
         y = self._back_substitute(b)
-        # one step of iterative refinement in working precision
-        r = b - self._matrix @ y
-        return (y + self._back_substitute(r)) * self._col_scale
+        y += self._back_substitute(b - self._matrix @ y)
+        y *= self._col_scale
+        return y
 
     def solve(self, g):
         """The solution on the operator's grid; GridError unless g lies on it."""

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import ds_any
 from thinfilm import evolution, nonlinear, resolvent, stencils
 from thinfilm import grid as gridmod
-from thinfilm.errors import GridError, PicardError
+from thinfilm.errors import GridError, GuardError, PicardError
 
 KERNEL_GRID = gridmod.LogGrid(-12.0, 9.0, 1345)
 
@@ -406,8 +406,8 @@ def test_run_rejects_bad_energy_weights(kwargs, message):
 
 def test_picard_with_zero_nonlinearity_is_the_linear_step(default_grid):
     class Linear(nonlinear.NonlinearModel):
-        def N(self, u):
-            return gridmod.zero(u.grid)
+        def N(self, values, grid):
+            return np.zeros(grid.n)
 
     x = default_grid.x
     w = 1e-3 * x**2 * np.exp(-x)
@@ -467,7 +467,7 @@ def _absolute_increment_picard(op, u_prev, u_older, f_avg, dt, fac, model, j, ra
     below picard_tol, with no extrapolated start and no rate estimate."""
     iterate = u_prev
     for count in range(1, model.picard_max + 1):
-        g = model.N(iterate)
+        g = gridmod.GridFunction(op.grid, model.N(iterate.values, op.grid))
         if f_avg is not None:
             g = gridmod.GridFunction(op.grid, f_avg.values + g.values)
         u_next = evolution.step(op, u_prev, g, dt, factorization=fac)
@@ -501,3 +501,117 @@ def test_picard_rates_are_recorded_per_step(small_wave_run):
     assert len(state.picard_rates) == len(state.picard_counts) == 100
     # step 1 starts without a rate and measures one; small data contracts
     assert all(r is not None and r < 1.0 for r in state.picard_rates)
+
+
+def _public_call_run(op, u0, f, dt, T):
+    """The nonlinear time loop of evolution.run, every field a GridFunction: each
+    iterate from eval_nonlinearity and evolution.step, each step's guard from
+    lipschitz_guard(to_v(u)), with run's extrapolant and stop rule. Every step is
+    stored; returns (states, picard counts, picard rates, sup |v_x| per state)."""
+    grid, model = op.grid, nonlinear.NonlinearModel()
+    fac = resolvent.Factorization(op, 1.0 / dt)
+    u, u_older, rate = u0, None, None
+    states, counts, rates = [u0], [], []
+    track = [nonlinear.lipschitz_guard(nonlinear.to_v(u0))]
+    for j in range(1, evolution.step_count(dt, T) + 1):
+        f_avg = None if f is None else evolution.average_rhs(f, j, dt, grid)
+        iterate = u if u_older is None else gridmod.GridFunction(
+            grid, 2.0 * u.values - u_older.values)
+        last = None
+        for count in range(1, model.picard_max + 1):
+            g = nonlinear.eval_nonlinearity(iterate)
+            if f_avg is not None:
+                g = gridmod.GridFunction(grid, f_avg.values + g.values)
+            u_next = evolution.step(op, u, g, dt, factorization=fac)
+            delta = float(np.max(np.abs(u_next.values - iterate.values)))
+            iterate = u_next
+            if last:
+                rate = delta / last
+            last = delta
+            if delta < model.picard_tol or (
+                    rate is not None and rate < 1.0
+                    and rate / (1.0 - rate) * delta <= model.picard_tol):
+                break
+        else:
+            raise PicardError(f"Picard stalled at step {j}")
+        u_older, u = u, iterate
+        states.append(u)
+        counts.append(count)
+        rates.append(rate)
+        track.append(nonlinear.lipschitz_guard(nonlinear.to_v(u)))
+    return states, counts, rates, track
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_nonlinear_loop_matches_the_public_calls(forced):
+    # the E1 input (eps = 1e-3) on 513 nodes; the loop on value arrays gives the
+    # states, iteration counts, rates and guard margins of the GridFunction calls
+    g = gridmod.LogGrid(-12.0, 4.0, 513)
+    x = g.x
+    u0 = gridmod.GridFunction(g, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    w = 1e-3 * x * x * np.exp(-x)
+    f = (lambda t: gridmod.GridFunction(g, np.cos(t) * w)) if forced else None
+    op = resolvent.assemble(g)
+    state = evolution.run(op, u0, f, 1e-2, 0.5, nonlinear=nonlinear.NonlinearModel())
+    states, counts, rates, track = _public_call_run(op, u0, f, 1e-2, 0.5)
+    assert len(state.steps) == len(states) == 51
+    assert all(np.array_equal(a.values, b.values) for (_, a), b in zip(state.steps, states))
+    assert state.picard_counts == counts
+    assert state.picard_rates == rates
+    assert state.lipschitz_track == track
+
+
+class _WatchedModel(nonlinear.NonlinearModel):
+    """The nonlinear model, but N(u) is ``bad(values, grid)`` during step ``at``;
+    ``done`` is the last step the guard passed."""
+
+    def __init__(self, at, bad):
+        super().__init__()
+        self.at, self.bad, self.done = at, bad, None
+
+    def N(self, values, grid):
+        if self.done == self.at - 1:
+            return self.bad(values, grid)
+        return super().N(values, grid)
+
+    def guard(self, u, j):
+        sup = super().guard(u, j)
+        self.done = j
+        return sup
+
+
+def test_a_non_finite_nonlinearity_fails_at_its_step(default_grid):
+    model = _WatchedModel(3, lambda values, grid: np.full(grid.n, np.nan))
+    u0 = gridmod.GridFunction(default_grid, 1e-3 * gridmod.monomial(default_grid, 2).values
+                              * np.exp(-default_grid.x))
+    with pytest.raises(GridError, match="grid function values must be finite"):
+        evolution.run(resolvent.assemble(default_grid), u0, None, 1e-2, 0.1, nonlinear=model)
+    assert model.done == 2  # step 3 raised on its first iterate; step 4 never ran
+
+
+def test_a_guard_trip_mid_run_names_its_step(default_grid):
+    # during step 3 N(u) is a strong forcing that does not depend on u: the
+    # iteration converges, and the state it reaches fails the guard
+    x = default_grid.x
+    kick = 1e3 * (3 * x * x + 2 * x) * x * np.exp(-x)
+    model = _WatchedModel(3, lambda values, grid: kick.copy())
+    u0 = gridmod.GridFunction(default_grid, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    with pytest.raises(GuardError, match=r"Lipschitz guard tripped at step 3: "):
+        evolution.run(resolvent.assemble(default_grid), u0, None, 1e-2, 0.1, nonlinear=model)
+    assert model.done == 2
+
+
+def test_nonlinear_run_builds_one_grid_function_per_solve(small_wave_run, monkeypatch):
+    # the Picard loop runs on value arrays: the solve outputs are its only GridFunctions
+    u0, _ = small_wave_run
+    built = 0
+    init = gridmod.GridFunction.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(gridmod.GridFunction, "__init__", counted)
+    state = nonlinear.run_nonlinear(u0, 1e-2, 1.0, store_every=50)
+    assert built == sum(state.picard_counts)
