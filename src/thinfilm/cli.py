@@ -139,9 +139,9 @@ def cmd_norms(args):
         try:
             k_s, a_s, sub_s = spec_text.split(":")
             spec = gridmod.NormSpec(int(k_s), float(a_s), int(sub_s))
+            out[spec_text] = gridmod.weighted_norm(w, spec)
         except (ValueError, ThinFilmError) as exc:
             raise ConfigError("--spec", f"bad norm spec {spec_text!r}: {exc}") from exc
-        out[spec_text] = gridmod.weighted_norm(w, spec)
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -18,7 +18,6 @@ from . import grid as gridmod
 from . import polyops, stencils
 from .elliptic import _require_compact_support
 
-BOUNDARY_TOL = 1e-8  # |margin| below this counts as zero at interval endpoints
 MARGIN_SCAN = 4001  # normalized_margin: linear scan points on mu = xi^2 in [0, 4],
 MARGIN_MU_MAX = 400.0  # then MARGIN_SCAN // 2 geometric ones up to this mu
 _SQRT3 = np.sqrt(3.0)

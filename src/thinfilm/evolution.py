@@ -20,8 +20,9 @@ also flags every step at which |(D-1)u|_{a}^2 rises, taking the energies of
 ENERGY_BATCH steps at a time as one stack. The stored steps' records are
 taken on stacks too: t = 0 on its own before the first step, the other stored
 steps after the last, grid.STEP_STACK (K = 8) at a time, with one stencil
-call per derivative order per stack; each record equals its one-field form
-(leading_coefficients, tilde_energies, ...) bitwise.
+call per derivative order per stack. The record functions (leading_coefficients,
+tilde_energies, ...) take one field's values or a stack, and each row of a
+stack equals its one-field call bitwise.
 """
 
 import numbers
@@ -62,7 +63,7 @@ class EvolutionState:
         return self.steps[-1][1]
 
 
-def stacked_coefficients(values, grid):
+def leading_coefficients(values, grid):
     """Expansion coefficients (u1, u2, u3) tuned for evolving fields, of one field's
     values or of each row of a (steps, n) stack: shape (..., 3).
 
@@ -82,11 +83,6 @@ def stacked_coefficients(values, grid):
     return np.stack((u1, u2, u3), axis=-1)
 
 
-def leading_coefficients(u):
-    """(u1, u2, u3) of one field: the one-row case of stacked_coefficients."""
-    return tuple(stacked_coefficients(u.values, u.grid).tolist())
-
-
 def average_rhs(f, j, dt, grid):
     """Three-point Simpson average of f over [(j-1) dt, j dt].
 
@@ -101,33 +97,23 @@ def average_rhs(f, j, dt, grid):
     return gridmod.GridFunction(grid, (a.values + 4.0 * m.values + b.values) / 6.0)
 
 
-def _weighted_sq(d, grid, alpha):
-    """int e^{-2 alpha s} d^2 ds by trapezoid quadrature, of one field or of each row
-    of a (..., n) stack."""
-    return stencils.trapezoid(grid.exp(-2.0 * alpha) * d * d, grid.h)
-
-
 def tilde_energy(values, grid, alpha):
     """|(D-1)u|_a^2 of one field's values, or of each row of a (..., n) stack: the
     energy a linear run checks, one stack of steps per call. A stacked call equals
     its per-row calls bitwise."""
-    return _weighted_sq(gridmod._shifted(values, 1.0, grid.h), grid, alpha)
+    return gridmod._norm_sq(gridmod._shifted(values, 1.0, grid.h), 0,
+                            grid.exp(-2.0 * alpha), grid)
 
 
-def stacked_energies(values, grid, alpha, k):
+def tilde_energies(values, grid, alpha, k):
     """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature, of one field's values
     or of each row of a (steps, n) stack: shape (..., 2), the stored steps' pairs.
     D^k (D-1)u is the last entry of the derivative tower, one stencil call per order
     per stack; each row equals its one-field call bitwise."""
     tu = gridmod._shifted(values, 1.0, grid.h)
     *_, dk = gridmod._ds_tower(tu, k, grid.h)
-    return np.stack([_weighted_sq(d, grid, alpha) for d in (tu, dk)], axis=-1)
-
-
-def tilde_energies(u, alpha, k):
-    """A stored step's pair (|(D-1)u|_a^2, |D^k (D-1)u|_a^2): the one-row case of
-    stacked_energies."""
-    return tuple(stacked_energies(u.values, u.grid, alpha, k).tolist())
+    weight = grid.exp(-2.0 * alpha)
+    return np.stack([gridmod._norm_sq(d, 0, weight, grid) for d in (tu, dk)], axis=-1)
 
 
 def step(op, u_prev, f_avg, dt, factorization=None):
@@ -250,10 +236,10 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     def record(stored):
         """Append the records of the stored steps ``stored``, taken as one stack."""
         values = np.array([u.values for _, u in stored])
-        state.coefficient_tracks.append(stacked_coefficients(values, op.grid))
+        state.coefficient_tracks.append(leading_coefficients(values, op.grid))
         if nonlinear is None:
             state.energy_log += [{"tilde_sq": e0, "tilde_dk_sq": ek} for e0, ek
-                                 in stacked_energies(values, op.grid, alpha, k).tolist()]
+                                 in tilde_energies(values, op.grid, alpha, k).tolist()]
         else:
             init_norm, y0 = nonlinear.records([t for t, _ in stored], values, op.grid)
             state.init_norm_track += init_norm.tolist()

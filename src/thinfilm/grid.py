@@ -252,11 +252,16 @@ def _norm_sq(values, k, weight, grid):
 
 def weighted_norm(w, spec):
     """|w|_{k,alpha}, trapezoid quadrature, with the fitted expansion
-    u_1 x + ... + u_sub x^sub subtracted first when sub > 0."""
+    u_1 x + ... + u_sub x^sub subtracted first when sub > 0. GridError when the
+    norm overflows (a large k or alpha on a wide grid)."""
     v = w.values
     if spec.sub:
         v = _minus_expansion(v, extract_coefficients(w, spec.sub), w.grid)
-    return float(np.sqrt(_norm_sq(v, spec.k, w.grid.exp(-2.0 * spec.alpha), w.grid)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        norm = float(np.sqrt(_norm_sq(v, spec.k, w.grid.exp(-2.0 * spec.alpha), w.grid)))
+    if not np.isfinite(norm):
+        raise GridError(f"the norm |w|_{{{spec.k},{spec.alpha:g}}} is not finite on this grid")
+    return norm
 
 
 def index_sets(N, delta):
@@ -297,26 +302,23 @@ def _require_norm_indices(N, k, delta):
 _TRACK_ORDER = 5  # sol norms with N = 2 subtract expansion terms up to x^5
 
 
-def stacked_init_norms(values, grid, N, k, delta):
-    """composite_init_norm of each row of a (steps, n) stack of values, shape (steps,).
+def composite_init_norm(values, grid, N, k, delta):
+    """Initial-data norm of one field's values, or of each row of a (steps, n) stack,
+    shape (steps,): the distinct |w - u_1 x - ... - u_sub x^sub|_{k+4N+1,beta} with
+    (sub, beta) = (floor(alpha) + m + r, alpha + m + r) over the first index set,
+    r = 0..m, summed in squares in sorted (sub, beta) order.
 
     Each (sub, beta) square is one column of _norm_series; a step's columns are
-    summed in sorted (sub, beta) order, so each entry equals the one-field norm
+    summed in that order, so each entry of a stack equals the norm of its row alone
     bitwise.
     """
     _require_norm_indices(N, k, delta)
+    stack = values if values.ndim == 2 else values[None, :]
     rows = sorted({(sub, beta) for _l, sub, beta in _weight_shifts(index_sets(N, delta)[0])})
-    series = _norm_series(values, _fit_expansion(values, grid, _TRACK_ORDER), grid,
+    series = _norm_series(stack, _fit_expansion(stack, grid, _TRACK_ORDER), grid,
                           k + 4 * N + 1, rows)
-    return np.sqrt(sum(series.T, 0.0))
-
-
-def composite_init_norm(w, N, k, delta):
-    """Initial-data norm: the distinct |w - u_1 x - ... - u_sub x^sub|_{k+4N+1,beta}
-    with (sub, beta) = (floor(alpha) + m + r, alpha + m + r) over the first index
-    set, r = 0..m, summed in squares in sorted (sub, beta) order; the one-row case
-    of stacked_init_norms."""
-    return float(stacked_init_norms(w.values[None, :], w.grid, N, k, delta)[0])
+    norms = np.sqrt(sum(series.T, 0.0))
+    return norms if values.ndim == 2 else norms[0]
 
 
 def _traj_arrays(traj):

@@ -60,7 +60,7 @@ def _vx(values, grid):
     return _dx(values / _mobility(grid)[0], grid)
 
 
-def _guarded_sup(vx, where):
+def lipschitz_guard(vx, where):
     """sup |v_x| of the values vx; GuardError naming ``where`` unless it is below
     LIPSCHITZ_THRESHOLD. The one guard comparison: N(u), every step, the initial
     data and each reconstruction go through it."""
@@ -69,11 +69,6 @@ def _guarded_sup(vx, where):
         raise GuardError(f"Lipschitz guard tripped {where}: sup |v_x| = {sup:.4f} "
                          f"is not below {LIPSCHITZ_THRESHOLD}")
     return sup
-
-
-def lipschitz_guard(v, where="on v"):
-    """sup |v_x| of the coordinate perturbation v; GuardError when the guard fails."""
-    return _guarded_sup(_dx(v.values, v.grid), where)
 
 
 def _nonlinearity(values, grid):
@@ -96,7 +91,7 @@ def _nonlinearity(values, grid):
     grouping of the written bracket, so the result does not depend on it.
     """
     vx = _vx(values, grid)
-    _guarded_sup(vx, "in N(u)")
+    lipschitz_guard(vx, "in N(u)")
     inv = 1.0 + vx
     np.divide(1.0, inv, out=inv)
     zw = np.empty((2, grid.n))
@@ -162,8 +157,8 @@ class NonlinearModel:
 
     def guard(self, u, j):
         """sup |v_x| after step j (0: initial data); GuardError when it fails."""
-        return _guarded_sup(_vx(u.values, u.grid),
-                            "on the initial data" if j == 0 else f"at step {j}")
+        return lipschitz_guard(_vx(u.values, u.grid),
+                               "on the initial data" if j == 0 else f"at step {j}")
 
     def records(self, t, values, grid):
         """(composite initial-data norms, contact lines Y0 = 6t + v(0+)) of a (steps, n)
@@ -171,11 +166,11 @@ class NonlinearModel:
 
         evolution.run hands over up to grid.STEP_STACK stored steps at a time; the
         norm takes one stencil call per derivative order per stack, and each entry
-        equals composite_init_norm and contact_line_shift of its row bitwise.
+        equals that of its row alone bitwise.
         """
-        init_norm = gridmod.stacked_init_norms(values, grid, self.norm_N, self.norm_k,
-                                               self.delta)
-        return init_norm, 6.0 * np.asarray(t) + stacked_contact_line_shifts(values, grid)
+        init_norm = gridmod.composite_init_norm(values, grid, self.norm_N, self.norm_k,
+                                                self.delta)
+        return init_norm, 6.0 * np.asarray(t) + contact_line_shift(values, grid)
 
 
 def run_nonlinear(u0, dt, T, norm_N=1, norm_k=3, delta=0.25, store_every=1):
@@ -196,16 +191,11 @@ def run_nonlinear(u0, dt, T, norm_N=1, norm_k=3, delta=0.25, store_every=1):
                          store_every=store_every, nonlinear=model)
 
 
-def stacked_contact_line_shifts(values, grid):
+def contact_line_shift(values, grid):
     """v(0+) of one field's values or of each row of a (steps, n) stack: the constant
     term of a quadratic-in-x fit of v = u/(3x^2 + 2x) on the left band."""
     v = values / _mobility(grid)[0]
     return gridmod.fit_powers(v, grid, -np.inf, gridmod.FIT_BAND, 3)[..., 0]
-
-
-def contact_line_shift(u):
-    """v(0+) of one field: the one-row case of stacked_contact_line_shifts."""
-    return float(stacked_contact_line_shifts(u.values, u.grid))
 
 
 def _locate(x, q):
@@ -260,7 +250,7 @@ def reconstruct(u, t, y_grid, upsample=8):
     grid = u.grid
     v = u.values / _mobility(grid)[0]
     vs = stencils.apply_derivative(v, 1, grid.h)
-    _guarded_sup(grid.inv_x * vs, "in the reconstruction (the height map may fold over)")
+    lipschitz_guard(grid.inv_x * vs, "in the reconstruction (the height map may fold over)")
     x, i, d = _refined(grid, upsample)
     v_fine, vs_fine = _hermite(grid.s, v, vs, i, d)
     y_param = x + 6.0 * t + v_fine
@@ -277,4 +267,5 @@ def reconstruct(u, t, y_grid, upsample=8):
         xw = x[w]
         h[inside] = _hermite(y_param[w], xw**3 + xw * xw, (3.0 * xw**3 + 2.0 * xw * xw) / dy_ds[w],
                              i - w.start, d)[0]
-    return FilmReconstruction(y=y, h=h, contact_line=6.0 * t + contact_line_shift(u))
+    return FilmReconstruction(y=y, h=h,
+                              contact_line=6.0 * t + float(contact_line_shift(u.values, grid)))

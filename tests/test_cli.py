@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -500,13 +501,13 @@ def _strict_json(path):
 def test_sweep_command(tmp_path, capsys, monkeypatch):
     cfg_path = _sweep_config(tmp_path)
     fits = []  # stack heights of the coefficient fits
-    stacked_coefficients = evolution.stacked_coefficients
+    leading_coefficients = evolution.leading_coefficients
 
     def counted(values, grid):
         fits.append(len(values))
-        return stacked_coefficients(values, grid)
+        return leading_coefficients(values, grid)
 
-    monkeypatch.setattr(evolution, "stacked_coefficients", counted)
+    monkeypatch.setattr(evolution, "leading_coefficients", counted)
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
                      "--config", cfg_path]) == 0
     assert fits == [1] * 6  # t = 0 and t = T of each of the three runs
@@ -607,6 +608,27 @@ def test_flag_errors_are_config_errors(tmp_path, capsys, argv, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("s_min, spec", [
+    (-12.0, "300:0.25:0"),  # printed NaN after RuntimeWarnings and exited 0
+    (-12.0, "0:400:0"),
+    (-5.0, "0:0.25:1"),  # the fit's unresolved-grid error exited 2 with no key named
+], ids=["overflow-k", "overflow-alpha", "unresolved-fit"])
+def test_norm_errors_are_keyed_to_spec(tmp_path, capsys, s_min, spec):
+    s = np.linspace(s_min, 4.0, 257)
+    x = np.exp(s)
+    csv = tmp_path / "field.csv"
+    csv.write_text("s,value\n" + "".join(f"{a!r},{b!r}\n"
+                                         for a, b in zip(s.tolist(), (x * np.exp(-x)).tolist())))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["norms", "--csv", str(csv), "--spec", spec]) == 1
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: config key '--spec': bad norm spec '{spec}': ")
+    assert err.count("\n") == 1
+
+
 def test_sweep_checks_steps_of_its_values_not_solver_dt(tmp_path, capsys):
     # T = 0.075 is 7.5 steps of the default solver.dt, which a sweep never runs,
     # and 3, 5 and 15 steps of the swept values
@@ -619,6 +641,7 @@ def test_sweep_checks_steps_of_its_values_not_solver_dt(tmp_path, capsys):
 _IMPORT_SET_SCRIPT = """
 import json
 import sys
+import warnings
 import numpy as np
 from thinfilm import cli, nonlinear
 from thinfilm import grid as gridmod

@@ -43,8 +43,8 @@ def test_step_dissipates_decaying_data(kernel_op):
     x = KERNEL_GRID.x
     u0 = gridmod.GridFunction(KERNEL_GRID, x**3 * np.exp(-x))
     u1 = evolution.step(kernel_op, u0, None, 1e-2)
-    e0, _ = evolution.tilde_energies(u0, 0.25, 2)
-    e1, _ = evolution.tilde_energies(u1, 0.25, 2)
+    e0, _ = evolution.tilde_energies(u0.values, KERNEL_GRID, 0.25, 2)
+    e1, _ = evolution.tilde_energies(u1.values, KERNEL_GRID, 0.25, 2)
     assert e1 < e0
 
 
@@ -116,7 +116,7 @@ def test_run_with_forcing_bounded(kernel_op):
 
     state = evolution.run(kernel_op, gridmod.zero(KERNEL_GRID), f, 1e-2, 1.0)
     e_final = state.energy_log[-1]["tilde_sq"]
-    f_energy, _ = evolution.tilde_energies(f(0.0), 0.25, 2)
+    f_energy, _ = evolution.tilde_energies(f(0.0).values, KERNEL_GRID, 0.25, 2)
     ratio = e_final / f_energy
     assert np.isfinite(ratio) and ratio < 10.0
 
@@ -125,7 +125,7 @@ def test_leading_coefficients_known_field():
     g = KERNEL_GRID
     x = g.x
     u = gridmod.GridFunction(g, (0.13 * x + 0.66 * x * x + 0.018 * x**3) * np.exp(-x))
-    u1, u2, u3 = evolution.leading_coefficients(u)
+    u1, u2, u3 = evolution.leading_coefficients(u.values, g)
     # e^{-x} mixes the monomials: u2 = 0.66 - 0.13, u3 = 0.018 - 0.66 + 0.065
     assert u1 == pytest.approx(0.13, abs=1e-10)
     assert u2 == pytest.approx(0.53, abs=1e-4)
@@ -165,9 +165,9 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
 
     monkeypatch.setattr(gridmod, "_shifted", counted)
     calls = []  # (name, stack height)
-    for module, name in ((evolution, "tilde_energy"), (evolution, "stacked_energies"),
-                         (evolution, "stacked_coefficients"), (gridmod, "stacked_init_norms"),
-                         (nonlinear, "stacked_contact_line_shifts")):
+    for module, name in ((evolution, "tilde_energy"), (evolution, "tilde_energies"),
+                         (evolution, "leading_coefficients"), (gridmod, "composite_init_norm"),
+                         (nonlinear, "contact_line_shift")):
         def counted_record(values, *args, _name=name, _original=getattr(module, name)):
             calls.append((_name, len(values)))
             return _original(values, *args)
@@ -188,9 +188,9 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
     # stack, for the coefficients. The energy flags take (D-1)u of their stack of
     # u0 and its 5 steps inside tilde_energy.
     stacks = [1, 3]
-    records = ["stacked_coefficients"] + (
-        ["stacked_init_norms", "stacked_contact_line_shifts"] if nonlinear_run
-        else ["stacked_energies"])
+    records = ["leading_coefficients"] + (
+        ["composite_init_norm", "contact_line_shift"] if nonlinear_run
+        else ["tilde_energies"])
     want = [(name, h) for h in stacks for name in records]
     want += [] if nonlinear_run else [("tilde_energy", 6)]
     assert sorted(calls) == sorted(want)
@@ -201,10 +201,12 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
     assert len(state.energy_log) == (0 if nonlinear_run else stored)
     for (_, u), entry in zip(state.steps, state.energy_log):
         assert (entry["tilde_sq"], entry["tilde_dk_sq"]) == _per_call_tilde_energies(u, 0.75, 3)
-        assert evolution.tilde_energies(u, 0.75, 3) == _per_call_tilde_energies(u, 0.75, 3)
+        assert tuple(evolution.tilde_energies(u.values, u.grid, 0.75, 3).tolist()) == \
+            _per_call_tilde_energies(u, 0.75, 3)
     for (_, u), coeffs in zip(state.steps, state.coefficient_tracks):
         assert tuple(coeffs) == _per_call_leading_coefficients(u)
-        assert evolution.leading_coefficients(u) == _per_call_leading_coefficients(u)
+        assert tuple(evolution.leading_coefficients(u.values, u.grid).tolist()) == \
+            _per_call_leading_coefficients(u)
 
 
 SMALL_GRID = gridmod.LogGrid(-12.0, 4.0, 257)
@@ -214,7 +216,7 @@ K = evolution.ENERGY_BATCH
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(n=st.sampled_from((64, 257, 1025)), height=st.integers(1, 2 * K + 1),
        alpha=st.sampled_from((0.25, 0.75, -0.5, 1.5)), seed=st.integers(0, 2**32 - 1))
-def test_stacked_energies_equal_per_row_energies(n, height, alpha, seed):
+def test_energy_stacks_equal_per_row_energies(n, height, alpha, seed):
     grid = gridmod.LogGrid(-12.0, 4.0, n)
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-8.0, 3.0, (height, 1))
@@ -224,7 +226,7 @@ def test_stacked_energies_equal_per_row_energies(n, height, alpha, seed):
     for row, e in zip(stack, energies):
         # the one-field form and the stored-step pair's |(D-1)u|_a^2, bitwise
         assert e == evolution.tilde_energy(row, grid, alpha)
-        assert e == evolution.tilde_energies(gridmod.GridFunction(grid, row), alpha, 0)[0]
+        assert e == evolution.tilde_energies(row, grid, alpha, 0)[0]
 
 
 STACK = gridmod.STEP_STACK
@@ -242,29 +244,30 @@ def test_stacked_records_equal_per_field_records(n, height, alpha, k, norm, seed
     x = grid.x
     stack = scales * (1.0 + 0.1 * rng.standard_normal((height, n))) * x * np.exp(-x)
     t = 1e-2 * np.arange(height)
-    coeffs = evolution.stacked_coefficients(stack, grid)
-    energies = evolution.stacked_energies(stack, grid, alpha, k)
+    coeffs = evolution.leading_coefficients(stack, grid)
+    energies = evolution.tilde_energies(stack, grid, alpha, k)
     init_norms, y0 = nonlinear.NonlinearModel(*norm).records(t, stack, grid)
     assert coeffs.shape == (height, 3) and energies.shape == (height, 2)
     assert init_norms.shape == y0.shape == (height,)
     for i, row in enumerate(stack):
-        u = gridmod.GridFunction(grid, row)
-        assert tuple(coeffs[i]) == evolution.leading_coefficients(u)
-        assert tuple(energies[i]) == evolution.tilde_energies(u, alpha, k)
-        assert init_norms[i] == gridmod.composite_init_norm(u, *norm)
-        assert y0[i] == 6.0 * t[i] + nonlinear.contact_line_shift(u)
+        assert tuple(coeffs[i]) == tuple(evolution.leading_coefficients(row, grid).tolist())
+        assert tuple(energies[i]) == tuple(evolution.tilde_energies(row, grid, alpha, k).tolist())
+        assert init_norms[i] == gridmod.composite_init_norm(row, grid, *norm)
+        assert y0[i] == 6.0 * t[i] + nonlinear.contact_line_shift(row, grid)
 
 
 def _per_step_records(state, alpha, k, model):
     """The stored-step records of a run, taken by a loop over its stored steps."""
     records = []
     for t, u in state.steps:
-        row = [evolution.leading_coefficients(u)]
+        v, grid = u.values, u.grid
+        row = [tuple(evolution.leading_coefficients(v, grid).tolist())]
         if model is None:
-            row.append(evolution.tilde_energies(u, alpha, k))
+            row.append(tuple(evolution.tilde_energies(v, grid, alpha, k).tolist()))
         else:
-            row += [gridmod.composite_init_norm(u, model.norm_N, model.norm_k, model.delta),
-                    6.0 * t + nonlinear.contact_line_shift(u)]
+            row += [gridmod.composite_init_norm(v, grid, model.norm_N, model.norm_k,
+                                                model.delta),
+                    6.0 * t + nonlinear.contact_line_shift(v, grid)]
         records.append(row)
     return records
 
@@ -503,16 +506,21 @@ def test_picard_rates_are_recorded_per_step(small_wave_run):
     assert all(r is not None and r < 1.0 for r in state.picard_rates)
 
 
+def _vx(u):
+    """v_x of v = to_v(u): the x-derivative of the GridFunction to_v(u)."""
+    return nonlinear._dx(nonlinear.to_v(u).values, u.grid)
+
+
 def _public_call_run(op, u0, f, dt, T):
     """The nonlinear time loop of evolution.run, every field a GridFunction: each
     iterate from eval_nonlinearity and evolution.step, each step's guard from
-    lipschitz_guard(to_v(u)), with run's extrapolant and stop rule. Every step is
+    lipschitz_guard of v_x, v = to_v(u), with run's extrapolant and stop rule. Every step is
     stored; returns (states, picard counts, picard rates, sup |v_x| per state)."""
     grid, model = op.grid, nonlinear.NonlinearModel()
     fac = resolvent.Factorization(op, 1.0 / dt)
     u, u_older, rate = u0, None, None
     states, counts, rates = [u0], [], []
-    track = [nonlinear.lipschitz_guard(nonlinear.to_v(u0))]
+    track = [nonlinear.lipschitz_guard(_vx(u0), "on v")]
     for j in range(1, evolution.step_count(dt, T) + 1):
         f_avg = None if f is None else evolution.average_rhs(f, j, dt, grid)
         iterate = u if u_older is None else gridmod.GridFunction(
@@ -538,7 +546,7 @@ def _public_call_run(op, u0, f, dt, T):
         states.append(u)
         counts.append(count)
         rates.append(rate)
-        track.append(nonlinear.lipschitz_guard(nonlinear.to_v(u)))
+        track.append(nonlinear.lipschitz_guard(_vx(u), "on v"))
     return states, counts, rates, track
 
 

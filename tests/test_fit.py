@@ -76,10 +76,10 @@ def test_fits_match_the_replaced_lstsq_fitters(field):
     got5 = gridmod._fit_expansion(u.values, u.grid, 5)[0]
     assert gridmod.extract_coefficients(u, 1)[0] == pytest.approx(want3, rel=1e-12, abs=0.0)
     assert got5 == pytest.approx(want5, rel=1e-12, abs=0.0)
-    np.testing.assert_allclose(evolution.leading_coefficients(u),
+    np.testing.assert_allclose(evolution.leading_coefficients(u.values, u.grid),
                                _old_leading_coefficients(u), rtol=1e-12, atol=0.0)
-    assert nonlinear.contact_line_shift(u) == pytest.approx(_old_contact_line_shift(u),
-                                                            rel=1e-12, abs=0.0)
+    assert nonlinear.contact_line_shift(u.values, u.grid) == pytest.approx(
+        _old_contact_line_shift(u), rel=1e-12, abs=0.0)
 
 
 def test_expansion_fit_matches_where_the_weight_decides():
@@ -120,6 +120,6 @@ def test_underdetermined_fits_raise():
     # narrowest of leading_coefficients' three, so its fit is the one that fails.
     coarse = gridmod.LogGrid(-12.0, 4.0, 16)
     with pytest.raises(GridError, match="too coarse"):
-        nonlinear.contact_line_shift(gridmod.monomial(coarse, 1))
+        nonlinear.contact_line_shift(coarse.x, coarse)
     with pytest.raises(GridError, match="too coarse"):
-        evolution.leading_coefficients(gridmod.monomial(coarse, 1))
+        evolution.leading_coefficients(coarse.x, coarse)

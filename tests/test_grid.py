@@ -141,7 +141,7 @@ def test_extract_consistent_with_v_limit(default_grid):
     x = default_grid.x
     u = gridmod.GridFunction(default_grid, (3 * x * x + 2 * x) * (0.3 + 0.1 * x))
     u1 = gridmod.extract_coefficients(u, 1)[0]
-    v0 = nonlinear.contact_line_shift(u)
+    v0 = nonlinear.contact_line_shift(u.values, default_grid)
     assert u1 == pytest.approx(0.6, abs=1e-8)
     assert 2 * v0 == pytest.approx(u1, abs=1e-8)
 
@@ -160,7 +160,7 @@ def test_composite_init_norm_matches_direct_assembly(default_grid):
     g = default_grid
     x, s = g.x, g.s
     w = gridmod.GridFunction(g, x**3 * np.exp(-x))
-    comp = gridmod.composite_init_norm(w, 1, 3, 0.25)
+    comp = gridmod.composite_init_norm(w.values, w.grid, 1, 3, 0.25)
     u1, u2 = gridmod.extract_coefficients(w, 2)
     total = 0.0
     for sub, alpha in ((0, 0.25), (1, 1.25), (2, 2.25)):
@@ -180,10 +180,10 @@ def test_composite_init_norm_exact_expansion():
     # check runs on a coarse grid where that floor is far below the signal.
     g = gridmod.LogGrid(-12, 4, 65)
     w = gridmod.GridFunction(g, 0.7 * gridmod.monomial(g, 1).values)
-    comp = gridmod.composite_init_norm(w, 1, 3, 0.25)
+    comp = gridmod.composite_init_norm(w.values, w.grid, 1, 3, 0.25)
     base = gridmod.weighted_norm(w, gridmod.NormSpec(8, 0.25))
     assert comp == pytest.approx(base, rel=1e-7)
-    assert gridmod.composite_init_norm(gridmod.zero(g), 1, 3, 0.25) == 0.0
+    assert gridmod.composite_init_norm(np.zeros(g.n), g, 1, 3, 0.25) == 0.0
 
 
 def test_composite_init_norm_takes_one_stencil_call_per_order(default_grid, monkeypatch):
@@ -200,10 +200,10 @@ def test_composite_init_norm_takes_one_stencil_call_per_order(default_grid, monk
 
     monkeypatch.setattr(stencils, "apply_derivative", counted)
     n, K = default_grid.n, gridmod.STEP_STACK
-    gridmod.composite_init_norm(w, 1, 3, 0.25)
+    gridmod.composite_init_norm(w.values, w.grid, 1, 3, 0.25)
     assert shapes == [(1, 3, n)] * 8
     shapes.clear()
-    gridmod.stacked_init_norms(np.tile(w.values, (2 * K + 1, 1)), default_grid, 1, 3, 0.25)
+    gridmod.composite_init_norm(np.tile(w.values, (2 * K + 1, 1)), default_grid, 1, 3, 0.25)
     assert shapes == [(K, 3, n)] * 16 + [(1, 3, n)] * 8
 
 
@@ -211,7 +211,7 @@ def test_composite_norm_dispatch_and_bounds(default_grid):
     w = gaussian_bump(default_grid)
     traj = [(0.1 * j, w) for j in range(4)]
     with pytest.raises(GridError, match="N <= 2"):
-        gridmod.composite_init_norm(w, 3, 3, 0.25)
+        gridmod.composite_init_norm(w.values, w.grid, 3, 3, 0.25)
     with pytest.raises(GridError, match="N <= 2"):
         gridmod.composite_sol_norm(traj, 3, 3, 0.25)
     with pytest.raises(GridError, match="N <= 2"):
@@ -349,7 +349,7 @@ def test_composite_norms_reject_unsupported_indices(norm, N, k, delta, message):
     x = _COARSE.x
     w = gridmod.GridFunction(_COARSE, x**3 * np.exp(-x))
     traj = [(0.1 * j, w) for j in range(4)]
-    evaluate = {"init": lambda: gridmod.composite_init_norm(w, N, k, delta),
+    evaluate = {"init": lambda: gridmod.composite_init_norm(w.values, w.grid, N, k, delta),
                 "sol": lambda: gridmod.composite_sol_norm(traj, N, k, delta),
                 "rhs": lambda: gridmod.composite_rhs_norm(traj, N, k, delta)}[norm]
     with pytest.raises(GridError, match=re.escape(message)):
@@ -372,7 +372,7 @@ def test_composite_norms_match_the_parent_loops(N, delta, base):
     # the parent squared weighted_norm's square root; the evaluator sums the
     # squares directly, so the two may differ in the last bits
     w = traj[0][1]
-    assert gridmod.composite_init_norm(w, N, 3, delta) == pytest.approx(
+    assert gridmod.composite_init_norm(w.values, w.grid, N, 3, delta) == pytest.approx(
         _parent_init_norm(w, N, 3, delta), rel=1e-15, abs=0.0)
 
 
@@ -424,7 +424,7 @@ def test_stacked_init_norm_matches_per_row_norms(N, base):
     for sub, beta in pairs:
         v = gridmod._minus_expansion(w.values, coeffs[:sub], _COARSE)
         total += _per_row_norm_sq(v, 3 + 4 * N + 1, beta, _COARSE)
-    assert gridmod.composite_init_norm(w, N, 3, 0.25) == float(np.sqrt(total))
+    assert gridmod.composite_init_norm(w.values, w.grid, N, 3, 0.25) == float(np.sqrt(total))
 
 
 def test_composite_sol_norm_matches_direct_assembly_n0(default_grid):

@@ -27,23 +27,23 @@ def test_to_v(default_grid):
     u = gridmod.monomial(default_grid, 1)
     v = nonlinear.to_v(u).values
     assert np.allclose(v, 1.0 / (3 * x + 2), rtol=1e-12)
-    assert nonlinear.contact_line_shift(u) == pytest.approx(0.5, abs=1e-6)
+    assert nonlinear.contact_line_shift(u.values, default_grid) == pytest.approx(0.5, abs=1e-6)
     for cached in nonlinear._mobility(default_grid):
         with pytest.raises(ValueError):
             cached[0] = 0.0
 
 
 def test_lipschitz_guard(default_grid):
-    zero = gridmod.zero(default_grid)
-    assert nonlinear.lipschitz_guard(zero) == 0.0
+    def vx(v):
+        return nonlinear._dx(v, default_grid)
+
+    assert nonlinear.lipschitz_guard(vx(np.zeros(default_grid.n)), "on v") == 0.0
 
     x = default_grid.x
-    v = gridmod.GridFunction(default_grid, 0.1 * x)
-    assert nonlinear.lipschitz_guard(v) == pytest.approx(0.1, rel=1e-6)
+    assert nonlinear.lipschitz_guard(vx(0.1 * x), "on v") == pytest.approx(0.1, rel=1e-6)
 
-    v = gridmod.GridFunction(default_grid, 0.6 * x)
     with pytest.raises(GuardError, match=r"sup \|v_x\| = 0\.6000 is not below 0\.5"):
-        nonlinear.lipschitz_guard(v)
+        nonlinear.lipschitz_guard(vx(0.6 * x), "on v")
 
 
 def test_nonlinearity_fixed_points(fine_grid):
@@ -206,8 +206,7 @@ def test_run_nonlinear_decay_trend(rng):
         a, b = rng.uniform(-0.5, 0.5, 2)
         mod = 1.0 + a * x / (1 + x) + b * x * np.exp(-x)
         raw = (3 * x * x + 2 * x) * np.exp(-x) * mod
-        u0 = gridmod.GridFunction(g, raw)
-        norm0 = gridmod.composite_init_norm(u0, 1, 3, 0.25)
+        norm0 = gridmod.composite_init_norm(raw, g, 1, 3, 0.25)
         u0 = gridmod.GridFunction(g, raw * (1e-3 / norm0))
         state = nonlinear.run_nonlinear(u0, 2e-2, 5.0, store_every=125)
         track = state.init_norm_track

@@ -313,6 +313,6 @@ def test_left_edge_coefficient_relation():
     _, rhs = manufactured(g, lam)
     op = resolvent.assemble(g)
     sol = resolvent.solve(op, lam, rhs)
-    u1, _, u3 = evolution.leading_coefficients(sol.solution)
+    u1, _, u3 = evolution.leading_coefficients(sol.solution.values, g)
     g1 = -12.0  # leading coefficient of the manufactured right-hand side
     assert abs(lam * u1 + 12 * u3 - g1) / abs(g1) < 1e-3
