@@ -118,12 +118,13 @@ def tilde_energies(values, grid, alpha, k):
 
 def step(op, u_prev, f_avg, dt, factorization=None):
     """One backward-Euler step; f_avg may be None for the homogeneous problem.
-    GridError unless u_prev and f_avg lie on op.grid."""
+    GridError unless u_prev and f_avg lie on op.grid; a given factorization
+    must be one of (1/dt + A) on op.grid (``resolvent.factorization_for``)."""
     if not 0 < dt < np.inf:
         raise GridError("dt must be positive and finite")
     gridmod.require_grid(u_prev, op.grid, "u_prev")
     lam = 1.0 / dt
-    fac = factorization if factorization is not None else resolvent.Factorization(op, lam)
+    fac = resolvent.factorization_for(op, lam, factorization)
     rhs = lam * u_prev.values
     if f_avg is not None:
         gridmod.require_grid(f_avg, op.grid, "f_avg")

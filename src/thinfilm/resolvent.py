@@ -10,13 +10,15 @@ whose product, which sums each row left to right from 0.0, serves
 `DiscreteOperator.apply`, the refinement of the banded solves (on the scaled
 matrix each factorization builds once) and the row magnitudes of
 `interior_residual`. Solves go through a banded LU factorization reusable
-across right-hand sides.
+across right-hand sides; each one starts from the operator's band template,
+the lambda-free LAPACK band built once per operator.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 from scipy.linalg import get_lapack_funcs
 
@@ -33,14 +35,16 @@ FAR_MIN_NODES = 10  # fewest tail nodes far_field_rate fits a slope to
 _gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0, dtype=np.float64),))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperator:
     """Stored entries of the spatial operator, row by row with ascending columns.
 
     ``row``, ``col``, ``val`` and the row pointer ``indptr`` (row i holds
-    entries indptr[i]:indptr[i+1]) are read-only. Rows 0 and 1 hold the
-    expansion-match closure, rows n-2 and n-1 the far-field clamp, and they
-    carry zero right-hand side in any solve.
+    entries indptr[i]:indptr[i+1]) are read-only, and the fields cannot be
+    reassigned, so the views cached from them (``abs_csr``,
+    ``band_template``) never go stale. Rows 0 and 1 hold the expansion-match
+    closure, rows n-2 and n-1 the far-field clamp, and they carry zero
+    right-hand side in any solve.
     """
 
     grid: gridmod.LogGrid
@@ -69,6 +73,24 @@ class DiscreteOperator:
         """The entries' magnitudes as a CSR matrix, built once: the row
         magnitudes of interior_residual."""
         return self.csr(np.abs(self.val))
+
+    @functools.cached_property
+    def band_template(self):
+        """(band, index), built once and read-only: the lambda-free band every
+        Factorization copies, and each stored entry's flat index into it.
+
+        ``band`` is LAPACK's compact band storage, entry (i, j) at
+        band[KU + i - j, KL + j]: KL + KU + 1 rows, with KL zero columns
+        before the n columns of the matrix and KU after them, so that every
+        row of the operator, the edge rows included, is the KL + KU + 1 cells
+        of one anti-diagonal.
+        """
+        band = np.zeros((KL + KU + 1, self.n + KL + KU))
+        index = (KU + self.row - self.col) * band.shape[1] + KL + self.col
+        band.ravel()[index] = self.val
+        for a in (band, index):
+            a.flags.writeable = False
+        return band, index
 
     def apply(self, w):
         """Row-wise product; closure rows evaluate their residual relation.
@@ -137,7 +159,6 @@ class Factorization:
         self.op = op
         self.lam = float(lam)
         n = op.n
-        row, col = op.row, op.col
         # Two-sided equilibration with exact powers of two: interior rows
         # carry factors up to e^{-2 s_min}/h^4 and the solution components
         # span the x^2 contact-line scale, either of which would otherwise
@@ -145,25 +166,29 @@ class Factorization:
         def pow2(v):
             return 2.0 ** (-np.floor(np.log2(v)))
 
-        w = op.val.copy()
-        w[(row == col) & (row >= 2) & (row <= n - 3)] += self.lam  # not the closure rows
-        row_max = np.zeros(n)
-        np.maximum.at(row_max, row, np.abs(w))
-        row_scale = pow2(row_max)
-        w *= row_scale[row]
-        ab = np.zeros((2 * KL + KU + 1, n))
-        ab[KL + KU + row - col, col] = w
-        col_max = np.abs(ab).max(axis=0)
+        template, index = op.band_template
+        band = template.copy()
+        # row i of the operator as row i of an (n, KL + KU + 1) view whose column
+        # r is band row r, matrix column i + KU - r: column KU is the diagonal
+        rows = as_strided(band.ravel()[KL + KU:], shape=(n, KL + KU + 1),
+                          strides=(band.itemsize, (band.shape[1] - 1) * band.itemsize))
+        rows[2:n - 2, KU] += self.lam  # the diagonal, not the closure rows
+        row_scale = pow2(np.abs(rows).max(axis=1))
+        rows *= row_scale[:, None]
+        cols = band[:, KL:KL + n]  # the matrix's columns, between the margins
+        col_max = np.abs(cols).max(axis=0)
         col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
-        ab *= col_scale
-        w *= col_scale[col]
-        lu, piv, info = _gbtrf(ab, KL, KU)
+        cols *= col_scale
+        # the scaled operator, for the refinement residual
+        self._matrix = op.csr(band.ravel()[index])
+        ab = np.zeros((2 * KL + KU + 1, n), order="F")  # gbtrf fills in the top KL rows
+        ab[KL:] = cols
+        lu, piv, info = _gbtrf(ab, KL, KU, overwrite_ab=1)
         if info != 0:
             raise SolverError(f"banded factorization failed (info={info}); "
                               "lambda outside validity or broken closure rows")
         self._lu = lu
         self._piv = piv
-        self._matrix = op.csr(w)  # the scaled operator, for the refinement residual
         self._row_scale = row_scale
         self._col_scale = col_scale
         self._closure_rows = np.array(op.closure_rows())
@@ -194,6 +219,21 @@ class Factorization:
         """The solution on the operator's grid; GridError unless g lies on it."""
         gridmod.require_grid(g, self.op.grid, "the right-hand side g")
         return gridmod.GridFunction(self.op.grid, self.solve_values(g.values))
+
+
+def factorization_for(op, lam, factorization=None):
+    """``factorization``, or a new Factorization(op, lam) when it is None.
+    GridError when it was built on another grid, SolverError when for another
+    lambda; a factorization of op itself skips the grid comparison."""
+    if factorization is None:
+        return Factorization(op, lam)
+    if factorization.op is not op and factorization.op.grid != op.grid:
+        raise GridError(f"the factorization is built on {factorization.op.grid}, "
+                        f"the solver works on {op.grid}")
+    if factorization.lam != lam:
+        raise SolverError(f"the factorization is built for lambda = {factorization.lam!r}, "
+                          f"the solve needs lambda = {lam!r}")
+    return factorization
 
 
 @dataclass
@@ -234,10 +274,11 @@ def interior_residual(op, lam, u, g):
 
 def solve(op, lam, g, factorization=None):
     """Solve (lambda + A) u = g with closure-augmented right-hand side;
-    GridError unless g lies on op.grid."""
+    GridError unless g lies on op.grid. A given factorization must be one of
+    (lambda + A) on op.grid (``factorization_for``)."""
     gridmod.require_grid(g, op.grid, "the right-hand side g")
     _compatibility_probe(g)
-    fac = factorization if factorization is not None else Factorization(op, lam)
+    fac = factorization_for(op, lam, factorization)
     u = fac.solve(g)
     res = interior_residual(op, lam, u, g)
     rate = far_field_rate(u, lam)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import ds_any
 from thinfilm import evolution, nonlinear, resolvent, stencils
 from thinfilm import grid as gridmod
-from thinfilm.errors import GridError, GuardError, PicardError
+from thinfilm.errors import GridError, GuardError, PicardError, SolverError
 
 KERNEL_GRID = gridmod.LogGrid(-12.0, 9.0, 1345)
 
@@ -463,6 +463,16 @@ def test_public_entries_reject_fields_off_the_operator_grid(name):
 def test_step_rejects_nan_dt():
     with pytest.raises(GridError, match="dt must be positive"):
         evolution.step(resolvent.assemble(SMALL_GRID), gridmod.zero(SMALL_GRID), None, np.nan)
+
+
+def test_step_rejects_a_factorization_of_another_problem():
+    op = resolvent.assemble(SMALL_GRID)
+    u = gridmod.monomial(SMALL_GRID, 2)
+    with pytest.raises(SolverError, match=r"lambda = 50\.0, the solve needs lambda = 100\.0"):
+        evolution.step(op, u, None, 1e-2, factorization=resolvent.Factorization(op, 50.0))
+    other = resolvent.assemble(gridmod.LogGrid(-10.0, 6.0, SMALL_GRID.n))
+    with pytest.raises(GridError, match="factorization is built on"):
+        evolution.step(op, u, None, 1e-2, factorization=resolvent.Factorization(other, 100.0))
 
 
 def _absolute_increment_picard(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -104,7 +105,7 @@ def test_vectorized_assemble_matches_row_loop(n):
 
 def _loop_band(grid, lam):
     """Row-by-row band fill the vectorized Factorization must reproduce:
-    the gbtrf-ready band, the scaled entries and the two scales."""
+    the gbtrf-ready band, the two scales and the scaled entries in CSR order."""
     row, col, val = _loop_rows(grid)
     n = grid.n
     closure = {0, 1, n - 2, n - 1}
@@ -127,24 +128,44 @@ def _loop_band(grid, lam):
     col_scale = pow2(np.where(col_max > 0, col_max, 1.0))
     kl, ku = resolvent.KL, resolvent.KU
     ab = np.zeros((2 * kl + ku + 1, n))
+    entries = []
     for i, (start, w) in enumerate(full_rows):
         for k, wv in enumerate(w):
             j = start + k
             ab[kl + ku + i - j, j] = wv * col_scale[j]
-    return ab, row_scale, col_scale
+            entries.append(ab[kl + ku + i - j, j])
+    return ab, row_scale, col_scale, np.array(entries)
 
 
-@pytest.mark.parametrize("n", [64, 513])
-@pytest.mark.parametrize("lam", [0.1, 100.0])
-def test_vectorized_band_matches_row_loop(n, lam):
-    grid = gridmod.LogGrid(-12.0, 4.0, n)
+# criterion 7's window [-12, 9] at n = 1345 has a step h that is not a power of two
+@pytest.mark.parametrize("window", [pytest.param((-12.0, 4.0, n), id=str(n))
+                                    for n in (64, 513, 1025, 4097)]
+                         + [pytest.param((-12.0, 9.0, 1345), id="1345-criterion7")])
+@pytest.mark.parametrize("lam", [0.1, 100.0, 400.0])
+def test_vectorized_band_matches_row_loop(window, lam):
+    grid = gridmod.LogGrid(*window)
     fac = resolvent.Factorization(resolvent.assemble(grid), lam)
-    ab, row_scale, col_scale = _loop_band(grid, lam)
-    lu, _, info = resolvent._gbtrf(ab, resolvent.KL, resolvent.KU)
+    ab, row_scale, col_scale, entries = _loop_band(grid, lam)
+    lu, piv, info = resolvent._gbtrf(ab, resolvent.KL, resolvent.KU)
     assert info == 0
-    assert np.array_equal(fac._lu, lu)
-    assert np.array_equal(fac._row_scale, row_scale)
-    assert np.array_equal(fac._col_scale, col_scale)
+    assert fac._lu.tobytes() == lu.tobytes() and fac._piv.tobytes() == piv.tobytes()
+    assert fac._row_scale.tobytes() == row_scale.tobytes()
+    assert fac._col_scale.tobytes() == col_scale.tobytes()
+    assert fac._matrix.data.tobytes() == entries.tobytes()
+
+
+def test_operator_and_its_band_template_are_read_only():
+    op = resolvent.assemble(gridmod.LogGrid(-12.0, 4.0, 64))
+    for field in ("grid", "row", "col", "val", "indptr"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, field, getattr(op, field))
+    band, index = op.band_template
+    assert op.band_template[0] is band  # built once
+    assert band.ravel()[index].tobytes() == op.val.tobytes()
+    assert np.count_nonzero(band) == np.count_nonzero(op.val)
+    for a in (band, index):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 @pytest.mark.parametrize("n", [64, 513, 1025, 4097])
@@ -229,6 +250,21 @@ def test_solve_zero_and_linearity(fine_grid):
     u3 = resolvent.solve(op, 2.0, g3, factorization=fac).solution.values
     # linear up to the refinement step's rounding
     assert np.max(np.abs(u3 - 3.0 * u1)) <= 1e-8 * np.max(np.abs(u3))
+
+
+def test_solve_rejects_a_factorization_of_another_problem():
+    grid = gridmod.LogGrid(-12.0, 4.0, 513)
+    op = resolvent.assemble(grid)
+    _, g = manufactured(grid, 2.0)
+    with pytest.raises(SolverError, match=r"lambda = 100\.0, the solve needs lambda = 2\.0"):
+        resolvent.solve(op, 2.0, g, factorization=resolvent.Factorization(op, 100.0))
+    other = resolvent.assemble(gridmod.LogGrid(-10.0, 6.0, grid.n))
+    with pytest.raises(GridError, match="factorization is built on"):
+        resolvent.solve(op, 2.0, g, factorization=resolvent.Factorization(other, 2.0))
+    # another operator on the same grid is the same operator
+    twin = resolvent.Factorization(resolvent.assemble(grid), 2.0)
+    got = resolvent.solve(op, 2.0, g, factorization=twin).solution.values
+    assert got.tobytes() == resolvent.solve(op, 2.0, g).solution.values.tobytes()
 
 
 def test_manufactured_convergence():
