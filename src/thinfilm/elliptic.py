@@ -41,6 +41,10 @@ def decay_exponent(values, grid):
     ok = mag > 0
     if ok.sum() < 4:
         return np.inf
+    # np.polyfit, not resolvent._line_fit: this slope sets the tail closure's
+    # exponent inside apply_S, whose output the benchmark hashes bit for bit;
+    # the closed form moves that output in its last bits (resolvent_scan's
+    # sha256 changes, with a relative drift of 9.2e-36)
     slope = np.polyfit(grid.s[mask][ok], np.log(mag[ok]), 1)[0]
     return float(slope)
 

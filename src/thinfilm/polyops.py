@@ -100,33 +100,42 @@ def monomial_action(j):
     return float(eval_poly(p, j)), float(eval_poly(q, j))
 
 
-def _symbol_values(w, *polys):
-    """P(D) w for each P, from the expanded monomial forms; zero terms are
-    left out, and each D^m w is taken once for all of them."""
+def _symbol_values(values, h, *polys):
+    """P(D) w for each P, from the expanded monomial forms, for the values of w
+    on a grid of spacing h; zero terms are left out, and each D^m w is taken
+    once for all of them."""
     derivs = {}
     outs = []
     for p in polys:
         coeffs = p.coefficients()
-        out = coeffs[0] * w.values
+        out = coeffs[0] * values
         for m in range(1, len(coeffs)):
             if coeffs[m] != 0.0:
                 if m not in derivs:
-                    derivs[m] = stencils.apply_derivative(w.values, m, w.grid.h)
-                out = out + coeffs[m] * derivs[m]
+                    derivs[m] = stencils.apply_derivative(values, m, h)
+                out += coeffs[m] * derivs[m]
         outs.append(out)
     return outs
 
 
 def apply_symbol(p, w):
     """P(D) w on the grid, built from the expanded monomial form."""
-    return gridmod.GridFunction(w.grid, _symbol_values(w, p)[0])
+    return gridmod.GridFunction(w.grid, _symbol_values(w.values, w.grid.h, p)[0])
+
+
+def _operator_values(values, grid, commutations=0):
+    """e^{-s} P(D) w + e^{-2s} Q(D) w of the values of w on grid, as values:
+    the one implementation of the (commuted) operator on the stencils."""
+    pw, qw = _symbol_values(values, grid.h, *symbol_pair(commutations))
+    pw *= grid.inv_x
+    qw *= grid.inv_x2
+    pw += qw
+    return pw
 
 
 def apply_operator(w, commutations=0):
-    """(commuted) operator applied on the grid: e^{-s} P(D) w + e^{-2s} Q(D) w."""
-    pw, qw = _symbol_values(w, *symbol_pair(commutations))
-    grid = w.grid
-    return gridmod.GridFunction(grid, grid.inv_x * pw + grid.inv_x2 * qw)
+    """(commuted) operator applied on the grid: the public form of ``_operator_values``."""
+    return gridmod.GridFunction(w.grid, _operator_values(w.values, w.grid, commutations))
 
 
 def commutation_residual(variant, w):

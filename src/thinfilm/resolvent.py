@@ -259,17 +259,25 @@ def interior_residual(op, lam, u, g):
     """Component-wise residual of lambda u + A u - g, independent stencil path.
 
     The numerator applies the operator through the norm-module stencils (not
-    the assembled rows); the denominator is the local row magnitude, so the
-    e^{-2s}/h^4 amplification near the contact line does not masquerade as a
-    defect.
+    the assembled rows), on the values of u; the denominator is the local row
+    magnitude, so the e^{-2s}/h^4 amplification near the contact line does not
+    masquerade as a defect. GridError unless u and g lie on op.grid.
     """
-    au = polyops.apply_operator(u)
-    res = lam * u.values + au.values - g.values
+    gridmod.require_grid(u, op.grid, "the solution u")
+    gridmod.require_grid(g, op.grid, "the right-hand side g")
+    # lambda u + A u - g and (lambda |u| + |g| + 1e-300) + |A| |u|, summed in place
+    res = lam * u.values
+    res += polyops._operator_values(u.values, op.grid)
+    res -= g.values
     absu = np.abs(u.values)
-    den = op.abs_csr @ absu
-    den += lam * absu + np.abs(g.values) + 1e-300
+    den = lam * absu
+    den += np.abs(g.values)
+    den += 1e-300
+    den += op.abs_csr @ absu
     sl = slice(polyops.EDGE_SKIP, op.n - polyops.EDGE_SKIP)
-    return float(np.max(np.abs(res[sl]) / den[sl]))
+    ratio = np.abs(res[sl])
+    ratio /= den[sl]
+    return float(ratio.max())
 
 
 def solve(op, lam, g, factorization=None):
@@ -285,27 +293,41 @@ def solve(op, lam, g, factorization=None):
     return ResolventSolve(solution=u, residual_norm=res, decay_rate_fit=rate)
 
 
+def _line_fit(r, y):
+    """(slope, intercept) of the least-squares line through (r, y), in centred
+    form. elliptic.decay_exponent keeps np.polyfit (see there)."""
+    r_mean, y_mean = r.mean(), y.mean()
+    dr = r - r_mean
+    slope = np.dot(dr, y - y_mean) / np.dot(dr, dr)
+    return slope, y_mean - slope * r_mean
+
+
 def far_field_rate(u, lam):
     """Least-squares slope of -ln|u| against 4 (lambda x)^{1/4} on the tail.
 
-    The far-field mode analysis predicts 1/sqrt(2). The fit band is
-    FAR_BAND below s_max (keeping a buffer from the clamp);
+    The far-field mode analysis predicts 1/sqrt(2). The fit band is the node
+    slice FAR_BAND below s_max (keeping a buffer from the clamp);
     the far-field modes oscillate, so nodes near their zeros are dropped by
     one robust re-fit pass. Returns NaN when the tail underflows or fails
-    to decay.
+    to decay; SolverError unless lambda is positive and finite.
     """
+    if not 0 < lam < np.inf:
+        raise SolverError("lambda must be positive and finite")
     grid = u.grid
-    mask = (grid.s >= grid.s_max - FAR_BAND[0]) & (grid.s <= grid.s_max - FAR_BAND[1])
-    vals = np.abs(u.values[mask])
-    if vals.size < FAR_MIN_NODES or np.any(vals < 1e-280) or np.any(vals == 0.0):
+    s = grid.s
+    band = slice(s.searchsorted(grid.s_max - FAR_BAND[0], side="left"),
+                 s.searchsorted(grid.s_max - FAR_BAND[1], side="right"))
+    vals = np.abs(u.values[band])
+    if vals.size < FAR_MIN_NODES or vals.min() < 1e-280:  # a zero is below 1e-280 too
         return float("nan")
     q = vals.size // 4
-    if np.mean(vals[-q:]) >= np.mean(vals[:q]):
+    if vals[-q:].mean() >= vals[:q].mean():
         return float("nan")
-    r = 4.0 * (lam * grid.x[mask]) ** 0.25
+    r = 4.0 * (lam * grid.x[band]) ** 0.25
     y = -np.log(vals)
-    slope, icpt = np.polyfit(r, y, 1)
+    slope, icpt = _line_fit(r, y)
     keep = np.abs(y - (slope * r + icpt)) < 2.0
-    if keep.sum() >= FAR_MIN_NODES:
-        slope = np.polyfit(r[keep], y[keep], 1)[0]
+    kept = np.count_nonzero(keep)
+    if FAR_MIN_NODES <= kept < keep.size:  # a re-fit on every node would repeat the fit
+        slope = _line_fit(r[keep], y[keep])[0]
     return float(slope)

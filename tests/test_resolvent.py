@@ -342,6 +342,103 @@ def test_far_field_rate_of_computed_solution():
     assert 0.55 <= sol.decay_rate_fit <= 0.85
 
 
+def _polyfit_line(r, y):
+    return np.polyfit(r, y, 1)
+
+
+def _masked_rate(u, lam, line_fit):
+    """(slope, keep) of the far-field fit as written with boolean band masks,
+    each line fitted by line_fit; with np.polyfit's SVD least squares it is
+    the reference for the closed form. keep is None where the rate is NaN."""
+    grid = u.grid
+    mask = (grid.s >= grid.s_max - resolvent.FAR_BAND[0]) & \
+        (grid.s <= grid.s_max - resolvent.FAR_BAND[1])
+    vals = np.abs(u.values[mask])
+    if vals.size < resolvent.FAR_MIN_NODES or np.any(vals < 1e-280) or np.any(vals == 0.0):
+        return float("nan"), None
+    q = vals.size // 4
+    if np.mean(vals[-q:]) >= np.mean(vals[:q]):
+        return float("nan"), None
+    r = 4.0 * (lam * grid.x[mask]) ** 0.25
+    y = -np.log(vals)
+    slope, icpt = line_fit(r, y)
+    keep = np.abs(y - (slope * r + icpt)) < 2.0
+    if keep.sum() >= resolvent.FAR_MIN_NODES:
+        slope = line_fit(r[keep], y[keep])[0]
+    return float(slope), keep
+
+
+SCAN_LAMBDAS = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 400.0)  # resolvent_scan's
+
+
+@pytest.mark.parametrize("n", [513, 1025, 2049, 4097])  # resolvent_scan's grids
+def test_closed_form_rate_matches_polyfit(n):
+    grid = gridmod.LogGrid(-12.0, 4.0, n)
+    op = resolvent.assemble(grid)
+    for lam in SCAN_LAMBDAS:
+        sol = resolvent.solve(op, lam, manufactured(grid, lam)[1])
+        want, keep = _masked_rate(sol.solution, lam, _polyfit_line)
+        assert sol.decay_rate_fit == pytest.approx(want, rel=1e-14, nan_ok=True)
+        if keep is not None:
+            assert np.array_equal(_masked_rate(sol.solution, lam, resolvent._line_fit)[1], keep)
+
+
+def test_closed_form_rate_matches_polyfit_on_a_noisy_tail():
+    # a clean far-field mode with every seventh tail node pulled down by e^-4,
+    # so the robust re-fit drops those nodes and fits the rest
+    g = gridmod.LogGrid(-12, 7, 1217)
+    lam = 3.0
+    values = np.exp(-2 * np.sqrt(2) * (lam * g.x) ** 0.25)
+    values[::7] *= np.exp(-4.0)
+    u = gridmod.GridFunction(g, values)
+    want, keep = _masked_rate(u, lam, _polyfit_line)
+    assert resolvent.FAR_MIN_NODES <= keep.sum() < keep.size
+    assert np.array_equal(_masked_rate(u, lam, resolvent._line_fit)[1], keep)
+    assert resolvent.far_field_rate(u, lam) == pytest.approx(want, rel=1e-14)
+    assert want == pytest.approx(1 / np.sqrt(2), abs=1e-10)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf])
+def test_far_field_rate_rejects_lambda(lam):
+    g = gridmod.LogGrid(-12, 7, 1217)
+    u = gridmod.GridFunction(g, np.exp(-2 * np.sqrt(2) * g.x ** 0.25))
+    with pytest.raises(SolverError, match="lambda must be positive and finite"):
+        resolvent.far_field_rate(u, lam)
+
+
+def _grid_function_residual(op, lam, u, g):
+    """interior_residual as written on GridFunctions: A u from the public
+    polyops.apply_operator, the same sums in the same order."""
+    au = polyops.apply_operator(u)
+    res = lam * u.values + au.values - g.values
+    absu = np.abs(u.values)
+    den = op.abs_csr @ absu
+    den += lam * absu + np.abs(g.values) + 1e-300
+    sl = slice(polyops.EDGE_SKIP, op.n - polyops.EDGE_SKIP)
+    return float(np.max(np.abs(res[sl]) / den[sl]))
+
+
+@pytest.mark.parametrize("n", [513, 4097])
+@pytest.mark.parametrize("lam", [0.1, 400.0])
+def test_interior_residual_matches_the_grid_function_form(n, lam):
+    grid = gridmod.LogGrid(-12.0, 4.0, n)
+    op = resolvent.assemble(grid)
+    _, g = manufactured(grid, lam)
+    sol = resolvent.solve(op, lam, g)
+    want = _grid_function_residual(op, lam, sol.solution, g)
+    assert np.float64(sol.residual_norm).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("field", ["u", "g"])
+def test_interior_residual_rejects_fields_off_the_operator_grid(field):
+    op = resolvent.assemble(gridmod.LogGrid(-12.0, 4.0, 513))
+    fields = dict(zip("ug", manufactured(op.grid, 1.0)))
+    fields[field] = manufactured(gridmod.LogGrid(-10.0, 4.0, 513), 1.0)["ug".index(field)]
+    name = "solution u" if field == "u" else "right-hand side g"
+    with pytest.raises(GridError, match=name):
+        resolvent.interior_residual(op, 1.0, fields["u"], fields["g"])
+
+
 def test_left_edge_coefficient_relation():
     # steady-state recursion at j = 1: lam u1 + 12 u3 = g1
     lam = 1.0
