@@ -132,6 +132,15 @@ def _check_snapshots(cfg):
                           f"(solver.dt={dt!r}, solver.store_every={every!r})")
 
 
+def _check_energies(u0, alpha, k):
+    """ConfigError keyed norms.alpha unless the energies a linear run records at t = 0,
+    at weight alpha with k derivatives, are finite (evolution.finite_energies)."""
+    try:
+        evolution.finite_energies(u0.values, u0.grid, alpha, k)
+    except GridError as exc:
+        raise ConfigError("norms.alpha", str(exc)) from exc
+
+
 def cmd_norms(args):
     w = config.read_field(args.csv, "--csv")
     out = {}
@@ -172,11 +181,12 @@ def cmd_linear_evolve(args):
     _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
     _check_snapshots(cfg)
     u0 = config.initial_profile(cfg, grid)
+    alpha, k = cfg["norms"]["alpha"], cfg["norms"]["k"]
+    _check_energies(u0, alpha, k)
     out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     s = cfg["solver"]
     state = evolution.run(resolvent.assemble(grid), u0, None, s["dt"], s["T"],
-                          alpha=cfg["norms"]["alpha"], k=cfg["norms"]["k"],
-                          store_every=s["store_every"])
+                          alpha=alpha, k=k, store_every=s["store_every"])
     rows = []
     for i, (t, _) in enumerate(state.steps):
         e = state.energy_log[i]
@@ -274,12 +284,14 @@ def cmd_sweep(args):
     if len(values) < 3:
         raise ConfigError("--values", "need at least three values for a Richardson summary")
     _check_steps(cfg, values, "--values")
-    T, alpha = cfg["solver"]["T"], cfg["norms"]["alpha"]
+    T, alpha, k = cfg["solver"]["T"], cfg["norms"]["alpha"], cfg["norms"]["k"]
     u0 = config.initial_profile(cfg, grid)
+    _check_energies(u0, alpha, k)
     out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     op = resolvent.assemble(grid)
     # only the final state is read: store t = 0 and t = T, check the energy every step
-    states = [evolution.run(op, u0, None, dt, T, alpha=alpha, store_every=evolution.MAX_STEPS)
+    states = [evolution.run(op, u0, None, dt, T, alpha=alpha, k=k,
+                            store_every=evolution.MAX_STEPS)
               for dt in values]
     for dt, state in zip(values, states):
         if state.flags:

@@ -116,6 +116,19 @@ def tilde_energies(values, grid, alpha, k):
     return np.stack([gridmod._norm_sq(d, 0, weight, grid) for d in (tu, dk)], axis=-1)
 
 
+def finite_energies(values, grid, alpha, k):
+    """tilde_energies, with GridError naming alpha and k unless every one is finite:
+    the rule of grid.weighted_norm. A linear run records its stored steps through it,
+    so a weight e^{-2 alpha s} that overflows fails at t = 0, before the first step;
+    NaN energies would make every energy comparison false, so no step could be flagged."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        energies = tilde_energies(values, grid, alpha, k)
+    if not np.isfinite(energies).all():
+        raise GridError(f"the energies |(D-1)u|_a^2 and |D^k (D-1)u|_a^2 are not finite "
+                        f"at alpha = {alpha!r}, k = {k!r} on this grid")
+    return energies
+
+
 def step(op, u_prev, f_avg, dt, factorization=None):
     """One backward-Euler step; f_avg may be None for the homogeneous problem.
     GridError unless u_prev and f_avg lie on op.grid; a given factorization
@@ -161,7 +174,7 @@ def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
         rhs += base
         u_next = gridmod.GridFunction(grid, fac.solve_values(rhs))
         increment = u_next.values - iterate
-        delta = float(np.max(np.abs(increment, out=increment)))
+        delta = float(np.abs(increment, out=increment).max())
         iterate = u_next.values
         if last:
             rate = delta / last
@@ -211,7 +224,8 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     (u0 at first) on top, so the flags are those of a per-step check. With
     forcing no energy is taken between stored steps. Stored steps record
     |(D-1)u|_a^2 with |D^k (D-1)u|_a^2 in the energy log, which alpha and k
-    set; the energy log is recorded for linear runs only.
+    set; the energy log is recorded for linear runs only. GridError when they are
+    not finite (finite_energies), at t = 0 before the first step.
 
     Nonlinear: each step iterates the solve on ``nonlinear.N``, then
     ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
@@ -240,7 +254,7 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
         state.coefficient_tracks.append(leading_coefficients(values, op.grid))
         if nonlinear is None:
             state.energy_log += [{"tilde_sq": e0, "tilde_dk_sq": ek} for e0, ek
-                                 in tilde_energies(values, op.grid, alpha, k).tolist()]
+                                 in finite_energies(values, op.grid, alpha, k).tolist()]
         else:
             init_norm, y0 = nonlinear.records([t for t, _ in stored], values, op.grid)
             state.init_norm_track += init_norm.tolist()

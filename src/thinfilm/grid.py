@@ -67,7 +67,10 @@ class LogGrid:
         if self.n < 16:
             raise GridError("need at least 16 nodes")
 
-    @property
+    # h, 1/x and 1/x^2 are read on every nonlinear step, so each instance keeps
+    # them (in its __dict__, which equality and hashing do not read); s and x stay
+    # plain properties
+    @functools.cached_property
     def h(self):
         return (self.s_max - self.s_min) / (self.n - 1)
 
@@ -79,12 +82,12 @@ class LogGrid:
     def x(self):
         return self.exp(1.0)
 
-    @property
+    @functools.cached_property
     def inv_x(self):
         """e^{-s} = 1/x, evaluated as exp(-s)."""
         return self.exp(-1.0)
 
-    @property
+    @functools.cached_property
     def inv_x2(self):
         """e^{-2s} = 1/x^2, evaluated as exp(-2 s)."""
         return self.exp(-2.0)
@@ -246,7 +249,9 @@ def _norm_sq(values, k, weight, grid):
     all rows or broadcast against the stack (one per (sub, alpha) row)."""
     total = 0.0
     for dj in _ds_tower(values, k, grid.h):
-        total += stencils.trapezoid(weight * dj * dj, grid.h)
+        sq = weight * dj  # weight dj dj, squared in place
+        sq *= dj
+        total += stencils.trapezoid(sq, grid.h)
     return np.maximum(total, 0.0)
 
 
@@ -313,6 +318,9 @@ def composite_init_norm(values, grid, N, k, delta):
     bitwise.
     """
     _require_norm_indices(N, k, delta)
+    if values.ndim not in (1, 2) or values.shape[-1] != grid.n:
+        raise GridError(f"expected one field of {grid.n} values or a (steps, {grid.n}) "
+                        f"stack, got shape {values.shape}")
     stack = values if values.ndim == 2 else values[None, :]
     rows = sorted({(sub, beta) for _l, sub, beta in _weight_shifts(index_sets(N, delta)[0])})
     series = _norm_series(stack, _fit_expansion(stack, grid, _TRACK_ORDER), grid,

@@ -64,7 +64,7 @@ def lipschitz_guard(vx, where):
     """sup |v_x| of the values vx; GuardError naming ``where`` unless it is below
     LIPSCHITZ_THRESHOLD. The one guard comparison: N(u), every step, the initial
     data and each reconstruction go through it."""
-    sup = float(np.max(np.abs(vx)))
+    sup = float(np.abs(vx).max())
     if not sup < LIPSCHITZ_THRESHOLD:
         raise GuardError(f"Lipschitz guard tripped {where}: sup |v_x| = {sup:.4f} "
                          f"is not below {LIPSCHITZ_THRESHOLD}")
@@ -90,7 +90,8 @@ def _nonlinearity(values, grid):
     scaled and summed in place, each sum and product with the operands and
     grouping of the written bracket, so the result does not depend on it.
     """
-    vx = _vx(values, grid)
+    mob, mob1, height = _mobility(grid)
+    vx = _dx(values / mob, grid)
     lipschitz_guard(vx, "in N(u)")
     inv = 1.0 + vx
     np.divide(1.0, inv, out=inv)
@@ -98,7 +99,6 @@ def _nonlinearity(values, grid):
     z, w = zw
     np.multiply(vx, inv, out=w)
     np.multiply(vx, w, out=z)  # v_x^2 / (1 + v_x)
-    mob, mob1, height = _mobility(grid)
 
     # d/dx = e^{-s} D and d^2/dx^2 = e^{-2s} (D^2 - D); the fields that do not
     # depend on each other are stacked: D of (z m, w m, z m', w m') in one call,

@@ -57,9 +57,6 @@ class DiscreteOperator:
     def n(self):
         return self.grid.n
 
-    def closure_rows(self):
-        return (0, 1, self.n - 2, self.n - 1)
-
     def csr(self, val):
         """The operator's sparsity pattern with entries ``val``, as a CSR matrix.
 
@@ -191,7 +188,6 @@ class Factorization:
         self._piv = piv
         self._row_scale = row_scale
         self._col_scale = col_scale
-        self._closure_rows = np.array(op.closure_rows())
 
     def _back_substitute(self, b):
         y, info = _gbtrs(self._lu, KL, KU, b, self._piv)
@@ -204,12 +200,13 @@ class Factorization:
         a new array; the argument is not changed.
 
         The right-hand side is scaled by the row scales, and its closure rows
-        (the factorization's index of them) are set to zero. The scaled system
+        (0, 1, n-2 and n-1) are set to zero as two slices. The scaled system
         is solved by back-substitution with one step of iterative refinement in
         working precision, and the result is scaled back by the column scales.
         """
         b = rhs_interior * self._row_scale
-        b[self._closure_rows] = 0.0
+        b[:2] = 0.0
+        b[-2:] = 0.0
         y = self._back_substitute(b)
         y += self._back_substitute(b - self._matrix @ y)
         y *= self._col_scale

@@ -96,6 +96,13 @@ def apply_derivative(values, m, h):
     w, half, left, right = _plan(n, m, h)
     span = left.shape[1]
     out = np.empty(values.shape)
+    if values.ndim == 1:
+        # one field: the same correlation and matrix-vector products, without the
+        # stack's reshapes and broadcast matmul
+        out[half:n - half] = np.correlate(values, w, mode="valid")
+        left.dot(values[:span], out=out[:half])
+        right.dot(values[n - span:], out=out[n - half:])
+        return out
     if values.size:
         out.reshape(-1)[half:-half] = np.correlate(values.reshape(-1), w, mode="valid")
     out[..., :half] = (left @ values[..., :span, None])[..., 0]

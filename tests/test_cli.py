@@ -550,6 +550,33 @@ def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
                    "completed with 2 energy flags at dt=0.04"]
 
 
+@pytest.mark.parametrize("command", ["linear-evolve", "sweep"])
+def test_linear_commands_reject_an_overflowing_energy_weight(tmp_path, capsys, command):
+    # [norms] alpha = 40 at n = 129: the t = 0 energies overflow. Both commands wrote
+    # NaN energies (or flagged nothing) and exited 0 after numpy warnings
+    cfg = write_config(tmp_path / "exp.ini", f"""
+[grid]
+n = 129
+[solver]
+dt = 1e-2
+T = 2e-2
+[norms]
+alpha = 40
+[output]
+dir = {tmp_path / 'run'}
+""")
+    argv = [command, "--config", cfg]
+    if command == "sweep":
+        argv += ["--param", "dt", "--values", "1e-2,5e-3,2.5e-3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'norms.alpha': ")
+    assert "alpha = 40.0, k = 3" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_sweep_checks_energy_at_the_configured_weight(tmp_path, monkeypatch):
     cfg = _sweep_config(tmp_path)
     with open(cfg, "a") as fh:

@@ -407,6 +407,28 @@ def test_run_rejects_bad_energy_weights(kwargs, message):
                       1e-2, 0.05, **kwargs)
 
 
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_run_rejects_energies_that_overflow_before_the_first_step(monkeypatch, forced):
+    # e^{-2 alpha s} at alpha = 40 overflows at s = -12: the energies were NaN, every
+    # comparison of them false, and the run flagged nothing
+    g = gridmod.LogGrid(-12.0, 4.0, 129)
+    op = resolvent.assemble(g)
+    x = g.x
+    u0 = gridmod.GridFunction(g, x**3 * np.exp(-x))
+
+    def no_solve(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(resolvent.Factorization, "solve_values", no_solve)
+    f = (lambda t: gridmod.zero(g)) if forced else None
+    with pytest.raises(GridError, match=r"not finite at alpha = 40\.0, k = 2"):
+        evolution.run(op, u0, f, 1e-2, 2e-2, alpha=40.0, k=2)
+    with pytest.raises(GridError, match=r"not finite at alpha = 40\.0, k = 3"):
+        evolution.finite_energies(u0.values, g, 40.0, 3)
+    e = evolution.finite_energies(u0.values, g, 0.25, 3)  # a finite pair is passed on
+    assert tuple(e) == tuple(evolution.tilde_energies(u0.values, g, 0.25, 3))
+
+
 def test_picard_with_zero_nonlinearity_is_the_linear_step(default_grid):
     class Linear(nonlinear.NonlinearModel):
         def N(self, values, grid):

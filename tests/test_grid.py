@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -34,6 +35,51 @@ def test_cached_coordinates_match_fresh_and_are_read_only():
         assert np.array_equal(got, want)
         with pytest.raises(ValueError):
             got[0] = 0.0
+
+
+def test_grid_constants_are_computed_once_per_instance(monkeypatch):
+    calls = []
+    exp = gridmod.LogGrid.exp
+
+    def counted(self, a):
+        calls.append(a)
+        return exp(self, a)
+
+    monkeypatch.setattr(gridmod.LogGrid, "exp", counted)
+    g = gridmod.LogGrid(-12.0, 4.0, 257)
+    assert "h" not in vars(g)
+    for _ in range(3):
+        for name in ("h", "inv_x", "inv_x2"):
+            assert getattr(g, name) is vars(g)[name]
+    assert vars(g)["h"] == 16.0 / 256
+    assert calls == [-1.0, -2.0]
+    assert g.x is g.x  # the coordinates stay properties, read afresh through exp
+    assert calls == [-1.0, -2.0, 1.0, 1.0]
+
+
+def test_cached_grid_constants_match_fresh_and_stay_read_only():
+    g = gridmod.LogGrid(-12.0, 9.0, 1345)
+    s = np.linspace(g.s_min, g.s_max, g.n)
+    assert g.h == (g.s_max - g.s_min) / (g.n - 1)
+    for name, want in {"inv_x": np.exp(-s), "inv_x2": np.exp(-2.0 * s)}.items():
+        got = getattr(g, name)
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    for name in ("h", "inv_x", "inv_x2"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, 1.0)
+
+
+def test_cached_grid_constants_leave_equality_and_hashing_to_the_fields():
+    read = gridmod.LogGrid(-12.0, 4.0, 129)
+    read.h, read.inv_x, read.inv_x2
+    fresh = gridmod.LogGrid(-12.0, 4.0, 129)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert {fresh: 1}[read] == 1
+    assert repr(read) == repr(fresh) == "LogGrid(s_min=-12.0, s_max=4.0, n=129)"
+    assert dataclasses.astuple(read) == (-12.0, 4.0, 129)
+    assert read != gridmod.LogGrid(-12.0, 4.0, 257)
 
 
 @pytest.mark.parametrize("a", [-0.5, -2.0, -3.0, 1, 2, 2.5])
@@ -184,6 +230,14 @@ def test_composite_init_norm_exact_expansion():
     base = gridmod.weighted_norm(w, gridmod.NormSpec(8, 0.25))
     assert comp == pytest.approx(base, rel=1e-7)
     assert gridmod.composite_init_norm(np.zeros(g.n), g, 1, 3, 0.25) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 65), (65, 1, 1), (64,), (2, 64), ()])
+def test_composite_init_norm_takes_one_field_or_a_stack(shape):
+    # a 3-D array raised numpy's "non-broadcastable output operand" ValueError
+    g = gridmod.LogGrid(-12, 4, 65)
+    with pytest.raises(GridError, match=r"one field of 65 values or a \(steps, 65\) stack"):
+        gridmod.composite_init_norm(np.zeros(shape), g, 1, 3, 0.25)
 
 
 def test_composite_init_norm_takes_one_stencil_call_per_order(default_grid, monkeypatch):

@@ -126,6 +126,27 @@ def test_stacked_call_matches_per_row_calls(m, n):
         assert np.array_equal(got.reshape(-1, n), np.array(want).reshape(-1, n))
 
 
+@pytest.mark.parametrize("n", [129, 1345])  # h = 16 / (n - 1): 1/8, and not a power of two
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_one_field_calls_on_views_match_stacked_rows(m, n):
+    # one field takes its own branch; on contiguous and strided 1-D views it
+    # gives the bits of the matching row of a stacked call
+    rng = np.random.default_rng(7 * n + m)
+    h = 16.0 / (n - 1)
+    big = rng.standard_normal((3, 2 * n)) * np.exp(8.0 * rng.standard_normal((3, 2 * n)))
+    fortran = np.asfortranarray(big[:, :n])  # each row of it is a strided view
+    stacked = stencils.apply_derivative(fortran, m, h)
+    for i in range(3):
+        assert not fortran[i].flags.c_contiguous
+        assert np.array_equal(stencils.apply_derivative(fortran[i], m, h), stacked[i])
+    every_other = big[1, ::2]  # n of the 2n values
+    assert every_other.shape == (n,)
+    stacked = stencils.apply_derivative(np.stack([big[0, :n], every_other]), m, h)
+    assert np.array_equal(stencils.apply_derivative(every_other, m, h), stacked[1])
+    assert np.array_equal(stencils.apply_derivative(big[0, :n], m, h), stacked[0])
+    assert np.array_equal(stencils.apply_derivative(every_other.copy(), m, h), stacked[1])
+
+
 @pytest.mark.parametrize("n", [16, 1025])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_edge_blocks_match_row_dot_products(m, n):
