@@ -134,9 +134,9 @@ def _check_snapshots(cfg):
 
 def _check_energies(u0, alpha, k):
     """ConfigError keyed norms.alpha unless the energies a linear run records at t = 0,
-    at weight alpha with k derivatives, are finite (evolution.finite_energies)."""
+    at weight alpha with k derivatives, are finite (evolution.tilde_energies)."""
     try:
-        evolution.finite_energies(u0.values, u0.grid, alpha, k)
+        evolution.tilde_energies(u0.values, u0.grid, alpha, k)
     except GridError as exc:
         raise ConfigError("norms.alpha", str(exc)) from exc
 
@@ -163,9 +163,9 @@ def cmd_resolvent(args):
     out_dir = _make_out_dir(args.out or cfg["output"]["dir"],
                             "--out" if args.out else "output.dir")
     sol = resolvent.solve(resolvent.assemble(grid), args.lam, rhs)
+    coeffs = gridmod.extract_coefficients(sol.solution, 3)  # GridError unless finite
     _write_csv(os.path.join(out_dir, "resolvent_solution.csv"), ["s", "u"],
                list(zip(grid.s.tolist(), sol.solution.values.tolist())), cfg)
-    coeffs = gridmod.extract_coefficients(sol.solution, 3)
     _write_json(os.path.join(out_dir, "resolvent_report.json"), {
         "lambda": args.lam,
         "interior_residual": sol.residual_norm,

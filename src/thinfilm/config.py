@@ -75,6 +75,11 @@ class ExperimentConfig:
             raise ConfigError("grid.s_min", "must be below grid.s_max")
         if g["s_min"] > gridmod.RESOLVED_S_MIN:
             raise ConfigError("grid.s_min", f"must be at most {gridmod.RESOLVED_S_MIN:g}")
+        # beyond these the lab's tables of powers of x overflow (grid.S_MIN_LIMIT)
+        if g["s_min"] < gridmod.S_MIN_LIMIT:
+            raise ConfigError("grid.s_min", f"must be at least {gridmod.S_MIN_LIMIT:g}")
+        if g["s_max"] > gridmod.S_MAX_LIMIT:
+            raise ConfigError("grid.s_max", f"must be at most {gridmod.S_MAX_LIMIT:g}")
         if g["n"] < gridmod.SOLVER_MIN_NODES:
             raise ConfigError("grid.n", f"need at least {gridmod.SOLVER_MIN_NODES} nodes")
         if self.values["solver"]["store_every"] < 1:

@@ -73,13 +73,14 @@ def leading_coefficients(values, grid):
     expansion terms analytically; their fit bands sit where x is large
     enough that stencil truncation (proportional to the full field) does
     not swamp the x^2 and x^3 signals. A stack takes one stencil call per
-    shift, and each row equals its one-field call bitwise.
+    shift, and each row equals its one-field call bitwise. GridError unless every
+    coefficient is finite (grid.fit_powers).
     """
     u1 = gridmod._fit_expansion(values, grid, 3)[..., 0]
     tu = gridmod._shifted(values, 1.0, grid.h)
-    u2 = gridmod.fit_powers(tu * grid.exp(-2.0), grid, *U2_BAND, 3)[..., 0]
+    u2 = gridmod.fit_powers(tu, grid, *U2_BAND, 3, a=-2.0)[..., 0]
     cu = gridmod._shifted(tu, 2.0, grid.h)
-    u3 = gridmod.fit_powers(cu * grid.exp(-3.0), grid, *U3_BAND, 3)[..., 0] / 2.0
+    u3 = gridmod.fit_powers(cu, grid, *U3_BAND, 3, a=-3.0)[..., 0] / 2.0
     return np.stack((u1, u2, u3), axis=-1)
 
 
@@ -109,24 +110,19 @@ def tilde_energies(values, grid, alpha, k):
     """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature, of one field's values
     or of each row of a (steps, n) stack: shape (..., 2), the stored steps' pairs.
     D^k (D-1)u is the last entry of the derivative tower, one stencil call per order
-    per stack; each row equals its one-field call bitwise."""
-    tu = gridmod._shifted(values, 1.0, grid.h)
-    *_, dk = gridmod._ds_tower(tu, k, grid.h)
-    weight = grid.exp(-2.0 * alpha)
-    return np.stack([gridmod._norm_sq(d, 0, weight, grid) for d in (tu, dk)], axis=-1)
+    per stack; each row equals its one-field call bitwise. GridError naming alpha and
+    k unless every energy is finite (grid._finite): a linear run records its stored
+    steps through it, so a weight e^{-2 alpha s} that overflows fails at t = 0, before
+    the first step; NaN energies would make every energy comparison false, so no step
+    could be flagged."""
+    def energies():
+        tu = gridmod._shifted(values, 1.0, grid.h)
+        *_, dk = gridmod._ds_tower(tu, k, grid.h)
+        weight = grid.exp(-2.0 * alpha)
+        return np.stack([gridmod._norm_sq(d, 0, weight, grid) for d in (tu, dk)], axis=-1)
 
-
-def finite_energies(values, grid, alpha, k):
-    """tilde_energies, with GridError naming alpha and k unless every one is finite:
-    the rule of grid.weighted_norm. A linear run records its stored steps through it,
-    so a weight e^{-2 alpha s} that overflows fails at t = 0, before the first step;
-    NaN energies would make every energy comparison false, so no step could be flagged."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        energies = tilde_energies(values, grid, alpha, k)
-    if not np.isfinite(energies).all():
-        raise GridError(f"the energies |(D-1)u|_a^2 and |D^k (D-1)u|_a^2 are not finite "
-                        f"at alpha = {alpha!r}, k = {k!r} on this grid")
-    return energies
+    return gridmod._finite(energies, f"the energies |(D-1)u|_a^2 and |D^k (D-1)u|_a^2 are "
+                                     f"not finite at alpha = {alpha!r}, k = {k!r} on this grid")
 
 
 def step(op, u_prev, f_avg, dt, factorization=None):
@@ -224,8 +220,8 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
     (u0 at first) on top, so the flags are those of a per-step check. With
     forcing no energy is taken between stored steps. Stored steps record
     |(D-1)u|_a^2 with |D^k (D-1)u|_a^2 in the energy log, which alpha and k
-    set; the energy log is recorded for linear runs only. GridError when they are
-    not finite (finite_energies), at t = 0 before the first step.
+    set; the energy log is recorded for linear runs only. A record that is not
+    finite is a GridError (grid._finite), for t = 0 before the first step.
 
     Nonlinear: each step iterates the solve on ``nonlinear.N``, then
     ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
@@ -254,7 +250,7 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
         state.coefficient_tracks.append(leading_coefficients(values, op.grid))
         if nonlinear is None:
             state.energy_log += [{"tilde_sq": e0, "tilde_dk_sq": ek} for e0, ek
-                                 in finite_energies(values, op.grid, alpha, k).tolist()]
+                                 in tilde_energies(values, op.grid, alpha, k).tolist()]
         else:
             init_norm, y0 = nonlinear.records([t for t, _ in stored], values, op.grid)
             state.init_norm_track += init_norm.tolist()

@@ -14,9 +14,12 @@ sums; the initial-data norm sums the same series per step. Every weighted
 square comes from one series, _norm_series: the rows of one time difference
 and derivative count, one per (subtraction order, weight) and stored step,
 are differentiated as one stack, STEP_STACK stored steps at a time.
+Every fit and norm is evaluated under one finiteness rule, _finite: a value that
+overflows is a GridError, never NaN or inf data.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,12 @@ DEFAULT_N = 1025
 SOLVER_MIN_NODES = 64  # fewest nodes resolvent assembly, and so every configured grid, takes
 FIT_BAND = 2.0
 RESOLVED_S_MIN = -6.0  # contact-line fits need s_min at or below this (x << 1)
+# the widest window a configuration takes: beyond it the lab's tables overflow (the
+# largest float is e^709.78). The norms subtract x^5, e^{5 s_max}; their five-term fit
+# of u/x meets 1/x times 1/x^4 across its band, e^{-5 s_min - 8}. Each bound keeps a
+# margin of e^9.7 or more for the data and the fits' conditioning
+S_MIN_LIMIT = -140.0
+S_MAX_LIMIT = 140.0
 # stored steps per stack of a norm series and of a run's stored-step records: one
 # stencil call per derivative order per stack (16 and 32 were not measurably faster,
 # and raised peak RSS by 0.8 and 3 MB)
@@ -62,8 +71,13 @@ class LogGrid:
     n: int = DEFAULT_N
 
     def __post_init__(self):
+        if not np.isfinite(float(self.s_max) - float(self.s_min)):  # needs finite bounds
+            raise GridError(f"s_min and s_max must be finite, and so must s_max - s_min, "
+                            f"got {self.s_min!r}, {self.s_max!r}")
         if not self.s_min < self.s_max:
             raise GridError("s_min must be below s_max")
+        if not isinstance(self.n, numbers.Integral):
+            raise GridError(f"n must be an integer, got {self.n!r}")
         if self.n < 16:
             raise GridError("need at least 16 nodes")
 
@@ -115,6 +129,18 @@ class GridFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
+
+
+def _finite(compute, message):
+    """compute() without numpy's overflow and invalid-value warnings, returned as it
+    is; GridError(message) unless every entry is finite. The one finiteness rule of
+    every value a run records or a command reports: a weight or table that overflows
+    on a wide window, or a large k or alpha, becomes a typed error, not NaN data."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = compute()
+    if not np.isfinite(result).all():
+        raise GridError(message)
+    return result
 
 
 def require_grid(w, grid, name):
@@ -188,12 +214,18 @@ def _fit_matrix(s_min, s_max, n, lo, hi, terms):
     return sl, L
 
 
-def fit_powers(y, grid, lo, hi, terms):
-    """Coefficients c_0..c_{terms-1} of sum c_j x^j fitted to y on the band
-    s_min+lo <= s <= s_min+hi; y is one field or a (steps, n) stack."""
-    sl, L = _fit_matrix(grid.s_min, grid.s_max, grid.n, lo, hi, terms)
-    # one matrix-vector product per row: a stacked fit equals its per-row fits bitwise
-    return (L @ y[..., sl, None])[..., 0]
+def fit_powers(y, grid, lo, hi, terms, a=0.0):
+    """Coefficients c_0..c_{terms-1} of sum c_j x^j fitted to e^{a s} y on the band
+    s_min+lo <= s <= s_min+hi; y is one field or a (steps, n) stack. GridError
+    unless every coefficient is finite (_finite): the weight e^{a s} and the fit's
+    inverse powers of x overflow on a wide window."""
+    def fit():
+        sl, L = _fit_matrix(grid.s_min, grid.s_max, grid.n, lo, hi, terms)
+        # the weight is taken on the band, with the operands of (y * e^{as})[sl]; one
+        # matrix-vector product per row: a stacked fit equals its per-row fits bitwise
+        return (L @ (y[..., sl] * grid.exp(a)[sl])[..., None])[..., 0]
+
+    return _finite(fit, "the contact-line fit is not finite on this grid")
 
 
 def _fit_expansion(values, grid, order):
@@ -202,7 +234,7 @@ def _fit_expansion(values, grid, order):
     Dividing by x turns the e^{-2s}-weighted fit of sum c_j x^j into a plain
     fit of sum c_j x^{j-1}.
     """
-    return fit_powers(grid.inv_x * values, grid, -np.inf, FIT_BAND, order)
+    return fit_powers(values, grid, -np.inf, FIT_BAND, order, a=-1.0)
 
 
 def extract_coefficients(w, order):
@@ -259,14 +291,13 @@ def weighted_norm(w, spec):
     """|w|_{k,alpha}, trapezoid quadrature, with the fitted expansion
     u_1 x + ... + u_sub x^sub subtracted first when sub > 0. GridError when the
     norm overflows (a large k or alpha on a wide grid)."""
-    v = w.values
-    if spec.sub:
-        v = _minus_expansion(v, extract_coefficients(w, spec.sub), w.grid)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        norm = float(np.sqrt(_norm_sq(v, spec.k, w.grid.exp(-2.0 * spec.alpha), w.grid)))
-    if not np.isfinite(norm):
-        raise GridError(f"the norm |w|_{{{spec.k},{spec.alpha:g}}} is not finite on this grid")
-    return norm
+    def norm():
+        v = w.values
+        if spec.sub:
+            v = _minus_expansion(v, extract_coefficients(w, spec.sub), w.grid)
+        return float(np.sqrt(_norm_sq(v, spec.k, w.grid.exp(-2.0 * spec.alpha), w.grid)))
+
+    return _finite(norm, f"the norm |w|_{{{spec.k},{spec.alpha:g}}} is not finite on this grid")
 
 
 def index_sets(N, delta):
@@ -315,7 +346,8 @@ def composite_init_norm(values, grid, N, k, delta):
 
     Each (sub, beta) square is one column of _norm_series; a step's columns are
     summed in that order, so each entry of a stack equals the norm of its row alone
-    bitwise.
+    bitwise. GridError unless every norm is finite (_finite): the weights
+    e^{-2 beta s} overflow on a wide window.
     """
     _require_norm_indices(N, k, delta)
     if values.ndim not in (1, 2) or values.shape[-1] != grid.n:
@@ -323,10 +355,15 @@ def composite_init_norm(values, grid, N, k, delta):
                         f"stack, got shape {values.shape}")
     stack = values if values.ndim == 2 else values[None, :]
     rows = sorted({(sub, beta) for _l, sub, beta in _weight_shifts(index_sets(N, delta)[0])})
-    series = _norm_series(stack, _fit_expansion(stack, grid, _TRACK_ORDER), grid,
-                          k + 4 * N + 1, rows)
-    norms = np.sqrt(sum(series.T, 0.0))
-    return norms if values.ndim == 2 else norms[0]
+
+    def norms():
+        series = _norm_series(stack, _fit_expansion(stack, grid, _TRACK_ORDER), grid,
+                              k + 4 * N + 1, rows)
+        return np.sqrt(sum(series.T, 0.0))
+
+    out = _finite(norms, f"the initial-data norm (N = {N!r}, k = {k!r}, delta = {delta!r}) "
+                         f"is not finite on this grid")
+    return out if values.ndim == 2 else out[0]
 
 
 def _traj_arrays(traj):

@@ -193,7 +193,8 @@ def run_nonlinear(u0, dt, T, norm_N=1, norm_k=3, delta=0.25, store_every=1):
 
 def contact_line_shift(values, grid):
     """v(0+) of one field's values or of each row of a (steps, n) stack: the constant
-    term of a quadratic-in-x fit of v = u/(3x^2 + 2x) on the left band."""
+    term of a quadratic-in-x fit of v = u/(3x^2 + 2x) on the left band; GridError
+    unless it is finite (grid.fit_powers)."""
     v = values / _mobility(grid)[0]
     return gridmod.fit_powers(v, grid, -np.inf, gridmod.FIT_BAND, 3)[..., 0]
 

@@ -248,20 +248,22 @@ _LETTERS = st.from_regex(r"[a-z]{1,6}", fullmatch=True)  # no int; a float only 
 _UNPARSABLE = {int: st.sampled_from(["1.5", "1e3", "", "0x10"]) | _LETTERS,
                float: st.sampled_from(["", "1.0.0", "1,5", "--1"]) | _LETTERS,
                "floats": st.sampled_from(["1.0, 1.0.0", "2,--1"]) | _LETTERS}
-# (section, key) -> (values that parse but are rejected, the key the error names)
-_OUT_OF_RANGE = {
-    ("grid", "n"): (st.integers(-10, gridmod.SOLVER_MIN_NODES - 1), "grid.n"),
-    ("grid", "s_min"): (st.floats(gridmod.RESOLVED_S_MIN, 1e6, exclude_min=True), "grid.s_min"),
-    ("grid", "s_max"): (st.floats(-1e6, gridmod.DEFAULT_S_MIN), "grid.s_min"),
-    ("solver", "dt"): (st.floats(-1e6, 0.0), "solver.dt"),
-    ("solver", "T"): (st.floats(-1e6, 0.0), "solver.T"),
-    ("solver", "store_every"): (st.integers(-10, 0), "solver.store_every"),
-    ("norms", "N"): (st.integers(-10, 10).filter(lambda v: v not in (0, 1, 2)), "norms.N"),
-    ("norms", "k"): (st.integers(-10, -1), "norms.k"),
-    ("norms", "delta"): (st.floats(-1.0, 0.0) | st.floats(0.5, 10.0), "norms.delta"),
-    ("nonlinear", "eps"): (st.floats(-1.0, 0.0, exclude_max=True), "nonlinear.eps"),
-    ("output", "u0"): (_NAME.filter(lambda v: v not in config._U0_PROFILES), "output.u0"),
-}
+# (section, key, values that parse but are rejected, the key the error names)
+_OUT_OF_RANGE = [
+    ("grid", "n", st.integers(-10, gridmod.SOLVER_MIN_NODES - 1), "grid.n"),
+    ("grid", "s_min", st.floats(gridmod.RESOLVED_S_MIN, 1e6, exclude_min=True), "grid.s_min"),
+    ("grid", "s_min", st.floats(-1e6, gridmod.S_MIN_LIMIT, exclude_max=True), "grid.s_min"),
+    ("grid", "s_max", st.floats(-1e6, gridmod.DEFAULT_S_MIN), "grid.s_min"),
+    ("grid", "s_max", st.floats(gridmod.S_MAX_LIMIT, 1e6, exclude_min=True), "grid.s_max"),
+    ("solver", "dt", st.floats(-1e6, 0.0), "solver.dt"),
+    ("solver", "T", st.floats(-1e6, 0.0), "solver.T"),
+    ("solver", "store_every", st.integers(-10, 0), "solver.store_every"),
+    ("norms", "N", st.integers(-10, 10).filter(lambda v: v not in (0, 1, 2)), "norms.N"),
+    ("norms", "k", st.integers(-10, -1), "norms.k"),
+    ("norms", "delta", st.floats(-1.0, 0.0) | st.floats(0.5, 10.0), "norms.delta"),
+    ("nonlinear", "eps", st.floats(-1.0, 0.0, exclude_max=True), "nonlinear.eps"),
+    ("output", "u0", _NAME.filter(lambda v: v not in config._U0_PROFILES), "output.u0"),
+]
 _KEYS = [(sec, key) for sec, keys in config._SCHEMA.items() for key in keys]
 
 
@@ -291,8 +293,7 @@ def _malformed_ini(draw, out_dir, path):
         raw = draw(_UNPARSABLE[config._SCHEMA[sec][key][0]])
         line, want = f"{key} = {raw}", f"{sec}.{key}"
     elif kind == "out-of-range value":
-        sec, key = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
-        values, want = _OUT_OF_RANGE[sec, key]
+        sec, key, values, want = draw(st.sampled_from(_OUT_OF_RANGE))
         line = f"{key} = {draw(values)}"
     else:  # duplicate key: configparser rejects the second copy before reading values
         sec, key = draw(st.sampled_from(_KEYS))
@@ -326,6 +327,29 @@ def test_malformed_config_is_a_config_error_without_traceback(tmp_path_factory, 
     assert not (root / "out").exists()  # no run started
 
 
+@pytest.mark.parametrize("sec, key, values, want", _OUT_OF_RANGE,
+                         ids=[f"{sec}.{key}-{i}" for i, (sec, key, _, _) in
+                              enumerate(_OUT_OF_RANGE)])
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_out_of_range_value_is_a_config_error(tmp_path_factory, sec, key, values, want,
+                                                    data):
+    # each row of the table, which the mixed draws above reach only by chance
+    root = tmp_path_factory.mktemp("range")
+    sections = {"grid": {"n": "129"}, "solver": {"dt": "1e-2", "T": "2e-2"},
+                "output": {"dir": str(root / "out")}}
+    sections.setdefault(sec, {})[key] = str(data.draw(values, label=f"{sec}.{key}"))
+    path = write_config(root / "bad.ini", "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for s, entries in sections.items()))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert cli.main(["linear-evolve", "--config", path]) == 1
+    assert err.getvalue().startswith(f"error: config key '{want}'"), err.getvalue()
+    assert not (root / "out").exists()
+
+
 _FIELD_GRID = gridmod.LogGrid(-12.0, 4.0, 65)
 _FIELD_S = _FIELD_GRID.s.tolist()  # python floats: the repr of a numpy float is not a number
 _NONUNIFORM = (_FIELD_GRID.s + 0.1 * _FIELD_GRID.h * (np.arange(65) == 5)).tolist()
@@ -346,6 +370,8 @@ _BAD_FIELDS = {  # CSV text (None: a missing file), the error read without and w
                        None, "do not match"),
     "non-finite value": ("s,value\n" + "".join(f"{s!r},nan\n" for s in _FIELD_S),
                          "finite", "finite"),
+    "infinite s": ("s,value\n" + "".join(f"{s!r},0.0\n" for s in [-np.inf] + _FIELD_S[1:]),
+                   "s_min and s_max must be finite", "do not match"),
 }
 
 
@@ -575,6 +601,53 @@ dir = {tmp_path / 'run'}
     assert err.startswith("error: config key 'norms.alpha': ")
     assert "alpha = 40.0, k = 3" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["linear-evolve", "nonlinear-evolve", "sweep"])
+@pytest.mark.parametrize("line, key", [("s_max = 800", "grid.s_max"),
+                                       ("s_min = -800", "grid.s_min")])
+def test_commands_reject_a_window_whose_tables_overflow(tmp_path, capsys, command, line, key):
+    # both windows exited 2 after numpy overflow warnings
+    cfg = write_config(tmp_path / "exp.ini", f"""
+[grid]
+{line}
+n = 4097
+[solver]
+dt = 1e-2
+T = 2e-2
+[output]
+dir = {tmp_path / 'run'}
+""")
+    argv = [command, "--config", cfg]
+    if command == "sweep":
+        argv += ["--param", "dt", "--values", "1e-2,5e-3,2.5e-3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("grid_lines", [f"s_min = {gridmod.S_MIN_LIMIT!r}",
+                                        f"s_max = {gridmod.S_MAX_LIMIT!r}"])
+@pytest.mark.parametrize("u0", sorted(config._U0_PROFILES))
+def test_linear_evolve_at_the_window_limits_writes_finite_records(tmp_path, grid_lines, u0):
+    cfg = write_config(tmp_path / "exp.ini", f"""
+[grid]
+{grid_lines}
+n = 4097
+[solver]
+dt = 1e-2
+T = 2e-2
+[output]
+dir = {tmp_path / 'run'}
+u0 = {u0}
+""")
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        assert cli.main(["linear-evolve", "--config", cfg]) == 0
+    rows = np.array(_data_rows(tmp_path / "run" / "linear_trajectory.csv"))
+    assert rows.shape == (3, 6) and np.isfinite(rows).all()
 
 
 def test_sweep_checks_energy_at_the_configured_weight(tmp_path, monkeypatch):

@@ -424,9 +424,41 @@ def test_run_rejects_energies_that_overflow_before_the_first_step(monkeypatch, f
     with pytest.raises(GridError, match=r"not finite at alpha = 40\.0, k = 2"):
         evolution.run(op, u0, f, 1e-2, 2e-2, alpha=40.0, k=2)
     with pytest.raises(GridError, match=r"not finite at alpha = 40\.0, k = 3"):
-        evolution.finite_energies(u0.values, g, 40.0, 3)
-    e = evolution.finite_energies(u0.values, g, 0.25, 3)  # a finite pair is passed on
-    assert tuple(e) == tuple(evolution.tilde_energies(u0.values, g, 0.25, 3))
+        evolution.tilde_energies(u0.values, g, 40.0, 3)
+    e = evolution.tilde_energies(u0.values, g, 0.25, 3)  # a finite pair is passed on
+    assert np.isfinite(e).all() and e[0] == evolution.tilde_energy(u0.values, g, 0.25)
+
+
+@pytest.mark.filterwarnings("error")
+def test_records_reject_an_overflowing_input():
+    # u1..u3 and the energies came back as NaN or inf after numpy warnings
+    g = gridmod.LogGrid(-12.0, 4.0, 129)
+    x = g.x
+    with pytest.raises(GridError, match="contact-line fit is not finite"):
+        evolution.leading_coefficients(np.full((2, g.n), 1e300), g)
+    with pytest.raises(GridError, match=r"not finite at alpha = 0\.25, k = 3"):
+        evolution.tilde_energies(np.full((2, g.n), 1e300), g, 0.25, 3)
+    # on [-300, 4] the u3 band's weight e^{-3s} overflows
+    wide = gridmod.LogGrid(-300.0, 4.0, 4097)
+    xw = wide.x
+    with pytest.raises(GridError, match="contact-line fit is not finite"):
+        evolution.leading_coefficients(xw**3 * np.exp(-xw), wide)
+    assert np.isfinite(evolution.leading_coefficients(x**3 * np.exp(-x), g)).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_on_a_window_whose_tables_overflow_fails_before_the_first_step(monkeypatch):
+    # on [-300, 4] a linear run exited normally with u3 = NaN at every stored step
+    g = gridmod.LogGrid(-300.0, 4.0, 4097)
+    op = resolvent.assemble(g)
+    x = g.x
+
+    def no_solve(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(resolvent.Factorization, "solve_values", no_solve)
+    with pytest.raises(GridError, match="contact-line fit is not finite"):
+        evolution.run(op, gridmod.GridFunction(g, x**3 * np.exp(-x)), None, 1e-2, 2e-2)
 
 
 def test_picard_with_zero_nonlinearity_is_the_linear_step(default_grid):

@@ -20,6 +20,25 @@ def test_loggrid_validation():
     assert np.allclose(np.diff(g.s), g.h)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s_min, s_max", [(-np.inf, 4.0), (-12.0, np.inf), (np.nan, 4.0),
+                                          (-12.0, np.nan), (-np.inf, np.inf), (np.inf, np.inf),
+                                          (-1e308, 1e308), (np.float64(-1e308), 1e308)])
+def test_loggrid_rejects_non_finite_bounds(s_min, s_max):
+    # LogGrid(-inf, 4, 1025) was accepted, with h = inf and NaN nodes after numpy warnings;
+    # so were finite bounds whose width overflows
+    with pytest.raises(GridError, match="s_min and s_max must be finite"):
+        gridmod.LogGrid(s_min, s_max, 1025)
+
+
+@pytest.mark.parametrize("n", [1025.0, 1025.5, "1025", None])
+def test_loggrid_rejects_a_non_integer_node_count(n):
+    # LogGrid(-12, 4, 1025.0) failed later, with a TypeError from np.linspace
+    with pytest.raises(GridError, match="n must be an integer"):
+        gridmod.LogGrid(-12.0, 4.0, n)
+    assert gridmod.LogGrid(-12.0, 4.0, np.int64(1025)).s.size == 1025  # numpy integers pass
+
+
 @pytest.mark.parametrize("name", ["s", "x"])
 def test_coordinates_stay_class_properties(name):
     assert isinstance(gridmod.LogGrid.__dict__[name], property)
@@ -190,6 +209,38 @@ def test_extract_consistent_with_v_limit(default_grid):
     v0 = nonlinear.contact_line_shift(u.values, default_grid)
     assert u1 == pytest.approx(0.6, abs=1e-8)
     assert 2 * v0 == pytest.approx(u1, abs=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fits_reject_an_overflowing_input(default_grid):
+    # a fitted coefficient that overflows was returned as inf or NaN after numpy warnings
+    n = default_grid.n
+    with pytest.raises(GridError, match="contact-line fit is not finite"):
+        gridmod.fit_powers(np.full(n, 1e305), default_grid, -np.inf, gridmod.FIT_BAND, 3)
+    with pytest.raises(GridError, match="contact-line fit is not finite"):
+        gridmod.extract_coefficients(gridmod.GridFunction(default_grid, np.full(n, 1e300)), 3)
+    # on a window as wide as [-300, 4] the weight e^{3|s|} of a fit overflows itself
+    wide = gridmod.LogGrid(-300.0, 4.0, 4097)
+    with pytest.raises(GridError, match="contact-line fit is not finite"):
+        gridmod.fit_powers(np.ones(wide.n), wide, 7.0, 9.5, 3, a=-3.0)
+
+
+def test_fit_weight_is_the_product_taken_before_the_fit(default_grid, rng):
+    y = rng.standard_normal((3, default_grid.n))
+    for a in (-3.0, -2.0, -1.0, 0.0):
+        got = gridmod.fit_powers(y, default_grid, 3.0, 6.0, 3, a=a)
+        want = gridmod.fit_powers(y * default_grid.exp(a), default_grid, 3.0, 6.0, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_composite_init_norm_rejects_an_overflowing_weight():
+    # on [-160, 4] the weight e^{-4.5 s} of (sub, beta) = (2, 2.25) overflows
+    g = gridmod.LogGrid(-160.0, 4.0, 1025)
+    x = g.x
+    with pytest.raises(GridError, match=r"initial-data norm \(N = 1, k = 3, delta = 0\.25\) "
+                                        r"is not finite"):
+        gridmod.composite_init_norm(x**3 * np.exp(-x), g, 1, 3, 0.25)
 
 
 def test_index_sets():

@@ -228,6 +228,13 @@ def test_reconstruct_traveling_wave(default_grid):
     assert np.allclose(film2.h, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_contact_line_shift_rejects_an_overflowing_input(default_grid):
+    # Y0 came back as inf or NaN after numpy warnings
+    with pytest.raises(GridError, match="contact-line fit is not finite"):
+        nonlinear.contact_line_shift(np.full((2, default_grid.n), 1e300), default_grid)
+
+
 def test_reconstruct_contact_line_shift(default_grid):
     u = wave_shaped(default_grid, 0.01)  # u1 = 0.02
     film = nonlinear.reconstruct(u, 0.0, np.linspace(0.0, 1.0, 20))
