@@ -16,7 +16,7 @@ import numpy as np
 
 from . import coercivity, config, evolution, nonlinear, polyops, resolvent, validation
 from . import grid as gridmod
-from .errors import ConfigError, GridError, GuardError, PicardError, ThinFilmError
+from .errors import ConfigError, EnergyError, GridError, GuardError, PicardError, ThinFilmError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -116,7 +116,7 @@ def _check_steps(cfg, dts, key):
 
 def _check_snapshots(cfg):
     """ConfigError keyed output.snapshots unless every snapshot time lies in [0, solver.T]
-    and its nearest step is stored (every solver.store_every-th step and the last)."""
+    and its nearest step is stored (evolution.is_stored)."""
     s = cfg["solver"]
     T, dt, every = s["T"], s["dt"], s["store_every"]
     outside = [t for t in cfg["output"]["snapshots"] if not 0.0 <= t <= T]
@@ -125,19 +125,19 @@ def _check_snapshots(cfg):
                           f"times {outside} lie outside the run [0, solver.T={T!r}]")
     n_steps = evolution.step_count(dt, T)
     unstored = [t for t in cfg["output"]["snapshots"]
-                if (j := round(t / dt)) % every and j != n_steps]
+                if not evolution.is_stored(round(t / dt), n_steps, every)]
     if unstored:
         raise ConfigError("output.snapshots",
                           f"times {unstored} are not on stored steps "
                           f"(solver.dt={dt!r}, solver.store_every={every!r})")
 
 
-def _check_energies(u0, alpha, k):
-    """ConfigError keyed norms.alpha unless the energies a linear run records at t = 0,
-    at weight alpha with k derivatives, are finite (evolution.tilde_energies)."""
+def _start(u0, **run_args):
+    """evolution.start, before a command makes its output directory; t = 0 energies that
+    are not finite (EnergyError) are a ConfigError keyed norms.alpha."""
     try:
-        evolution.tilde_energies(u0.values, u0.grid, alpha, k)
-    except GridError as exc:
+        evolution.start(u0, **run_args)
+    except EnergyError as exc:
         raise ConfigError("norms.alpha", str(exc)) from exc
 
 
@@ -182,16 +182,13 @@ def cmd_linear_evolve(args):
     _check_snapshots(cfg)
     u0 = config.initial_profile(cfg, grid)
     alpha, k = cfg["norms"]["alpha"], cfg["norms"]["k"]
-    _check_energies(u0, alpha, k)
+    _start(u0, alpha=alpha, k=k)
     out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     s = cfg["solver"]
     state = evolution.run(resolvent.assemble(grid), u0, None, s["dt"], s["T"],
                           alpha=alpha, k=k, store_every=s["store_every"])
-    rows = []
-    for i, (t, _) in enumerate(state.steps):
-        e = state.energy_log[i]
-        c = state.coefficient_tracks[i]
-        rows.append((t, e["tilde_sq"], e["tilde_dk_sq"], c[0], c[1], c[2]))
+    rows = [(t, e["tilde_sq"], e["tilde_dk_sq"], *c) for (t, _), e, c
+            in zip(state.steps, state.energy_log, state.coefficient_tracks)]
     _write_csv(os.path.join(out_dir, "linear_trajectory.csv"),
                ["t", "tilde_sq", "tilde_dk_sq", "u1", "u2", "u3"], rows, cfg)
     for t, u in _snapshots(cfg, state):
@@ -208,17 +205,17 @@ def cmd_nonlinear_evolve(args):
     _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
     _check_snapshots(cfg)
     u0 = config.initial_profile(cfg, grid)
-    out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     s, nm = cfg["solver"], cfg["norms"]
-    state = nonlinear.run_nonlinear(u0, s["dt"], s["T"], norm_N=nm["N"], norm_k=nm["k"],
-                                    delta=nm["delta"], store_every=s["store_every"])
-    rows = []
-    n_steps = len(state.picard_counts)
-    for i, (t, _) in enumerate(state.steps):
-        c = state.coefficient_tracks[i]
-        count = 0 if i == 0 else state.picard_counts[min(i * s["store_every"], n_steps) - 1]
-        rows.append((t, state.init_norm_track[i], c[0], c[1],
-                     state.lipschitz_track[i], state.contact_line_track[i], count))
+    model = nonlinear.NonlinearModel(nm["N"], nm["k"], nm["delta"])
+    _start(u0, nonlinear=model)
+    out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
+    state = evolution.run(resolvent.assemble(grid), u0, None, s["dt"], s["T"],
+                          store_every=s["store_every"], nonlinear=model)
+    counts = [0] + state.picard_counts  # of each step, read at the step of a stored time
+    rows = [(t, norm, c[0], c[1], sup, y0, counts[round(t / s["dt"])])
+            for (t, _), norm, c, sup, y0 in zip(state.steps, state.init_norm_track,
+                                                state.coefficient_tracks,
+                                                state.lipschitz_track, state.contact_line_track)]
     _write_csv(os.path.join(out_dir, "nonlinear_trajectory.csv"),
                ["t", "init_norm", "u1", "u2", "sup_vx", "Y0", "picard_iterations"],
                rows, cfg)
@@ -286,7 +283,7 @@ def cmd_sweep(args):
     _check_steps(cfg, values, "--values")
     T, alpha, k = cfg["solver"]["T"], cfg["norms"]["alpha"], cfg["norms"]["k"]
     u0 = config.initial_profile(cfg, grid)
-    _check_energies(u0, alpha, k)
+    _start(u0, alpha=alpha, k=k)
     out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
     op = resolvent.assemble(grid)
     # only the final state is read: store t = 0 and t = T, check the energy every step

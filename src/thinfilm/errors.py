@@ -9,6 +9,10 @@ class GridError(ThinFilmError):
     """Grid too small/coarse for the requested stencil or fit."""
 
 
+class EnergyError(GridError):
+    """The energies of a linear run are not finite at its weight alpha."""
+
+
 class SupportError(ThinFilmError):
     """A test function touches the grid boundary where compact support is required."""
 

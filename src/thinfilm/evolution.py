@@ -12,17 +12,14 @@ PICARD_TOL; on small data that is one solve per step. The iteration runs on
 value arrays (the model's N takes and returns values) with the operands and
 order of the GridFunction calls, so its iterates equal theirs bitwise, and it
 builds one GridFunction per solve, which checks the solve output is finite.
-The linear step stays evolution.step. Every run records the
-expansion-coefficient tracks at stored steps. The energy log is recorded for
-linear runs only: such a run records the commuted energy |(D-1)u|_{a}^2 with
-its k-th D-derivative |D^k (D-1)u|_{a}^2 at stored steps. Without forcing it
-also flags every step at which |(D-1)u|_{a}^2 rises, taking the energies of
-ENERGY_BATCH steps at a time as one stack. The stored steps' records are
-taken on stacks too: t = 0 on its own before the first step, the other stored
-steps after the last, grid.STEP_STACK (K = 8) at a time, with one stencil
-call per derivative order per stack. The record functions (leading_coefficients,
-tilde_energies, ...) take one field's values or a stack, and each row of a
-stack equals its one-field call bitwise.
+The linear step stays evolution.step. Every run records the expansion
+coefficients of its stored steps, and a linear run the energy pair
+|(D-1)u|_{a}^2, |D^k (D-1)u|_{a}^2; without forcing it also flags each step at
+which |(D-1)u|_{a}^2 rises. Each piece of this bookkeeping has one implementation:
+start (the t = 0 work), is_stored (the stored steps), tilde_energies (the energies,
+checked and logged) and the records, taken on stacks (ENERGY_BATCH steps per energy
+check, grid.STEP_STACK = 8 stored steps per record) with one stencil call per
+derivative order per stack; each row of a stack equals its one-field call bitwise.
 """
 
 import numbers
@@ -32,7 +29,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import resolvent, stencils
-from .errors import GridError, PicardError
+from .errors import EnergyError, GridError, PicardError
 
 ENERGY_SLACK = 1e-10
 ENERGY_BATCH = 32  # steps per energy check of a linear run: one stencil call per stack
@@ -46,8 +43,8 @@ class EvolutionState:
     """Trajectory with coefficient tracks and, for a linear run, the energy log."""
 
     steps: list                 # (t, GridFunction), including t = 0
-    energy_log: list            # dicts: tilde_sq, tilde_dk_sq; empty for a nonlinear run
-    coefficient_tracks: np.ndarray  # (len(steps), 3): u1, u2, u3
+    energy_log: list = field(default_factory=list)  # dicts: tilde_sq, tilde_dk_sq
+    coefficient_tracks: np.ndarray = field(default_factory=list)  # (len(steps), 3): u1..u3
     flags: list = field(default_factory=list)
     picard_counts: list = field(default_factory=list)
     picard_rates: list = field(default_factory=list)  # contraction rate used; None: unknown
@@ -98,31 +95,25 @@ def average_rhs(f, j, dt, grid):
     return gridmod.GridFunction(grid, (a.values + 4.0 * m.values + b.values) / 6.0)
 
 
-def tilde_energy(values, grid, alpha):
-    """|(D-1)u|_a^2 of one field's values, or of each row of a (..., n) stack: the
-    energy a linear run checks, one stack of steps per call. A stacked call equals
-    its per-row calls bitwise."""
-    return gridmod._norm_sq(gridmod._shifted(values, 1.0, grid.h), 0,
-                            grid.exp(-2.0 * alpha), grid)
-
-
 def tilde_energies(values, grid, alpha, k):
     """(|(D-1)u|_a^2, |D^k (D-1)u|_a^2) by trapezoid quadrature, of one field's values
-    or of each row of a (steps, n) stack: shape (..., 2), the stored steps' pairs.
-    D^k (D-1)u is the last entry of the derivative tower, one stencil call per order
-    per stack; each row equals its one-field call bitwise. GridError naming alpha and
-    k unless every energy is finite (grid._finite): a linear run records its stored
-    steps through it, so a weight e^{-2 alpha s} that overflows fails at t = 0, before
-    the first step; NaN energies would make every energy comparison false, so no step
-    could be flagged."""
+    or of each row of a (steps, n) stack: shape (..., 2). The stored steps' pairs and
+    the one energy function: a linear run checks column 0 at k = 0, where the last
+    entry of the derivative tower (one stencil call per order) is (D-1)u itself and
+    one quadrature gives both columns. Each row equals its one-field call bitwise.
+    EnergyError naming alpha and k unless every energy is finite (grid._finite): NaN
+    energies would make every comparison false, so no step could be flagged."""
     def energies():
         tu = gridmod._shifted(values, 1.0, grid.h)
         *_, dk = gridmod._ds_tower(tu, k, grid.h)
         weight = grid.exp(-2.0 * alpha)
-        return np.stack([gridmod._norm_sq(d, 0, weight, grid) for d in (tu, dk)], axis=-1)
+        e0 = gridmod._norm_sq(tu, 0, weight, grid)
+        return np.stack([e0, e0 if dk is tu else gridmod._norm_sq(dk, 0, weight, grid)],
+                        axis=-1)
 
     return gridmod._finite(energies, f"the energies |(D-1)u|_a^2 and |D^k (D-1)u|_a^2 are "
-                                     f"not finite at alpha = {alpha!r}, k = {k!r} on this grid")
+                                     f"not finite at alpha = {alpha!r}, k = {k!r} on this grid",
+                           EnergyError)
 
 
 def step(op, u_prev, f_avg, dt, factorization=None):
@@ -198,70 +189,79 @@ def step_count(dt, T):
     return n_steps
 
 
-def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
-    """Implicit-Euler trajectory with energy and coefficient bookkeeping.
+def is_stored(j, n_steps, store_every):
+    """Whether a run of n_steps steps stores step j: the one stored-step rule, t = 0,
+    every store_every-th step and the last."""
+    return j % store_every == 0 or j == n_steps
 
-    Stored steps (t = 0, every store_every-th step and t = T) record the
-    expansion coefficients. GridError unless u0 and every sample of f lie on
-    op.grid, store_every is an integer >= 1, k an integer >= 0 and alpha finite.
-    The time loop stores only (t, u), with sup |v_x| for a nonlinear run; the
-    records are taken on (K, n) stacks of stored steps, K = grid.STEP_STACK,
-    one stencil call per derivative order per stack, and equal per-step records
-    bitwise. t = 0 is recorded on its own before the first solve, so a record
-    that cannot be taken (a grid that does not resolve x << 1) fails before any
-    step; the other stored steps are recorded after the last step.
 
-    Linear (nonlinear = None): one solve per step. With f = None the energy
-    |(D-1)u|_a^2 must not increase beyond a 1e-10 relative slack per step;
-    violations are recorded as flags and the run continues (boundary
-    truncation can pollute energies near rounding). The run checks it on
-    stacks: every ENERGY_BATCH steps and at the last, one tilde_energy call
-    takes the energies of the unchecked steps, with the last checked step
-    (u0 at first) on top, so the flags are those of a per-step check. With
-    forcing no energy is taken between stored steps. Stored steps record
-    |(D-1)u|_a^2 with |D^k (D-1)u|_a^2 in the energy log, which alpha and k
-    set; the energy log is recorded for linear runs only. A record that is not
-    finite is a GridError (grid._finite), for t = 0 before the first step.
+def _record(state, stored, grid, alpha, k, nonlinear):
+    """Append to state the records of the stored (t, u) pairs ``stored``, taken as one stack."""
+    values = np.array([u.values for _, u in stored])
+    state.coefficient_tracks.append(leading_coefficients(values, grid))
+    if nonlinear is None:
+        state.energy_log += [{"tilde_sq": e0, "tilde_dk_sq": ek} for e0, ek
+                             in tilde_energies(values, grid, alpha, k).tolist()]
+    else:
+        init_norm, y0 = nonlinear.records([t for t, _ in stored], values, grid)
+        state.init_norm_track += init_norm.tolist()
+        state.contact_line_track += y0.tolist()
 
-    Nonlinear: each step iterates the solve on ``nonlinear.N``, then
-    ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
-    record it and, one stack per call, ``nonlinear.records(t, values, grid)``
-    (initial-data norm, Y0).
-    """
-    n_steps = step_count(dt, T)
-    if not isinstance(store_every, numbers.Integral) or store_every < 1:
-        raise GridError(f"store_every must be an integer >= 1, got {store_every!r}")
+
+def start(u0, alpha=0.25, k=2, nonlinear=None):
+    """A run's t = 0 work, the EvolutionState of t = 0 that ``run`` continues: GridError
+    unless k is an integer >= 0 and alpha finite, a nonlinear run's guard on u0
+    (GuardError) and the t = 0 records (GridError unless finite, EnergyError for a
+    linear run's energies). ``run`` calls it before it factorizes, the cli before it
+    makes an output directory, so no t = 0 failure leaves one."""
     if not isinstance(k, numbers.Integral) or k < 0:
         raise GridError(f"k must be an integer >= 0, got {k!r}")
     if not np.isfinite(alpha):
         raise GridError(f"alpha must be finite, got {alpha!r}")
+    state = EvolutionState(steps=[(0.0, u0)])
+    if nonlinear is not None:
+        state.lipschitz_track.append(nonlinear.guard(u0, 0))
+    _record(state, state.steps, u0.grid, alpha, k, nonlinear)
+    return state
+
+
+def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
+    """Implicit-Euler trajectory with energy and coefficient bookkeeping.
+
+    GridError unless u0 and every sample of f lie on op.grid and store_every is an
+    integer >= 1. ``start`` takes the t = 0 work before the factorization. The loop
+    stores (t, u) at the steps ``is_stored`` names, with sup |v_x| for a nonlinear
+    run; the other stored steps are recorded after the last step, on stacks of
+    grid.STEP_STACK, one stencil call per derivative order per stack, and equal
+    per-step records bitwise.
+
+    Linear (nonlinear = None): one solve per step. With f = None the energy
+    |(D-1)u|_a^2 must not increase beyond a 1e-10 relative slack per step;
+    violations are recorded as flags and the run continues (boundary truncation
+    can pollute energies near rounding). Every ENERGY_BATCH steps and at the last,
+    column 0 of one tilde_energies call at k = 0 takes the energies of the unchecked
+    steps, with the last checked one (u0 at first) on top, so the flags are those of
+    a per-step check. With forcing no energy is taken between stored steps. The
+    energy log (linear runs only) holds |(D-1)u|_a^2 and |D^k (D-1)u|_a^2 of the
+    stored steps.
+
+    Nonlinear: each step iterates the solve on ``nonlinear.N``, then
+    ``nonlinear.guard(u, j)`` raises or returns sup |v_x|; stored steps also
+    record it and ``nonlinear.records(t, values, grid)`` (initial-data norm, Y0).
+    """
+    n_steps = step_count(dt, T)
+    if not isinstance(store_every, numbers.Integral) or store_every < 1:
+        raise GridError(f"store_every must be an integer >= 1, got {store_every!r}")
     gridmod.require_grid(u0, op.grid, "u0")
+    state = start(u0, alpha, k, nonlinear)
     fac = resolvent.Factorization(op, 1.0 / dt)
-    state = EvolutionState(steps=[], energy_log=[], coefficient_tracks=[])
-
-    def store(t, u):
-        state.steps.append((t, u))
-        if nonlinear is not None:
-            state.lipschitz_track.append(sup_vx)
-
-    def record(stored):
-        """Append the records of the stored steps ``stored``, taken as one stack."""
-        values = np.array([u.values for _, u in stored])
-        state.coefficient_tracks.append(leading_coefficients(values, op.grid))
-        if nonlinear is None:
-            state.energy_log += [{"tilde_sq": e0, "tilde_dk_sq": ek} for e0, ek
-                                 in tilde_energies(values, op.grid, alpha, k).tolist()]
-        else:
-            init_norm, y0 = nonlinear.records([t for t, _ in stored], values, op.grid)
-            state.init_norm_track += init_norm.tolist()
-            state.contact_line_track += y0.tolist()
 
     # linear with f = None: the last checked step's values, then those not yet checked
     energy_rows = [u0.values] if nonlinear is None and f is None else None
 
     def check_energies(j):
         """Flag each rise of |(D-1)u|_a^2 over the step before it, up to step j."""
-        e = tilde_energy(np.array(energy_rows), op.grid, alpha)
+        e = tilde_energies(np.array(energy_rows), op.grid, alpha, 0)[:, 0]
         first = j - len(energy_rows) + 2  # the step of e[1]
         for i in np.flatnonzero(e[1:] > e[:-1] * (1.0 + ENERGY_SLACK) + 1e-300):
             state.flags.append(f"energy increase at step {first + i}: "
@@ -269,9 +269,6 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
         del energy_rows[:-1]
 
     u, u_older, rate = u0, None, None
-    sup_vx = None if nonlinear is None else nonlinear.guard(u0, 0)
-    store(0.0, u0)
-    record(state.steps)  # t = 0 on its own: a record's error comes before the first solve
     for j in range(1, n_steps + 1):
         f_avg = None if f is None else average_rhs(f, j, dt, op.grid)
         if nonlinear is None:
@@ -287,9 +284,11 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
             state.picard_counts.append(count)
             state.picard_rates.append(rate)
             sup_vx = nonlinear.guard(u, j)
-        if j % store_every == 0 or j == n_steps:
-            store(j * dt, u)
+        if is_stored(j, n_steps, store_every):
+            state.steps.append((j * dt, u))
+            if nonlinear is not None:
+                state.lipschitz_track.append(sup_vx)
     for i in range(1, len(state.steps), gridmod.STEP_STACK):
-        record(state.steps[i:i + gridmod.STEP_STACK])
+        _record(state, state.steps[i:i + gridmod.STEP_STACK], op.grid, alpha, k, nonlinear)
     state.coefficient_tracks = np.concatenate(state.coefficient_tracks)
     return state

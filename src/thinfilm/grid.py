@@ -131,15 +131,15 @@ class GridFunction:
         raise AttributeError("GridFunction is immutable")
 
 
-def _finite(compute, message):
+def _finite(compute, message, error=GridError):
     """compute() without numpy's overflow and invalid-value warnings, returned as it
-    is; GridError(message) unless every entry is finite. The one finiteness rule of
-    every value a run records or a command reports: a weight or table that overflows
-    on a wide window, or a large k or alpha, becomes a typed error, not NaN data."""
+    is; error(message), a GridError, unless every entry is finite. The one finiteness
+    rule of every value a run records or a command reports: a weight or table that
+    overflows on a wide window, or a large k or alpha, is a typed error, not NaN data."""
     with np.errstate(over="ignore", invalid="ignore"):
         result = compute()
     if not np.isfinite(result).all():
-        raise GridError(message)
+        raise error(message)
     return result
 
 

@@ -536,7 +536,8 @@ def test_sweep_command(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(evolution, "leading_coefficients", counted)
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
                      "--config", cfg_path]) == 0
-    assert fits == [1] * 6  # t = 0 and t = T of each of the three runs
+    # t = 0 in the start before the output directory, then t = 0 and t = T of each run
+    assert fits == [1] * 7
     monkeypatch.undo()
     results = _strict_json(tmp_path / "run" / "sweep_summary.json")["results"]
     orders = results["richardson_orders"]
@@ -566,8 +567,8 @@ def test_sweep_summary_is_strict_json_when_finals_coincide(tmp_path, capsys):
 
 def test_sweep_reports_energy_flags(tmp_path, capsys, monkeypatch):
     energies = itertools.count(1.0)  # rises at every step, one stack of steps per call
-    monkeypatch.setattr(evolution, "tilde_energy",
-                        lambda values, grid, alpha: np.array([next(energies) for _ in values]))
+    monkeypatch.setattr(evolution, "tilde_energies", lambda values, grid, alpha, k:
+                        np.array([[next(energies)] * 2 for _ in values]))
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,4e-2",
                      "--config", _sweep_config(tmp_path)]) == 0
     err = capsys.readouterr().err.splitlines()
@@ -628,6 +629,47 @@ dir = {tmp_path / 'run'}
     assert not (tmp_path / "run").exists()
 
 
+_COARSE_WINDOW = "[grid]\ns_min = -140\ns_max = 140\nn = 64\n"  # h = 4.4: one fit-band node
+
+
+@pytest.mark.parametrize("command, sections, u0, code, message", [
+    # the weight e^{-9 s} of the N = 2 initial-data norm overflows at s = -80
+    ("nonlinear-evolve", "[grid]\ns_min = -80\nn = 4097\n[norms]\nN = 2\ndelta = 0.45\n",
+     "x3_decay", 2,
+     "error: the initial-data norm (N = 2, k = 3, delta = 0.45) is not finite on this grid"),
+    ("linear-evolve", _COARSE_WINDOW, "x3_decay", 2,
+     "error: fit band too coarse near the contact line"),
+    ("sweep", _COARSE_WINDOW, "x3_decay", 2, "error: fit band too coarse near the contact line"),
+    ("nonlinear-evolve", "[grid]\nn = 257\n[nonlinear]\neps = 1.0\n", "wave_shift", 3,
+     "numerical guard: Lipschitz guard tripped on the initial data: sup |v_x| = 1.0000 "
+     "is not below 0.5"),
+], ids=["init-norm-overflow", "linear-coarse-fit", "sweep-coarse-fit", "initial-guard"])
+def test_a_t0_failure_makes_no_output_directory(tmp_path, capsys, monkeypatch, command,
+                                               sections, u0, code, message):
+    # each exited the same way after making an empty output directory: the t = 0
+    # start (evolution.start) now runs before it, and before any factorization
+    cfg = write_config(tmp_path / "exp.ini", sections + f"""[solver]
+dt = 1e-2
+T = 2e-2
+[output]
+dir = {tmp_path / 'run'}
+u0 = {u0}
+""")
+
+    def no_factorization(*args):
+        raise AssertionError("a factorization was built before the t = 0 start")
+
+    monkeypatch.setattr(resolvent.Factorization, "__init__", no_factorization)
+    argv = [command, "--config", cfg]
+    if command == "sweep":
+        argv += ["--param", "dt", "--values", "1e-2,5e-3,2.5e-3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("grid_lines", [f"s_min = {gridmod.S_MIN_LIMIT!r}",
                                         f"s_max = {gridmod.S_MAX_LIMIT!r}"])
 @pytest.mark.parametrize("u0", sorted(config._U0_PROFILES))
@@ -654,18 +696,19 @@ def test_sweep_checks_energy_at_the_configured_weight(tmp_path, monkeypatch):
     cfg = _sweep_config(tmp_path)
     with open(cfg, "a") as fh:
         fh.write("[norms]\nalpha = 0.75\n")
-    alphas = set()
-    tilde_energy = evolution.tilde_energy
+    weights = set()  # (alpha, k): k = 0 for the flags' checks, norms.k for the records
+    tilde_energies = evolution.tilde_energies
 
-    def recorded(values, grid, alpha):
-        alphas.add(alpha)
-        return tilde_energy(values, grid, alpha)
+    def recorded(values, grid, alpha, k):
+        weights.add((alpha, k))
+        return tilde_energies(values, grid, alpha, k)
 
-    monkeypatch.setattr(evolution, "tilde_energy", recorded)
+    monkeypatch.setattr(evolution, "tilde_energies", recorded)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,4e-2",
                          "--config", cfg]) == 0
-    assert alphas == {0.75}  # the energy flags were checked at 0.25 whatever the config said
+    # the energy flags were checked at 0.25 whatever the config said
+    assert weights == {(0.75, 0), (0.75, 3)}
 
 
 @pytest.mark.parametrize("values, T, message", [  # T None: the default 0.08
@@ -862,3 +905,9 @@ def test_config_defaults_and_validation():
         config.ExperimentConfig({"norms": {"delta": 0.7}})
     with pytest.raises(ConfigError):
         config.ExperimentConfig({"output": {"u0": "mystery"}})
+
+
+def test_config_load_rejects_a_missing_file():
+    with pytest.raises(ConfigError, match="cannot read configuration file") as exc:
+        config.load("/nonexistent.ini")
+    assert exc.value.key == "/nonexistent.ini"

@@ -170,3 +170,18 @@ def test_polynomial_elliptic_probe_failure(default_grid):
     w2 = gridmod.monomial(default_grid, 1)
     with pytest.raises(SupportError):
         elliptic.polynomial_elliptic_check(p1, w2, 0.5, 0)
+
+
+def test_decay_exponent_is_infinite_on_fewer_than_four_nonzero_band_nodes():
+    g = gridmod.LogGrid(-12.0, 4.0, 129)
+    band = np.flatnonzero(g.s <= g.s_min + elliptic.TAIL_BAND)
+    assert band.size >= 4
+    v = np.zeros(g.n)
+    v[band[:3]] = 1.0  # above the zero floor, but too few points for a line fit
+    assert elliptic.decay_exponent(v, g) == np.inf
+
+
+def test_cumulative_from_zero_rejects_a_growing_integrand(default_grid):
+    # e^{-s/2} = x^{-1/2} blows up at the contact line: the tail closure has no integral
+    with pytest.raises(DecayProbeError, match="does not decay"):
+        elliptic.cumulative_from_zero(np.exp(-default_grid.s / 2), default_grid)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import ds_any
 from thinfilm import evolution, nonlinear, resolvent, stencils
 from thinfilm import grid as gridmod
-from thinfilm.errors import GridError, GuardError, PicardError, SolverError
+from thinfilm.errors import EnergyError, GridError, GuardError, PicardError, SolverError
 
 KERNEL_GRID = gridmod.LogGrid(-12.0, 9.0, 1345)
 
@@ -165,9 +165,8 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
 
     monkeypatch.setattr(gridmod, "_shifted", counted)
     calls = []  # (name, stack height)
-    for module, name in ((evolution, "tilde_energy"), (evolution, "tilde_energies"),
-                         (evolution, "leading_coefficients"), (gridmod, "composite_init_norm"),
-                         (nonlinear, "contact_line_shift")):
+    for module, name in ((evolution, "tilde_energies"), (evolution, "leading_coefficients"),
+                         (gridmod, "composite_init_norm"), (nonlinear, "contact_line_shift")):
         def counted_record(values, *args, _name=name, _original=getattr(module, name)):
             calls.append((_name, len(values)))
             return _original(values, *args)
@@ -186,13 +185,13 @@ def test_stored_step_monitors_match_per_call_forms(default_grid, monkeypatch, no
     # linear run takes it once per stack for the energy pair and once for the
     # coefficients, a nonlinear run once (coefficients); (D-2)(D-1)u once per
     # stack, for the coefficients. The energy flags take (D-1)u of their stack of
-    # u0 and its 5 steps inside tilde_energy.
+    # u0 and its 5 steps inside tilde_energies (at k = 0).
     stacks = [1, 3]
     records = ["leading_coefficients"] + (
         ["composite_init_norm", "contact_line_shift"] if nonlinear_run
         else ["tilde_energies"])
     want = [(name, h) for h in stacks for name in records]
-    want += [] if nonlinear_run else [("tilde_energy", 6)]
+    want += [] if nonlinear_run else [("tilde_energies", 6)]
     assert sorted(calls) == sorted(want)
     want_shifts = [(a, h) for h in stacks for a in (1.0, 2.0)]
     want_shifts += [] if nonlinear_run else [(1.0, 1), (1.0, 3), (1.0, 6)]
@@ -221,12 +220,13 @@ def test_energy_stacks_equal_per_row_energies(n, height, alpha, seed):
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-8.0, 3.0, (height, 1))
     stack = scales * rng.standard_normal((height, n)) * np.exp(-grid.x)
-    energies = evolution.tilde_energy(stack, grid, alpha)
-    assert energies.shape == (height,)
-    for row, e in zip(stack, energies):
+    pairs = evolution.tilde_energies(stack, grid, alpha, 0)  # the energy check's call
+    assert pairs.shape == (height, 2)
+    assert np.array_equal(pairs[:, 0], pairs[:, 1])  # at k = 0 both are |(D-1)u|_a^2
+    for row, e in zip(stack, pairs[:, 0]):
         # the one-field form and the stored-step pair's |(D-1)u|_a^2, bitwise
-        assert e == evolution.tilde_energy(row, grid, alpha)
         assert e == evolution.tilde_energies(row, grid, alpha, 0)[0]
+        assert e == evolution.tilde_energies(row, grid, alpha, 3)[0]
 
 
 STACK = gridmod.STEP_STACK
@@ -295,6 +295,54 @@ def test_record_stacks_equal_a_per_step_loop(nonlinear_run, stored):
 
 
 @pytest.mark.parametrize("nonlinear_run", [False, True])
+def test_start_is_the_t0_state_of_a_run(nonlinear_run):
+    x = SMALL_GRID.x
+    u0 = gridmod.GridFunction(SMALL_GRID, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    model = nonlinear.NonlinearModel() if nonlinear_run else None
+    started = evolution.start(u0, 0.75, 3, model)
+    state = evolution.run(resolvent.assemble(SMALL_GRID), u0, None, 1e-2, 0.05, alpha=0.75,
+                          k=3, nonlinear=model)
+    assert started.steps == state.steps[:1] == [(0.0, u0)]
+    assert started.coefficient_tracks[0].tolist() == state.coefficient_tracks[:1].tolist()
+    for track in ("energy_log", "lipschitz_track", "init_norm_track", "contact_line_track"):
+        assert getattr(started, track) == getattr(state, track)[:1]
+    assert len(started.energy_log) == (0 if nonlinear_run else 1)
+    assert len(started.lipschitz_track) == (1 if nonlinear_run else 0)
+
+
+@pytest.mark.parametrize("n_steps, store_every, want", [
+    (1, 1, [0, 1]), (5, 1, [0, 1, 2, 3, 4, 5]), (5, 2, [0, 2, 4, 5]), (6, 3, [0, 3, 6]),
+    (7, 10, [0, 7]), (3, evolution.MAX_STEPS, [0, 3]),
+])
+def test_runs_store_the_steps_the_stored_step_rule_names(n_steps, store_every, want):
+    assert [j for j in range(n_steps + 1) if evolution.is_stored(j, n_steps, store_every)] == want
+    for driver in (_run_linear, _run_nonlinear):
+        state = driver(1e-2, n_steps * 1e-2, store_every)
+        assert [round(t / 1e-2) for t in state.times] == want
+
+
+@pytest.mark.parametrize("case", ["guard", "energies", "unresolved"])
+def test_a_t0_failure_comes_before_the_factorization(monkeypatch, case):
+    def no_factorization(*args):
+        raise AssertionError("a factorization was built before the t = 0 start")
+
+    monkeypatch.setattr(resolvent.Factorization, "__init__", no_factorization)
+    x = SMALL_GRID.x
+    if case == "guard":  # sup |v_x| = 1 on the initial data
+        u0 = gridmod.GridFunction(SMALL_GRID, (3 * x * x + 2 * x) * np.exp(-x))
+        with pytest.raises(GuardError, match="on the initial data"):
+            nonlinear.run_nonlinear(u0, 1e-2, 0.05)
+    elif case == "energies":  # e^{-2 alpha s} overflows at s = -12
+        with pytest.raises(EnergyError, match=r"not finite at alpha = 40\.0, k = 2"):
+            evolution.run(resolvent.assemble(SMALL_GRID), gridmod.monomial(SMALL_GRID, 2),
+                          None, 1e-2, 0.05, alpha=40.0)
+    else:
+        grid = gridmod.LogGrid(-5.0, 4.0, 257)
+        with pytest.raises(GridError, match="does not resolve x << 1"):
+            evolution.run(resolvent.assemble(grid), gridmod.zero(grid), None, 1e-2, 0.05)
+
+
+@pytest.mark.parametrize("nonlinear_run", [False, True])
 def test_unresolved_grid_fails_before_the_first_solve(monkeypatch, nonlinear_run):
     # s_min = -5 does not resolve the contact line: the t = 0 records raise before
     # any step is solved, not after the run
@@ -319,7 +367,7 @@ def _per_step_flags(state, alpha):
     """The energy flags of a linear run, taken by a loop over its steps (all stored)."""
     flags, prev = [], None
     for j, (_, u) in enumerate(state.steps):
-        e = float(evolution.tilde_energy(u.values, u.grid, alpha))
+        e = _per_call_tilde_energies(u, alpha, 0)[0]
         if prev is not None and e > prev * (1.0 + evolution.ENERGY_SLACK) + 1e-300:
             flags.append(f"energy increase at step {j}: {prev:.6e} -> {e:.6e}")
         prev = e
@@ -345,14 +393,15 @@ def test_energy_rises_at_stack_edges_flag_as_per_step(monkeypatch, n_steps):
 
 
 def test_energy_is_checked_once_per_stack_and_not_with_forcing(kernel_op, monkeypatch):
-    heights = []
-    tilde_energy = evolution.tilde_energy
+    heights = []  # of the energy checks, the calls at k = 0
+    tilde_energies = evolution.tilde_energies
 
-    def counted(values, grid, alpha):
-        heights.append(len(values))
-        return tilde_energy(values, grid, alpha)
+    def counted(values, grid, alpha, k):
+        if k == 0:
+            heights.append(len(values))
+        return tilde_energies(values, grid, alpha, k)
 
-    monkeypatch.setattr(evolution, "tilde_energy", counted)
+    monkeypatch.setattr(evolution, "tilde_energies", counted)
     u0 = gridmod.monomial(KERNEL_GRID, 2)
     n_steps = 2 * K + 3
     evolution.run(kernel_op, u0, None, 1e-2, n_steps * 1e-2, store_every=n_steps)
@@ -426,7 +475,7 @@ def test_run_rejects_energies_that_overflow_before_the_first_step(monkeypatch, f
     with pytest.raises(GridError, match=r"not finite at alpha = 40\.0, k = 3"):
         evolution.tilde_energies(u0.values, g, 40.0, 3)
     e = evolution.tilde_energies(u0.values, g, 0.25, 3)  # a finite pair is passed on
-    assert np.isfinite(e).all() and e[0] == evolution.tilde_energy(u0.values, g, 0.25)
+    assert tuple(e.tolist()) == _per_call_tilde_energies(u0, 0.25, 3)
 
 
 @pytest.mark.filterwarnings("error")

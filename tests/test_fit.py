@@ -123,3 +123,11 @@ def test_underdetermined_fits_raise():
         nonlinear.contact_line_shift(coarse.x, coarse)
     with pytest.raises(GridError, match="too coarse"):
         evolution.leading_coefficients(coarse.x, coarse)
+
+
+def test_fit_on_a_band_too_narrow_for_its_powers_is_singular():
+    # 16 nodes within 1e-9 of s = -12: the columns x^0..x^4 agree to 1e-9, so the
+    # normalized design has rank 1 and the fit cannot separate five terms
+    narrow = gridmod.LogGrid(-12.0, -12.0 + 1e-9, 16)
+    with pytest.raises(GridError, match="singular fit matrix"):
+        gridmod.fit_powers(np.ones(16), narrow, -np.inf, gridmod.FIT_BAND, 5)

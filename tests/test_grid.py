@@ -611,3 +611,17 @@ def test_normspec_validation():
     for sub in (4, 5):  # extract_coefficients fits at most 3 expansion terms
         with pytest.raises(GridError, match="sub must lie in 0..3"):
             gridmod.NormSpec(2, 0.5, sub=sub)
+
+
+def test_grid_function_rejects_the_wrong_number_of_values():
+    g = gridmod.LogGrid(-12.0, 4.0, 129)
+    for shape in ((128,), (130,), (1, 129)):
+        with pytest.raises(GridError, match="expected 129 values"):
+            gridmod.GridFunction(g, np.zeros(shape))
+
+
+@pytest.mark.parametrize("order", [0, 4])
+def test_extract_coefficients_rejects_an_order_outside_1_to_3(order):
+    w = gridmod.monomial(gridmod.LogGrid(-12.0, 4.0, 129), 1)
+    with pytest.raises(GridError, match="supports order 1..3"):
+        gridmod.extract_coefficients(w, order)

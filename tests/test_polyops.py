@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from thinfilm import grid as gridmod
 from thinfilm import polyops
+from thinfilm.errors import GridError
 
 
 def test_canonical_root_multisets():
@@ -265,3 +266,13 @@ def test_integrate_rejects_non_finite_result():
     with pytest.raises(ValueError, match="non-finite"):
         polyops.integrate_coefficients(
             polyops.CoefficientVector(8, np.ones(8), np.zeros(8)), 1e100, 1e100)
+
+
+def test_operator_inputs_outside_their_range_raise():
+    with pytest.raises(ValueError, match="exactly 4 roots"):
+        polyops.PolynomialOperator((0.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="commutations must be 0, 1 or 2"):
+        polyops.symbol_pair(3)
+    coarse = gridmod.LogGrid(-12.0, 4.0, 16)
+    with pytest.raises(GridError, match="too coarse for the commutation stencil"):
+        polyops.commutation_residual("tilde", gridmod.monomial(coarse, 1))

@@ -449,3 +449,28 @@ def test_left_edge_coefficient_relation():
     u1, _, u3 = evolution.leading_coefficients(sol.solution.values, g)
     g1 = -12.0  # leading coefficient of the manufactured right-hand side
     assert abs(lam * u1 + 12 * u3 - g1) / abs(g1) < 1e-3
+
+
+def test_failed_factorization_raises(monkeypatch):
+    g = gridmod.LogGrid(-12.0, 4.0, 129)
+    op = resolvent.assemble(g)
+    gbtrf = resolvent._gbtrf
+
+    def fail(*args, **kwargs):
+        lu, piv, _ = gbtrf(*args, **kwargs)
+        return lu, piv, 7  # a zero pivot in column 7
+
+    monkeypatch.setattr(resolvent, "_gbtrf", fail)
+    with pytest.raises(SolverError, match=r"banded factorization failed \(info=7\)"):
+        resolvent.Factorization(op, 1.0)
+
+
+def test_solve_accepts_data_that_decays_at_the_contact_line():
+    # sqrt(x) e^{-x}: its left band is 6.1e-3 of its maximum, above the probe's
+    # small-band shortcut, and the compatibility probe passes it on its decay
+    g = gridmod.LogGrid(-12.0, 4.0, 1025)
+    x = g.x
+    rhs = gridmod.GridFunction(g, np.sqrt(x) * np.exp(-x))
+    assert np.max(np.abs(rhs.values[:8])) > 1e-3 * np.max(np.abs(rhs.values))
+    sol = resolvent.solve(resolvent.assemble(g), 1.0, rhs)
+    assert sol.residual_norm < 1e-12  # 2.5e-14

@@ -196,3 +196,10 @@ def test_cumulative_integral_exact_on_cubics():
 def test_trapezoid_matches_numpy():
     y = np.sin(np.linspace(0, 3, 100))
     assert np.isclose(stencils.trapezoid(y, 0.01), np.trapezoid(y, dx=0.01))
+
+
+def test_too_few_nodes_raise():
+    with pytest.raises(ValueError, match="need more than 3 nodes for derivative order 3"):
+        stencils.fd_weights([-1.0, 0.0, 1.0], 0.0, 3)
+    with pytest.raises(GridError, match="at least 4 nodes"):
+        stencils.cumulative_integral(np.ones(3), 0.1)
