@@ -163,14 +163,14 @@ def cmd_resolvent(args):
     out_dir = _make_out_dir(args.out or cfg["output"]["dir"],
                             "--out" if args.out else "output.dir")
     sol = resolvent.solve(resolvent.assemble(grid), args.lam, rhs)
-    coeffs = gridmod.extract_coefficients(sol.solution, 3)  # GridError unless finite
+    coeffs = evolution.leading_coefficients(sol.solution.values, grid)  # GridError unless finite
     _write_csv(os.path.join(out_dir, "resolvent_solution.csv"), ["s", "u"],
                list(zip(grid.s.tolist(), sol.solution.values.tolist())), cfg)
     _write_json(os.path.join(out_dir, "resolvent_report.json"), {
         "lambda": args.lam,
         "interior_residual": sol.residual_norm,
         "decay_rate_fit": None if np.isnan(sol.decay_rate_fit) else sol.decay_rate_fit,
-        "coefficients": list(coeffs),
+        "coefficients": coeffs.tolist(),
     }, cfg)
     print(f"resolvent solve done: residual {sol.residual_norm:.3e}")
     return EXIT_OK

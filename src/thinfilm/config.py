@@ -87,8 +87,9 @@ class ExperimentConfig:
         nm = self.values["norms"]
         if not 0 < nm["delta"] < 0.5:
             raise ConfigError("norms.delta", "must lie in (0, 1/2)")
-        if nm["N"] not in (0, 1, 2):
-            raise ConfigError("norms.N", "composite norms support N in {0, 1, 2}")
+        if nm["N"] not in (0, 1):
+            raise ConfigError("norms.N",
+                              "must be 0 or 1: the lab fits the expansion only up to x^3")
         if nm["k"] < 0:
             raise ConfigError("norms.k", "must be non-negative")
         nl = self.values["nonlinear"]

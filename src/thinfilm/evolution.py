@@ -61,10 +61,10 @@ class EvolutionState:
 
 
 def leading_coefficients(values, grid):
-    """Expansion coefficients (u1, u2, u3) tuned for evolving fields, of one field's
-    values or of each row of a (steps, n) stack: shape (..., 3).
+    """Expansion coefficients (u1, u2, u3) of evolving fields and solve outputs, of one
+    field's values or of each row of a (steps, n) stack: shape (..., 3).
 
-    u1 comes from the standard left-band fit. u2 and u3 are read off the
+    u1 comes from the left-band fit (grid.extract_coefficients). u2 and u3 are read off the
     shifted fields (D-1)u = u2 x^2 + 2 u3 x^3 + ... and
     (D-2)(D-1)u = 2 u3 x^3 + 6 u4 x^4 + ..., which annihilate the lower
     expansion terms analytically; their fit bands sit where x is large
@@ -73,11 +73,11 @@ def leading_coefficients(values, grid):
     shift, and each row equals its one-field call bitwise. GridError unless every
     coefficient is finite (grid.fit_powers).
     """
-    u1 = gridmod._fit_expansion(values, grid, 3)[..., 0]
+    u1 = gridmod._fit_expansion(values, grid)[..., 0]
     tu = gridmod._shifted(values, 1.0, grid.h)
-    u2 = gridmod.fit_powers(tu, grid, *U2_BAND, 3, a=-2.0)[..., 0]
+    u2 = gridmod.fit_powers(tu, grid, *U2_BAND, a=-2.0)[..., 0]
     cu = gridmod._shifted(tu, 2.0, grid.h)
-    u3 = gridmod.fit_powers(cu, grid, *U3_BAND, 3, a=-3.0)[..., 0] / 2.0
+    u3 = gridmod.fit_powers(cu, grid, *U3_BAND, a=-3.0)[..., 0] / 2.0
     return np.stack((u1, u2, u3), axis=-1)
 
 

@@ -32,11 +32,13 @@ DEFAULT_S_MAX = 4.0
 DEFAULT_N = 1025
 SOLVER_MIN_NODES = 64  # fewest nodes resolvent assembly, and so every configured grid, takes
 FIT_BAND = 2.0
+FIT_TERMS = 3  # every contact-line fit takes 1, x, x^2: c_1..c_3 of the expansion in x
 RESOLVED_S_MIN = -6.0  # contact-line fits need s_min at or below this (x << 1)
 # the widest window a configuration takes: beyond it the lab's tables overflow (the
-# largest float is e^709.78). The norms subtract x^5, e^{5 s_max}; their five-term fit
-# of u/x meets 1/x times 1/x^4 across its band, e^{-5 s_min - 8}. Each bound keeps a
-# margin of e^9.7 or more for the data and the fits' conditioning
+# largest float is e^709.78). The top power of x in a table is x^3, e^{3 s_max}; the
+# largest three-term fit, the u3 fit of evolution.leading_coefficients, meets its weight
+# e^{-3s} times the 1/x^2 of its normalization on its band, e^{-5 s_min - 40}: e^420 and
+# e^660 at the limits, margins of e^289 and e^49 for the data and the fits' conditioning
 S_MIN_LIMIT = -140.0
 S_MAX_LIMIT = 140.0
 # stored steps per stack of a norm series and of a run's stored-step records: one
@@ -162,9 +164,8 @@ def monomial(grid, j):
 class NormSpec:
     """Weighted-norm request: k derivatives at weight alpha.
 
-    ``sub`` expansion terms (u_1 x + ... + u_sub x^sub, coefficients fitted at
-    the left edge, at most the 3 that extract_coefficients fits) are
-    subtracted first.
+    ``sub`` expansion terms u_1 x + ... + u_sub x^sub, fitted at the left edge by
+    extract_coefficients (sub <= FIT_TERMS), are subtracted first.
     """
 
     k: int
@@ -176,8 +177,8 @@ class NormSpec:
             raise GridError("k must be non-negative")
         if not np.isfinite(self.alpha):
             raise GridError("alpha must be finite")
-        if not 0 <= self.sub <= 3:
-            raise GridError("sub must lie in 0..3")
+        if not 0 <= self.sub <= FIT_TERMS:
+            raise GridError(f"sub must lie in 0..{FIT_TERMS}")
 
 
 def _shifted(values, a, h):
@@ -191,36 +192,36 @@ def shifted_derivative(w, a):
 
 
 @functools.lru_cache(maxsize=64)
-def _fit_matrix(s_min, s_max, n, lo, hi, terms):
+def _fit_matrix(s_min, s_max, n, lo, hi):
     """Band s_min+lo <= s <= s_min+hi as a node slice, and the read-only L with
-    coefficients = y[sl] @ L.T of the least-squares fit of sum_{j<terms} c_j x^j.
+    coefficients = y[sl] @ L.T of the least-squares fit of sum_{j<FIT_TERMS} c_j x^j.
 
-    L is the pseudo-inverse of the column-normalized design [1, x, ...,
-    x^(terms-1)], with the normalization divided back out.
+    L is the pseudo-inverse of the column-normalized design [1, x, x^2], with the
+    normalization divided back out.
     """
     if s_min > RESOLVED_S_MIN:
         raise GridError(f"grid does not resolve x << 1 (need s_min <= {RESOLVED_S_MIN:g})")
     s, x = _s(s_min, s_max, n), _exp_s(s_min, s_max, n, 1.0)
     nodes = np.flatnonzero((s >= s_min + lo) & (s <= s_min + hi))
-    if nodes.size < max(8, terms + 2):
+    if nodes.size < 8:
         raise GridError("fit band too coarse near the contact line")
     sl = slice(nodes[0], nodes[-1] + 1)
-    a = x[sl, None] ** np.arange(terms)
+    a = x[sl, None] ** np.arange(FIT_TERMS)
     scale = np.max(np.abs(a), axis=0)
-    if not np.all(scale > 0) or np.linalg.matrix_rank(a / scale) < terms:
+    if not np.all(scale > 0) or np.linalg.matrix_rank(a / scale) < FIT_TERMS:
         raise GridError("singular fit matrix near the contact line")
     L = np.linalg.pinv(a / scale) / scale[:, None]
     L.flags.writeable = False
     return sl, L
 
 
-def fit_powers(y, grid, lo, hi, terms, a=0.0):
-    """Coefficients c_0..c_{terms-1} of sum c_j x^j fitted to e^{a s} y on the band
+def fit_powers(y, grid, lo, hi, a=0.0):
+    """Coefficients c_0..c_2 of sum c_j x^j fitted to e^{a s} y on the band
     s_min+lo <= s <= s_min+hi; y is one field or a (steps, n) stack. GridError
     unless every coefficient is finite (_finite): the weight e^{a s} and the fit's
     inverse powers of x overflow on a wide window."""
     def fit():
-        sl, L = _fit_matrix(grid.s_min, grid.s_max, grid.n, lo, hi, terms)
+        sl, L = _fit_matrix(grid.s_min, grid.s_max, grid.n, lo, hi)
         # the weight is taken on the band, with the operands of (y * e^{as})[sl]; one
         # matrix-vector product per row: a stacked fit equals its per-row fits bitwise
         return (L @ (y[..., sl] * grid.exp(a)[sl])[..., None])[..., 0]
@@ -228,13 +229,13 @@ def fit_powers(y, grid, lo, hi, terms, a=0.0):
     return _finite(fit, "the contact-line fit is not finite on this grid")
 
 
-def _fit_expansion(values, grid, order):
-    """Coefficients c_1..c_order of sum c_j x^j on the left band, per row of values.
+def _fit_expansion(values, grid):
+    """Coefficients c_1..c_3 of sum c_j x^j on the left band, per row of values.
 
     Dividing by x turns the e^{-2s}-weighted fit of sum c_j x^j into a plain
     fit of sum c_j x^{j-1}.
     """
-    return fit_powers(values, grid, -np.inf, FIT_BAND, order, a=-1.0)
+    return fit_powers(values, grid, -np.inf, FIT_BAND, a=-1.0)
 
 
 def extract_coefficients(w, order):
@@ -244,9 +245,9 @@ def extract_coefficients(w, order):
     with s <= s_min + FIT_BAND, weights e^{-2s}. The grid must resolve the
     contact-line region (s_min <= -6).
     """
-    if not 1 <= order <= 3:
-        raise GridError("extract_coefficients supports order 1..3")
-    return tuple(_fit_expansion(w.values, w.grid, 3))[:order]
+    if not 1 <= order <= FIT_TERMS:
+        raise GridError(f"extract_coefficients supports order 1..{FIT_TERMS}")
+    return tuple(_fit_expansion(w.values, w.grid))[:order]
 
 
 def _minus_expansion(values, coeffs, grid):
@@ -326,16 +327,14 @@ def _weight_shifts(triples):
 
 
 def _require_norm_indices(N, k, delta):
-    """GridError unless N in {0, 1, 2}, k >= 0 and 0 < delta < 1/2."""
-    if N not in (0, 1, 2):
-        raise GridError(f"composite norms need an integer 0 <= N <= 2, got {N!r}")
+    """GridError unless N in {0, 1}, k >= 0 and 0 < delta < 1/2."""
+    if N not in (0, 1):  # the norms subtract the expansion up to x^(2N+1)
+        raise GridError(f"composite norms need an integer N in {{0, 1}}, got {N!r}: the lab "
+                        "fits the contact-line expansion only up to x^3")
     if not k >= 0:
         raise GridError(f"composite norms need k >= 0, got {k!r}")
     if not 0 < delta < 0.5:
         raise GridError(f"composite norms need 0 < delta < 1/2, got {delta!r}")
-
-
-_TRACK_ORDER = 5  # sol norms with N = 2 subtract expansion terms up to x^5
 
 
 def composite_init_norm(values, grid, N, k, delta):
@@ -357,8 +356,7 @@ def composite_init_norm(values, grid, N, k, delta):
     rows = sorted({(sub, beta) for _l, sub, beta in _weight_shifts(index_sets(N, delta)[0])})
 
     def norms():
-        series = _norm_series(stack, _fit_expansion(stack, grid, _TRACK_ORDER), grid,
-                              k + 4 * N + 1, rows)
+        series = _norm_series(stack, _fit_expansion(stack, grid), grid, k + 4 * N + 1, rows)
         return np.sqrt(sum(series.T, 0.0))
 
     out = _finite(norms, f"the initial-data norm (N = {N!r}, k = {k!r}, delta = {delta!r}) "
@@ -422,7 +420,7 @@ def _composite(values, dt, grid, terms):
     Each (field, l) time difference is taken once, and the distinct
     (sub, alpha) rows of each (field, l, kn) group share one _norm_series.
     """
-    coeffs = _fit_expansion(values, grid, _TRACK_ORDER)
+    coeffs = _fit_expansion(values, grid)
     terms = list(dict.fromkeys(terms))
     groups, fields, series = {}, {}, {}
     for _, field, l, sub, alpha, kn in terms:

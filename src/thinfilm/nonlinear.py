@@ -196,7 +196,7 @@ def contact_line_shift(values, grid):
     term of a quadratic-in-x fit of v = u/(3x^2 + 2x) on the left band; GridError
     unless it is finite (grid.fit_powers)."""
     v = values / _mobility(grid)[0]
-    return gridmod.fit_powers(v, grid, -np.inf, gridmod.FIT_BAND, 3)[..., 0]
+    return gridmod.fit_powers(v, grid, -np.inf, gridmod.FIT_BAND)[..., 0]
 
 
 def _locate(x, q):

@@ -77,6 +77,28 @@ def test_resolvent_command(tmp_path, capsys):
     assert "does not vanish at the contact line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [1025, 2049])
+def test_resolvent_reports_the_tracked_coefficients(tmp_path, n):
+    # the manufactured g of u = x^2 e^{-x} (c1, c2, c3 = 0, 1, -1) at lambda = 1, as in CI;
+    # the left-band fit reported c3 = -1.017 and -0.660
+    cfg = write_config(tmp_path / "exp.ini", f"[grid]\nn = {n}\n")
+    g = gridmod.LogGrid(-12, 4, n)
+    x = g.x
+    rhs = (x**5 - 10 * x**4 + 20 * x**3 + 6 * x**2 - 12 * x) * np.exp(-x) + x**2 * np.exp(-x)
+    csv = tmp_path / "g.csv"
+    csv.write_text("s,value\n" + "".join(f"{s!r},{v!r}\n" for s, v in zip(g.s.tolist(),
+                                                                          rhs.tolist())))
+    out_dir = tmp_path / "out"
+    assert cli.main(["resolvent", "--lambda", "1", "--g", str(csv), "--config", cfg,
+                     "--out", str(out_dir)]) == 0
+    c1, c2, c3 = json.loads((out_dir / "resolvent_report.json").read_text())["results"][
+        "coefficients"]
+    assert c3 == pytest.approx(-1.0, abs=1e-3)
+    sol = resolvent.solve(resolvent.assemble(g), 1.0, gridmod.GridFunction(g, rhs)).solution
+    assert c1 == gridmod.extract_coefficients(sol, 1)[0]
+    assert [c1, c2, c3] == evolution.leading_coefficients(sol.values, g).tolist()
+
+
 def test_linear_evolve_and_determinism(tmp_path):
     cfg = write_config(tmp_path / "exp.ini", f"""
 [grid]
@@ -226,6 +248,19 @@ def test_unparsable_config_is_a_config_error(tmp_path, capsys, text, key):
     assert err.startswith("error: config key") and f"{key}'" in err
 
 
+def test_n2_norms_are_a_config_error(tmp_path, capsys):
+    # the N = 2 norms subtract the expansion up to x^5; the lab fits it only up to x^3
+    path = write_config(tmp_path / "n2.ini",
+                        f"[norms]\nN = 2\n[output]\ndir = {tmp_path / 'run'}\n")
+    with pytest.raises(ConfigError, match=r"only up to x\^3") as exc:
+        config.load(path)
+    assert exc.value.key == "norms.N"
+    assert cli.main(["nonlinear-evolve", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'norms.N': ") and "x^3" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("text, key", [
     ("[solver]\nlambdas = 1.0\n", "solver.lambdas"),
     ("[run]\nseed = 0\n", "run"),  # the [run] section is gone altogether
@@ -258,7 +293,7 @@ _OUT_OF_RANGE = [
     ("solver", "dt", st.floats(-1e6, 0.0), "solver.dt"),
     ("solver", "T", st.floats(-1e6, 0.0), "solver.T"),
     ("solver", "store_every", st.integers(-10, 0), "solver.store_every"),
-    ("norms", "N", st.integers(-10, 10).filter(lambda v: v not in (0, 1, 2)), "norms.N"),
+    ("norms", "N", st.integers(-10, 10).filter(lambda v: v not in (0, 1)), "norms.N"),
     ("norms", "k", st.integers(-10, -1), "norms.k"),
     ("norms", "delta", st.floats(-1.0, 0.0) | st.floats(0.5, 10.0), "norms.delta"),
     ("nonlinear", "eps", st.floats(-1.0, 0.0, exclude_max=True), "nonlinear.eps"),
@@ -633,10 +668,9 @@ _COARSE_WINDOW = "[grid]\ns_min = -140\ns_max = 140\nn = 64\n"  # h = 4.4: one f
 
 
 @pytest.mark.parametrize("command, sections, u0, code, message", [
-    # the weight e^{-9 s} of the N = 2 initial-data norm overflows at s = -80
-    ("nonlinear-evolve", "[grid]\ns_min = -80\nn = 4097\n[norms]\nN = 2\ndelta = 0.45\n",
-     "x3_decay", 2,
-     "error: the initial-data norm (N = 2, k = 3, delta = 0.45) is not finite on this grid"),
+    # the 305 s-derivatives of the initial-data norm at k = 300 overflow on [-12, 4]
+    ("nonlinear-evolve", "[grid]\nn = 257\n[norms]\nk = 300\n", "x3_decay", 2,
+     "error: the initial-data norm (N = 1, k = 300, delta = 0.25) is not finite on this grid"),
     ("linear-evolve", _COARSE_WINDOW, "x3_decay", 2,
      "error: fit band too coarse near the contact line"),
     ("sweep", _COARSE_WINDOW, "x3_decay", 2, "error: fit band too coarse near the contact line"),

@@ -148,9 +148,9 @@ def _per_call_leading_coefficients(u):
     grid = u.grid
     u1 = gridmod.extract_coefficients(u, 1)[0]
     tu = gridmod.shifted_derivative(u, 1.0)
-    u2 = gridmod.fit_powers(tu.values * np.exp(-2.0 * grid.s), grid, 3.0, 6.0, 3)[0]
+    u2 = gridmod.fit_powers(tu.values * np.exp(-2.0 * grid.s), grid, 3.0, 6.0)[0]
     cu = gridmod.shifted_derivative(tu, 2.0)
-    u3 = gridmod.fit_powers(cu.values * np.exp(-3.0 * grid.s), grid, 7.0, 9.5, 3)[0] / 2.0
+    u3 = gridmod.fit_powers(cu.values * np.exp(-3.0 * grid.s), grid, 7.0, 9.5)[0] / 2.0
     return float(u1), float(u2), float(u3)
 
 
@@ -235,7 +235,7 @@ STACK = gridmod.STEP_STACK
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(n=st.sampled_from((64, 257, 1025)), height=st.integers(1, 2 * STACK + 1),
        alpha=st.sampled_from((0.25, 0.75, -0.5)), k=st.integers(0, 5),
-       norm=st.sampled_from(((0, 1, 0.25), (1, 3, 0.25), (2, 1, 0.1))),
+       norm=st.sampled_from(((0, 1, 0.25), (1, 3, 0.25), (1, 1, 0.1))),
        seed=st.integers(0, 2**32 - 1))
 def test_stacked_records_equal_per_field_records(n, height, alpha, k, norm, seed):
     grid = gridmod.LogGrid(-12.0, 4.0, n)

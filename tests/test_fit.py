@@ -72,10 +72,7 @@ def test_fits_match_the_replaced_lstsq_fitters(field):
     # compares the others on a field where they are determined.
     u = field()
     want3 = _old_fit_expansion(u.values, u.grid, 3, gridmod.FIT_BAND)[0]
-    want5 = _old_fit_expansion(u.values, u.grid, 5, gridmod.FIT_BAND)[0]
-    got5 = gridmod._fit_expansion(u.values, u.grid, 5)[0]
     assert gridmod.extract_coefficients(u, 1)[0] == pytest.approx(want3, rel=1e-12, abs=0.0)
-    assert got5 == pytest.approx(want5, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(evolution.leading_coefficients(u.values, u.grid),
                                _old_leading_coefficients(u), rtol=1e-12, atol=0.0)
     assert nonlinear.contact_line_shift(u.values, u.grid) == pytest.approx(
@@ -91,9 +88,6 @@ def test_expansion_fit_matches_where_the_weight_decides():
     u = gridmod.GridFunction(g, y)
     want3 = _old_fit_expansion(y, g, 3, gridmod.FIT_BAND)
     np.testing.assert_allclose(gridmod.extract_coefficients(u, 3), want3, rtol=1e-12, atol=0.0)
-    want5 = _old_fit_expansion(y, g, 5, gridmod.FIT_BAND)[:3]
-    got5 = gridmod._fit_expansion(y, g, 5)[:3]
-    np.testing.assert_allclose(got5, want5, rtol=1e-12, atol=0.0)
 
 
 def test_stacked_fit_equals_the_per_row_fit():
@@ -101,15 +95,15 @@ def test_stacked_fit_equals_the_per_row_fit():
     x = g.x
     stack = np.stack([(0.1 * i * x + 0.5 * x * x - 0.2 * x**3) * np.exp(-x)
                       for i in range(1, 6)])
-    got = gridmod._fit_expansion(stack, g, 5)
+    got = gridmod._fit_expansion(stack, g)
     for row, coeffs in zip(stack, got):
-        assert np.array_equal(gridmod._fit_expansion(row, g, 5), coeffs)
+        assert np.array_equal(gridmod._fit_expansion(row, g), coeffs)
 
 
 def test_cached_projector_is_read_only():
     g = gridmod.LogGrid()
-    sl, L = gridmod._fit_matrix(g.s_min, g.s_max, g.n, -np.inf, gridmod.FIT_BAND, 3)
-    assert L.shape == (3, sl.stop - sl.start)
+    sl, L = gridmod._fit_matrix(g.s_min, g.s_max, g.n, -np.inf, gridmod.FIT_BAND)
+    assert L.shape == (gridmod.FIT_TERMS, sl.stop - sl.start)
     with pytest.raises(ValueError):
         L[0, 0] = 1.0
 
@@ -126,8 +120,8 @@ def test_underdetermined_fits_raise():
 
 
 def test_fit_on_a_band_too_narrow_for_its_powers_is_singular():
-    # 16 nodes within 1e-9 of s = -12: the columns x^0..x^4 agree to 1e-9, so the
-    # normalized design has rank 1 and the fit cannot separate five terms
+    # 16 nodes within 1e-9 of s = -12: the columns x^0..x^2 agree to 1e-9, so the
+    # normalized design is rank-deficient and the fit cannot separate three terms
     narrow = gridmod.LogGrid(-12.0, -12.0 + 1e-9, 16)
     with pytest.raises(GridError, match="singular fit matrix"):
-        gridmod.fit_powers(np.ones(16), narrow, -np.inf, gridmod.FIT_BAND, 5)
+        gridmod.fit_powers(np.ones(16), narrow, -np.inf, gridmod.FIT_BAND)

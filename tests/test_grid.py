@@ -216,20 +216,20 @@ def test_fits_reject_an_overflowing_input(default_grid):
     # a fitted coefficient that overflows was returned as inf or NaN after numpy warnings
     n = default_grid.n
     with pytest.raises(GridError, match="contact-line fit is not finite"):
-        gridmod.fit_powers(np.full(n, 1e305), default_grid, -np.inf, gridmod.FIT_BAND, 3)
+        gridmod.fit_powers(np.full(n, 1e305), default_grid, -np.inf, gridmod.FIT_BAND)
     with pytest.raises(GridError, match="contact-line fit is not finite"):
         gridmod.extract_coefficients(gridmod.GridFunction(default_grid, np.full(n, 1e300)), 3)
     # on a window as wide as [-300, 4] the weight e^{3|s|} of a fit overflows itself
     wide = gridmod.LogGrid(-300.0, 4.0, 4097)
     with pytest.raises(GridError, match="contact-line fit is not finite"):
-        gridmod.fit_powers(np.ones(wide.n), wide, 7.0, 9.5, 3, a=-3.0)
+        gridmod.fit_powers(np.ones(wide.n), wide, 7.0, 9.5, a=-3.0)
 
 
 def test_fit_weight_is_the_product_taken_before_the_fit(default_grid, rng):
     y = rng.standard_normal((3, default_grid.n))
     for a in (-3.0, -2.0, -1.0, 0.0):
-        got = gridmod.fit_powers(y, default_grid, 3.0, 6.0, 3, a=a)
-        want = gridmod.fit_powers(y * default_grid.exp(a), default_grid, 3.0, 6.0, 3)
+        got = gridmod.fit_powers(y, default_grid, 3.0, 6.0, a=a)
+        want = gridmod.fit_powers(y * default_grid.exp(a), default_grid, 3.0, 6.0)
         assert got.tobytes() == want.tobytes()
 
 
@@ -312,15 +312,22 @@ def test_composite_init_norm_takes_one_stencil_call_per_order(default_grid, monk
     assert shapes == [(K, 3, n)] * 16 + [(1, 3, n)] * 8
 
 
+def _assert_rejects_N(w, traj, N):
+    """Each composite norm raises GridError at this N, naming the x^3 the lab fits."""
+    match = re.escape(f"got {N!r}: the lab fits the contact-line expansion only up to x^3")
+    with pytest.raises(GridError, match=match):
+        gridmod.composite_init_norm(w.values, w.grid, N, 3, 0.25)
+    with pytest.raises(GridError, match=match):
+        gridmod.composite_sol_norm(traj, N, 3, 0.25)
+    with pytest.raises(GridError, match=match):
+        gridmod.composite_rhs_norm(traj, N, 3, 0.25)
+
+
 def test_composite_norm_dispatch_and_bounds(default_grid):
     w = gaussian_bump(default_grid)
     traj = [(0.1 * j, w) for j in range(4)]
-    with pytest.raises(GridError, match="N <= 2"):
-        gridmod.composite_init_norm(w.values, w.grid, 3, 3, 0.25)
-    with pytest.raises(GridError, match="N <= 2"):
-        gridmod.composite_sol_norm(traj, 3, 3, 0.25)
-    with pytest.raises(GridError, match="N <= 2"):
-        gridmod.composite_rhs_norm(traj, 3, 3, 0.25)
+    for N in (2, 3):
+        _assert_rejects_N(w, traj, N)
     uneven = [(t, w) for t in (0.0, 0.1, 0.3)]
     for norm in (gridmod.composite_sol_norm, gridmod.composite_rhs_norm):
         with pytest.raises(GridError, match="shorter than the time-difference stencil"):
@@ -336,7 +343,7 @@ def _parent_sol_norm(traj, N, k, delta):
     grid = traj[0][1].grid
     values = np.stack([gf.values for _, gf in traj])
     first, second = gridmod.index_sets(N, delta)
-    coeffs = gridmod._fit_expansion(values, grid, 5)
+    coeffs = gridmod._fit_expansion(values, grid)
     under = values / (grid.x + 1.0)[None, :]
     under_coeffs = gridmod._underline_coeffs(coeffs)
     dvalues, dunder, dcoeffs, ducoeffs = {0: values}, {0: under}, {0: coeffs}, {0: under_coeffs}
@@ -382,7 +389,7 @@ def _parent_rhs_norm(traj, N, k, delta):
     dt = times[1] - times[0]
     grid = traj[0][1].grid
     values = np.stack([gf.values for _, gf in traj])
-    coeffs = gridmod._fit_expansion(values, grid, 5)
+    coeffs = gridmod._fit_expansion(values, grid)
     under = values / (grid.x + 1.0)[None, :]
     under_coeffs = gridmod._underline_coeffs(coeffs)
     dvalues, dunder, dcoeffs, ducoeffs = {0: values}, {0: under}, {0: coeffs}, {0: under_coeffs}
@@ -425,7 +432,7 @@ def _parent_init_norm(w, N, k, delta):
     first, _ = gridmod.index_sets(N, delta)
     pairs = sorted({(int(np.floor(alpha)) + m + r, alpha + m + r)
                     for alpha, _l, m in first for r in range(m + 1)})
-    coeffs = gridmod._fit_expansion(w.values, w.grid, 5)
+    coeffs = gridmod._fit_expansion(w.values, w.grid)
     total = 0.0
     for sub, alpha in pairs:
         v = gridmod._minus_expansion(w.values, coeffs[:sub], w.grid)
@@ -439,8 +446,8 @@ _COARSE = gridmod.LogGrid(-12.0, 4.0, 257)
 
 @pytest.mark.parametrize("norm", ["init", "sol", "rhs"])
 @pytest.mark.parametrize("N, k, delta, message", [
-    (-1, 3, 0.25, "0 <= N <= 2"),
-    (3, 3, 0.25, "0 <= N <= 2"),
+    (-1, 3, 0.25, "N in {0, 1}"),
+    (3, 3, 0.25, "N in {0, 1}"),
     (1, -5, 0.25, "k >= 0"),
     (0, -1, 0.25, "k >= 0"),
     (1, 3, 0.7, "0 < delta < 1/2"),
@@ -472,6 +479,9 @@ def test_composite_norms_match_the_parent_loops(N, delta, base):
     field = _BASES[base](x)
     traj = [(t, gridmod.GridFunction(_COARSE, np.exp(-2 * t) * field))
             for t in np.linspace(0.0, 0.2, 6)]
+    if N == 2:
+        _assert_rejects_N(traj[0][1], traj, N)
+        return
     assert gridmod.composite_sol_norm(traj, N, 3, delta) == _parent_sol_norm(traj, N, 3, delta)
     assert gridmod.composite_rhs_norm(traj, N, 3, delta) == _parent_rhs_norm(traj, N, 3, delta)
     # the parent squared weighted_norm's square root; the evaluator sums the
@@ -479,6 +489,31 @@ def test_composite_norms_match_the_parent_loops(N, delta, base):
     w = traj[0][1]
     assert gridmod.composite_init_norm(w.values, w.grid, N, 3, delta) == pytest.approx(
         _parent_init_norm(w, N, 3, delta), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("N", [0, 1])
+@pytest.mark.parametrize("delta", [0.1, 0.25, 0.45])
+def test_composite_norms_subtract_no_more_terms_than_the_fit_gives(monkeypatch, N, delta):
+    # _norm_series subtracts c[:, :sub]: a sub above the fit's term count would
+    # subtract fewer terms than the norm asks for, without an error
+    norm_series = gridmod._norm_series
+    seen = []  # (fitted terms, largest sub) of each series
+
+    def spy(values, coeffs, grid, kn, rows):
+        seen.append((coeffs.shape[-1], max(sub for sub, _ in rows)))
+        return norm_series(values, coeffs, grid, kn, rows)
+
+    monkeypatch.setattr(gridmod, "_norm_series", spy)
+    x = _COARSE.x
+    traj = [(t, gridmod.GridFunction(_COARSE, np.exp(-2 * t) * _BASES[1](x)))
+            for t in np.linspace(0.0, 0.2, 6)]
+    w = traj[0][1]
+    gridmod.composite_init_norm(w.values, _COARSE, N, 3, delta)
+    gridmod.composite_sol_norm(traj, N, 3, delta)
+    gridmod.composite_rhs_norm(traj, N, 3, delta)
+    assert {terms for terms, _ in seen} == {gridmod.FIT_TERMS}
+    # the solution norm subtracts up to x^(2N+1)
+    assert max(sub for _, sub in seen) == 2 * N + 1 <= gridmod.FIT_TERMS
 
 
 def _per_row_norm_sq(values, k, alpha, grid):
@@ -506,8 +541,10 @@ def test_norm_series_matches_per_step_ds_any(kn, sub):
     # ds_any: the tower composes D^4 first, as ds_any does, and a stacked
     # stencil call equals its per-row calls, so the series agree bitwise
     x = _COARSE.x
-    values = np.stack([np.exp(-2 * t) * _BASES[1](x) for t in np.linspace(0.0, 0.2, 6)])
-    coeffs = gridmod._fit_expansion(values, _COARSE, 5)
+    times = np.linspace(0.0, 0.2, 6)
+    values = np.stack([np.exp(-2 * t) * _BASES[1](x) for t in times])
+    # u1..u5 of (0.4 x + 0.3 x^2 + x^3) e^{-x}: the series subtracts any number of terms
+    coeffs = np.exp(-2 * times)[:, None] * np.array([0.4, -0.1, 0.9, -11 / 12, 7 / 15])
     rows = [(sub, 0.75), (0, 1.25), (3, 0.25)]
     got = gridmod._norm_series(values, coeffs, _COARSE, kn, rows)
     assert got.shape == (6, 3)
@@ -521,10 +558,13 @@ def test_stacked_init_norm_matches_per_row_norms(N, base):
     # the (sub, beta) rows differentiated as one stack give the per-row
     # squares of ds_any bitwise, summed in sorted (sub, beta) order
     w = gridmod.GridFunction(_COARSE, _BASES[base](_COARSE.x))
+    if N == 2:
+        _assert_rejects_N(w, [(0.1 * j, w) for j in range(4)], N)
+        return
     first, _ = gridmod.index_sets(N, 0.25)
     pairs = sorted({(int(np.floor(alpha)) + m + r, alpha + m + r)
                     for alpha, _l, m in first for r in range(m + 1)})
-    coeffs = gridmod._fit_expansion(w.values, _COARSE, 5)
+    coeffs = gridmod._fit_expansion(w.values, _COARSE)
     total = 0.0
     for sub, beta in pairs:
         v = gridmod._minus_expansion(w.values, coeffs[:sub], _COARSE)
