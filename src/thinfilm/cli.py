@@ -51,7 +51,8 @@ def _write_csv(path, header_cols, rows, cfg):
 
 
 def _make_out_dir(path, key):
-    """Create the output directory path, before any computation; ConfigError keyed key."""
+    """Create the output directory path, after a command's checks and t = 0 work and
+    before its run; ConfigError keyed key."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
@@ -160,6 +161,9 @@ def cmd_resolvent(args):
     if not 0 < args.lam < np.inf:
         raise ConfigError("--lambda", f"not a positive finite number: {args.lam!r}")
     rhs = config.read_field(args.g, "--g", grid)
+    # the report's fit bands, checked on a zero field before the output directory:
+    # GridError when one of them is too coarse on this grid
+    evolution.leading_coefficients(np.zeros(grid.n), grid)
     out_dir = _make_out_dir(args.out or cfg["output"]["dir"],
                             "--out" if args.out else "output.dir")
     sol = resolvent.solve(resolvent.assemble(grid), args.lam, rhs)

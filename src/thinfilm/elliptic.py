@@ -31,10 +31,15 @@ def apply_B(w):
 _TAIL_FLOOR = 1e-250  # below this the band is treated as identically zero
 
 
+def _tail_band(grid):
+    """The leftmost band s <= s_min + TAIL_BAND as a node slice (s ascends)."""
+    return slice(0, grid.s.searchsorted(grid.s_min + TAIL_BAND, side="right"))
+
+
 def decay_exponent(values, grid):
     """Fitted growth exponent of |values| on the leftmost band (inf if zero)."""
-    mask = grid.s <= grid.s_min + TAIL_BAND
-    v = values[mask]
+    band = _tail_band(grid)
+    v = values[band]
     if np.max(np.abs(v)) <= _TAIL_FLOOR:
         return np.inf
     mag = np.abs(v)
@@ -45,7 +50,7 @@ def decay_exponent(values, grid):
     # exponent inside apply_S, whose output the benchmark hashes bit for bit;
     # the closed form moves that output in its last bits (resolvent_scan's
     # sha256 changes, with a relative drift of 9.2e-36)
-    slope = np.polyfit(grid.s[mask][ok], np.log(mag[ok]), 1)[0]
+    slope = np.polyfit(grid.s[band][ok], np.log(mag[ok]), 1)[0]
     return float(slope)
 
 
@@ -56,14 +61,14 @@ def _tail_closure(integrand, grid):
     the d e^{g d} term is the first-order correction in the exponent and
     removes the bias of the log-linear estimate of g.
     """
-    mask = grid.s <= grid.s_min + TAIL_BAND
-    v = integrand[mask]
+    band = _tail_band(grid)
+    v = integrand[band]
     if np.max(np.abs(v)) <= _TAIL_FLOOR:
         return 0.0
     gamma = decay_exponent(integrand, grid)
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise DecayProbeError("integrand does not decay towards the contact line")
-    d = grid.s[mask] - grid.s_min
+    d = grid.s[band] - grid.s_min
     base = np.exp(gamma * d)
     a = np.stack([base, d * base, np.exp((gamma + 1) * d), np.exp((gamma + 2) * d)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(a, v, rcond=None)

@@ -204,7 +204,10 @@ def _fit_matrix(s_min, s_max, n, lo, hi):
     s, x = _s(s_min, s_max, n), _exp_s(s_min, s_max, n, 1.0)
     nodes = np.flatnonzero((s >= s_min + lo) & (s <= s_min + hi))
     if nodes.size < 8:
-        raise GridError("fit band too coarse near the contact line")
+        where = ("near the contact line" if lo == -np.inf else
+                 f"at {s_min + lo:g} <= s <= {s_min + hi:g} "
+                 f"({nodes.size} of the 8 nodes a fit needs)")
+        raise GridError(f"fit band too coarse {where}")
     sl = slice(nodes[0], nodes[-1] + 1)
     a = x[sl, None] ** np.arange(FIT_TERMS)
     scale = np.max(np.abs(a), axis=0)

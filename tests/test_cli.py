@@ -99,6 +99,26 @@ def test_resolvent_reports_the_tracked_coefficients(tmp_path, n):
     assert [c1, c2, c3] == evolution.leading_coefficients(sol.values, g).tolist()
 
 
+def test_resolvent_on_a_window_too_short_for_a_fit_band_makes_no_output_directory(
+        tmp_path, capsys):
+    # on [-12, -5] the u3 band of leading_coefficients, s_min + 7..9.5, holds one node;
+    # the command exited 2 naming the contact line and left an empty directory
+    cfg = write_config(tmp_path / "exp.ini", "[grid]\ns_min = -12\ns_max = -5\nn = 129\n"
+                                             f"[output]\ndir = {tmp_path / 'run'}\n")
+    g = gridmod.LogGrid(-12, -5, 129)
+    x = g.x
+    rhs = (x**5 - 10 * x**4 + 20 * x**3 + 7 * x**2 - 12 * x) * np.exp(-x)
+    csv = tmp_path / "g.csv"
+    csv.write_text("s,value\n" + "".join(f"{s!r},{v!r}\n" for s, v in zip(g.s.tolist(),
+                                                                          rhs.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["resolvent", "--lambda", "1", "--g", str(csv), "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("error: fit band too coarse at -5 <= s <= -2.5 "
+                                       "(1 of the 8 nodes a fit needs)\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_linear_evolve_and_determinism(tmp_path):
     cfg = write_config(tmp_path / "exp.ini", f"""
 [grid]

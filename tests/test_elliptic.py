@@ -185,3 +185,59 @@ def test_cumulative_from_zero_rejects_a_growing_integrand(default_grid):
     # e^{-s/2} = x^{-1/2} blows up at the contact line: the tail closure has no integral
     with pytest.raises(DecayProbeError, match="does not decay"):
         elliptic.cumulative_from_zero(np.exp(-default_grid.s / 2), default_grid)
+
+
+def _mask_form_decay_exponent(values, grid):
+    """decay_exponent with its band taken by a boolean mask over every node, as it
+    was written before the band became a node slice: the reference for its bits."""
+    mask = grid.s <= grid.s_min + elliptic.TAIL_BAND
+    mag = np.abs(values[mask])
+    if np.max(mag) <= elliptic._TAIL_FLOOR:
+        return np.inf
+    ok = mag > 0
+    if ok.sum() < 4:
+        return np.inf
+    return float(np.polyfit(grid.s[mask][ok], np.log(mag[ok]), 1)[0])
+
+
+def _mask_form_tail_closure(integrand, grid):
+    """_tail_closure in the same mask form."""
+    mask = grid.s <= grid.s_min + elliptic.TAIL_BAND
+    v = integrand[mask]
+    if np.max(np.abs(v)) <= elliptic._TAIL_FLOOR:
+        return 0.0
+    gamma = _mask_form_decay_exponent(integrand, grid)
+    d = grid.s[mask] - grid.s_min
+    base = np.exp(gamma * d)
+    a = np.stack([base, d * base, np.exp((gamma + 1) * d), np.exp((gamma + 2) * d)], axis=1)
+    coef = np.linalg.lstsq(a, v, rcond=None)[0]
+    return float(coef[0] / gamma - coef[1] / gamma**2
+                 + coef[2] / (gamma + 1) + coef[3] / (gamma + 2))
+
+
+# h = 1/8 and 1/128 put a node on the band's edge s_min + 1.5; h = 16/999 does not
+@pytest.mark.parametrize("n", [129, 1000, 2049])
+def test_tail_band_slice_equals_its_mask_form_bitwise(monkeypatch, n):
+    grid = gridmod.LogGrid(-12.0, 4.0, n)
+    x = grid.x
+    integrands = []
+    closure = elliptic._tail_closure
+
+    def spy(integrand, g):
+        integrands.append(integrand.copy())
+        return closure(integrand, g)
+
+    monkeypatch.setattr(elliptic, "_tail_closure", spy)
+    fields = [gridmod.GridFunction(grid, v) for v in
+              (x**4 + 3 * x**3, 2 * x * x, x**1.5 * np.exp(-x), x**2 * np.exp(-x),
+               18 * x * x + 12 * x, x * np.exp(-x))]
+    for f in fields:
+        elliptic.apply_B_inverse(f)
+        elliptic.apply_S(f)
+    assert len(integrands) == 5 * len(fields)
+    for v in [f.values for f in fields] + integrands:
+        got, want = elliptic.decay_exponent(v, grid), _mask_form_decay_exponent(v, grid)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for v in integrands:
+        got, want = closure(v, grid), _mask_form_tail_closure(v, grid)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

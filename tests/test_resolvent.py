@@ -159,13 +159,28 @@ def test_operator_and_its_band_template_are_read_only():
     for field in ("grid", "row", "col", "val", "indptr"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(op, field, getattr(op, field))
-    band, index = op.band_template
+    band, index, row_max = op.band_template
     assert op.band_template[0] is band  # built once
     assert band.ravel()[index].tobytes() == op.val.tobytes()
     assert np.count_nonzero(band) == np.count_nonzero(op.val)
-    for a in (band, index):
+    # each row's largest |entry|, leaving out the diagonal where lambda goes
+    lam_free = np.abs(op.val) * ~((op.row == op.col) & (op.row >= 2) & (op.row < op.n - 2))
+    assert row_max.tobytes() == np.maximum.reduceat(lam_free, op.indptr[:-1]).tobytes()
+    for a in (band, index, row_max):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_power_of_two_scale_equals_the_power_form_bitwise():
+    # np.exp2 must be exact on every exponent the scales take: one ulp below, at and
+    # above each power of two from 2^-1000 to 2^1000 (log2 rounds up just below one),
+    # and subnormals, the smallest of whose scales overflow to inf in both forms
+    powers = 2.0 ** np.arange(-1000, 1001)
+    v = np.concatenate((np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+                        [5e-324, 2.0 ** -1060 * 1.5, np.nextafter(2.0 ** -1022, 0.0)]))
+    with np.errstate(over="ignore"):
+        got, want = resolvent._pow2(v), 2.0 ** -np.floor(np.log2(v))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 513, 1025, 4097])
@@ -204,9 +219,9 @@ def test_failed_refinement_raises(fine_grid, monkeypatch):
     calls = []
     gbtrs = resolvent._gbtrs
 
-    def fail_second(*args):
+    def fail_second(*args, **kwargs):
         calls.append(None)
-        y, info = gbtrs(*args)
+        y, info = gbtrs(*args, **kwargs)
         return y, (-3 if len(calls) == 2 else info)
 
     monkeypatch.setattr(resolvent, "_gbtrs", fail_second)
@@ -368,6 +383,48 @@ def _masked_rate(u, lam, line_fit):
     return float(slope), keep
 
 
+def _mean_form_rate(u, lam):
+    """far_field_rate with every mean taken by .mean(), as it was written before
+    the sums divided by the size replaced them: the reference for their bits."""
+    def line_fit(r, y):
+        r_mean, y_mean = r.mean(), y.mean()
+        dr = r - r_mean
+        slope = np.dot(dr, y - y_mean) / np.dot(dr, dr)
+        return slope, y_mean - slope * r_mean
+
+    grid = u.grid
+    band = slice(grid.s.searchsorted(grid.s_max - resolvent.FAR_BAND[0], side="left"),
+                 grid.s.searchsorted(grid.s_max - resolvent.FAR_BAND[1], side="right"))
+    vals = np.abs(u.values[band])
+    if vals.size < resolvent.FAR_MIN_NODES or vals.min() < 1e-280:
+        return float("nan")
+    q = vals.size // 4
+    if vals[-q:].mean() >= vals[:q].mean():
+        return float("nan")
+    r = 4.0 * (lam * grid.x[band]) ** 0.25
+    y = -np.log(vals)
+    slope, icpt = line_fit(r, y)
+    keep = np.abs(y - (slope * r + icpt)) < 2.0
+    if resolvent.FAR_MIN_NODES <= np.count_nonzero(keep) < keep.size:
+        slope = line_fit(r[keep], y[keep])[0]
+    return float(slope)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_rate_equals_its_mean_form_bitwise():
+    g = gridmod.LogGrid(-12, 7, 1217)
+    lam = 3.0
+    clean = np.exp(-2 * np.sqrt(2) * (lam * g.x) ** 0.25)
+    noisy = clean.copy()
+    noisy[::7] *= np.exp(-4.0)
+    for values in (clean, noisy, np.ones(g.n), g.x):
+        u = gridmod.GridFunction(g, values)
+        assert _same_bits(resolvent.far_field_rate(u, lam), _mean_form_rate(u, lam))
+
+
 SCAN_LAMBDAS = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 400.0)  # resolvent_scan's
 
 
@@ -379,6 +436,7 @@ def test_closed_form_rate_matches_polyfit(n):
         sol = resolvent.solve(op, lam, manufactured(grid, lam)[1])
         want, keep = _masked_rate(sol.solution, lam, _polyfit_line)
         assert sol.decay_rate_fit == pytest.approx(want, rel=1e-14, nan_ok=True)
+        assert _same_bits(sol.decay_rate_fit, _mean_form_rate(sol.solution, lam))
         if keep is not None:
             assert np.array_equal(_masked_rate(sol.solution, lam, resolvent._line_fit)[1], keep)
 
