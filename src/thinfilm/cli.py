@@ -161,8 +161,10 @@ def cmd_resolvent(args):
     if not 0 < args.lam < np.inf:
         raise ConfigError("--lambda", f"not a positive finite number: {args.lam!r}")
     rhs = config.read_field(args.g, "--g", grid)
-    # the report's fit bands, checked on a zero field before the output directory:
-    # GridError when one of them is too coarse on this grid
+    # before the output directory: the right-hand side's compatibility (the probe
+    # resolvent.solve runs), and the report's fit bands, checked on a zero field
+    # (GridError when one of them is too coarse on this grid)
+    resolvent.require_compatible(rhs)
     evolution.leading_coefficients(np.zeros(grid.n), grid)
     out_dir = _make_out_dir(args.out or cfg["output"]["dir"],
                             "--out" if args.out else "output.dir")

@@ -5,21 +5,22 @@ fourth-order stencils; the first two rows tie the solution to a three-term
 expansion c1 x + c2 x^2 + c3 x^3 fitted over nodes 2..6 (the admissible
 contact-line behavior), and the last two clamp the super-algebraically
 decaying far field to zero. The operator is its (row, column, value) arrays
-and its row pointer. `DiscreteOperator.csr` turns them into the one CSR matrix
-whose product, which sums each row left to right from 0.0, serves
-`DiscreteOperator.apply`, the refinement of the banded solves (on the scaled
-matrix each factorization builds once) and the row magnitudes of
-`interior_residual`. Solves go through a banded LU factorization reusable
-across right-hand sides; each one starts from the operator's band template,
-the lambda-free LAPACK band built once per operator.
+and its row pointer. One product, `csr_product`, multiplies a vector by the
+operator's pattern with any entries, each row summed left to right from 0.0:
+`DiscreteOperator.apply` (its entries), the refinement of the banded solves
+(the scaled entries each factorization gathers once) and the row magnitudes
+of `interior_residual` (the cached |entries|). It calls scipy's compiled CSR
+kernel with no matrix object. Solves go through a banded LU factorization
+reusable across right-hand sides; each one starts from the operator's band
+template, the lambda-free LAPACK band built once per operator.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from . import elliptic
 from . import grid as gridmod
@@ -42,6 +43,26 @@ def _band_rows(band, n):
                       strides=(band.itemsize, (band.shape[1] - 1) * band.itemsize))
 
 
+def csr_product(indptr, col, val, y):
+    """The CSR pattern (indptr, col) with entries ``val`` times ``y``, a new array;
+    each row summed left to right from 0.0, the order the hashed benchmark outputs
+    depend on. It is the call a scipy csr_array's product makes (csr_matvec, which
+    adds into a zeroed output), without the matrix object. The kernel reads y[col]
+    and val unchecked, so GridError unless ``y`` is a C-contiguous float64 vector
+    of len(indptr) - 1 values and ``val`` one float64 entry per column index."""
+    n = indptr.size - 1
+    if not (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == (n,)
+            and y.flags.c_contiguous):
+        raise GridError(f"the operator's product needs a C-contiguous float64 vector "
+                        f"of {n} values")
+    if not (isinstance(val, np.ndarray) and val.dtype == np.float64
+            and val.shape == col.shape):
+        raise GridError(f"the operator's product needs {col.size} float64 entries")
+    out = np.zeros(n)
+    _csr_matvec(n, n, indptr, col, val, y, out)
+    return out
+
+
 def _pow2(v):
     """2^-floor(log2 v), the power of two that scales v into [1, 2). np.exp2 is
     exact on the integers a float64's exponent takes, and cheaper than 2.0 ** x."""
@@ -54,8 +75,9 @@ class DiscreteOperator:
 
     ``row``, ``col``, ``val`` and the row pointer ``indptr`` (row i holds
     entries indptr[i]:indptr[i+1]) are read-only, and the fields cannot be
-    reassigned, so the views cached from them (``abs_csr``,
-    ``band_template``) never go stale. Rows 0 and 1 hold the expansion-match
+    reassigned, so the views cached from them (``abs_val``,
+    ``band_template``) never go stale. Every product with the operator's
+    pattern goes through ``csr_product``. Rows 0 and 1 hold the expansion-match
     closure, rows n-2 and n-1 the far-field clamp, and they carry zero
     right-hand side in any solve.
     """
@@ -70,19 +92,13 @@ class DiscreteOperator:
     def n(self):
         return self.grid.n
 
-    def csr(self, val):
-        """The operator's sparsity pattern with entries ``val``, as a CSR matrix.
-
-        Its product with a vector (scipy's csr_matvec) sums each row left to
-        right from 0.0; the hashed benchmark outputs depend on that order.
-        """
-        return sparse.csr_array((val, self.col, self.indptr), shape=(self.n, self.n))
-
     @functools.cached_property
-    def abs_csr(self):
-        """The entries' magnitudes as a CSR matrix, built once: the row
+    def abs_val(self):
+        """The entries' magnitudes, built once and read-only: the row
         magnitudes of interior_residual."""
-        return self.csr(np.abs(self.val))
+        abs_val = np.abs(self.val)
+        abs_val.flags.writeable = False
+        return abs_val
 
     @functools.cached_property
     def band_template(self):
@@ -112,7 +128,8 @@ class DiscreteOperator:
         """Row-wise product; closure rows evaluate their residual relation.
         GridError unless w lies on the operator's grid."""
         gridmod.require_grid(w, self.grid, "the field w")
-        return gridmod.GridFunction(self.grid, self.csr(self.val) @ w.values)
+        return gridmod.GridFunction(self.grid,
+                                    csr_product(self.indptr, self.col, self.val, w.values))
 
 
 def _left_closure_weights(grid):
@@ -193,8 +210,8 @@ class Factorization:
         col_max = np.abs(cols).max(axis=0)
         col_scale = _pow2(np.where(col_max > 0, col_max, 1.0))
         cols *= col_scale
-        # the scaled operator, for the refinement residual
-        self._matrix = op.csr(band.ravel()[index])
+        # the scaled operator's entries, for the refinement residual
+        self._entries = band.ravel()[index]
         ab = np.empty((2 * KL + KU + 1, n), order="F")
         ab[:KL] = 0.0  # gbtrf fills in the top KL rows
         ab[KL:] = cols
@@ -226,7 +243,9 @@ class Factorization:
         b[:2] = 0.0
         b[-2:] = 0.0
         y = self._back_substitute(b)
-        y += self._back_substitute(b - self._matrix @ y, overwrite_b=1)  # a temporary
+        op = self.op
+        y += self._back_substitute(b - csr_product(op.indptr, op.col, self._entries, y),
+                                   overwrite_b=1)  # a temporary
         y *= self._col_scale
         return y
 
@@ -258,7 +277,11 @@ class ResolventSolve:
     decay_rate_fit: float
 
 
-def _compatibility_probe(g):
+def require_compatible(g):
+    """CompatibilityError unless the right-hand side g vanishes at the contact
+    line: zero, below 1e-3 of its maximum on its first 8 nodes, or with a
+    positive fitted growth exponent on the leftmost band (elliptic.decay_exponent).
+    solve runs it; the cli runs it before making an output directory."""
     scale = np.max(np.abs(g.values))
     if scale == 0.0:
         return
@@ -288,7 +311,7 @@ def interior_residual(op, lam, u, g):
     den = lam * absu
     den += np.abs(g.values)
     den += 1e-300
-    den += op.abs_csr @ absu
+    den += csr_product(op.indptr, op.col, op.abs_val, absu)
     sl = slice(polyops.EDGE_SKIP, op.n - polyops.EDGE_SKIP)
     ratio = np.abs(res[sl])
     ratio /= den[sl]
@@ -300,7 +323,7 @@ def solve(op, lam, g, factorization=None):
     GridError unless g lies on op.grid. A given factorization must be one of
     (lambda + A) on op.grid (``factorization_for``)."""
     gridmod.require_grid(g, op.grid, "the right-hand side g")
-    _compatibility_probe(g)
+    require_compatible(g)
     fac = factorization_for(op, lam, factorization)
     u = fac.solve(g)
     res = interior_residual(op, lam, u, g)

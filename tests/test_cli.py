@@ -119,6 +119,22 @@ def test_resolvent_on_a_window_too_short_for_a_fit_band_makes_no_output_director
     assert not (tmp_path / "run").exists()
 
 
+def test_resolvent_with_an_incompatible_rhs_makes_no_output_directory(tmp_path, capsys,
+                                                                      monkeypatch):
+    # all ones on [-12, 4] does not vanish at the contact line: exit 2 before the
+    # output directory is made and before the operator is assembled
+    cfg = write_config(tmp_path / "exp.ini", "[grid]\nn = 129\n")
+    csv = tmp_path / "g.csv"
+    csv.write_text("s,value\n" + "".join(f"{s!r},1.0\n"
+                                         for s in gridmod.LogGrid(-12.0, 4.0, 129).s.tolist()))
+    monkeypatch.setattr(resolvent, "assemble", _never_called)
+    assert cli.main(["resolvent", "--lambda", "1", "--g", str(csv), "--config", cfg,
+                     "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == ("error: right-hand side does not vanish at the "
+                                       "contact line\n")
+    assert not (tmp_path / "res").exists()
+
+
 def test_linear_evolve_and_determinism(tmp_path):
     cfg = write_config(tmp_path / "exp.ini", f"""
 [grid]

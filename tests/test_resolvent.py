@@ -3,6 +3,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from thinfilm import evolution
 from thinfilm import grid as gridmod
@@ -151,7 +152,7 @@ def test_vectorized_band_matches_row_loop(window, lam):
     assert fac._lu.tobytes() == lu.tobytes() and fac._piv.tobytes() == piv.tobytes()
     assert fac._row_scale.tobytes() == row_scale.tobytes()
     assert fac._col_scale.tobytes() == col_scale.tobytes()
-    assert fac._matrix.data.tobytes() == entries.tobytes()
+    assert fac._entries.tobytes() == entries.tobytes()
 
 
 def test_operator_and_its_band_template_are_read_only():
@@ -160,13 +161,14 @@ def test_operator_and_its_band_template_are_read_only():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(op, field, getattr(op, field))
     band, index, row_max = op.band_template
-    assert op.band_template[0] is band  # built once
+    assert op.band_template[0] is band and op.abs_val is op.abs_val  # built once
+    assert op.abs_val.tobytes() == np.abs(op.val).tobytes()
     assert band.ravel()[index].tobytes() == op.val.tobytes()
     assert np.count_nonzero(band) == np.count_nonzero(op.val)
     # each row's largest |entry|, leaving out the diagonal where lambda goes
     lam_free = np.abs(op.val) * ~((op.row == op.col) & (op.row >= 2) & (op.row < op.n - 2))
     assert row_max.tobytes() == np.maximum.reduceat(lam_free, op.indptr[:-1]).tobytes()
-    for a in (band, index, row_max):
+    for a in (band, index, row_max, op.abs_val):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -189,8 +191,8 @@ def test_refinement_product_keeps_the_diagonal_summation_order(n, lam):
     # The banded product the refinement residual used before the operator
     # became (row, column, value) arrays: diagonal by diagonal, from the
     # lowest sub-diagonal up, so each row is summed left to right from 0.0.
-    # The hashed benchmark outputs depend on this order, which the CSR
-    # product keeps only as long as scipy's csr_matvec sums that way.
+    # The hashed benchmark outputs depend on this order, which csr_product
+    # keeps only as long as scipy's csr_matvec sums that way.
     grid = gridmod.LogGrid(-12.0, 4.0, n)
     kl, ku = resolvent.KL, resolvent.KU
     band = _loop_band(grid, lam)[0][kl:]
@@ -208,8 +210,41 @@ def test_refinement_product_keeps_the_diagonal_summation_order(n, lam):
     op = resolvent.assemble(grid)
     fac = resolvent.Factorization(op, lam)
     y = np.random.default_rng(n).standard_normal(n) * 10.0 ** np.linspace(-8, 3, n)
-    got = fac._matrix @ y
+    got = resolvent.csr_product(op.indptr, op.col, fac._entries, y)
     assert got.tobytes() == diagonal_loop(y).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 513, 4097])
+@pytest.mark.parametrize("lam", [0.1, 400.0])
+def test_product_equals_the_scipy_matrix_product_bitwise(n, lam):
+    # csr_product calls scipy's private compiled kernel (csr_matvec) without the
+    # matrix object: a scipy upgrade that moves the kernel or changes its summation
+    # order fails here, not only in the benchmark's hashes
+    op = resolvent.assemble(gridmod.LogGrid(-12.0, 4.0, n))
+    fac = resolvent.Factorization(op, lam)
+    y = np.random.default_rng(n).standard_normal(n) * 10.0 ** np.linspace(-8, 3, n)
+    for val in (op.val, fac._entries, op.abs_val):
+        want = sparse.csr_array((val, op.col, op.indptr), shape=(n, n)) @ y
+        assert resolvent.csr_product(op.indptr, op.col, val, y).tobytes() == want.tobytes()
+
+
+def test_product_rejects_a_vector_or_entries_the_kernel_would_overrun(monkeypatch):
+    # the kernel reads y[col] and the entries unchecked: every malformed argument is a
+    # GridError before it runs
+    op = resolvent.assemble(gridmod.LogGrid(-12.0, 4.0, 64))
+    n = op.n
+    monkeypatch.setattr(resolvent, "_csr_matvec", _never_called)
+    for y in (np.ones(n - 1), np.ones(n + 1), np.ones(n, dtype=np.float32),
+              np.ones(n, dtype=int), np.ones(2 * n)[::2], np.ones((n, 1)), [1.0] * n):
+        with pytest.raises(GridError, match=f"float64 vector of {n} values"):
+            resolvent.csr_product(op.indptr, op.col, op.val, y)
+    for val in (op.val[:-1], op.val.astype(np.float32), list(op.val)):
+        with pytest.raises(GridError, match=f"{op.col.size} float64 entries"):
+            resolvent.csr_product(op.indptr, op.col, val, np.ones(n))
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the kernel ran on arguments that were not checked")
 
 
 def test_failed_refinement_raises(fine_grid, monkeypatch):
@@ -466,11 +501,12 @@ def test_far_field_rate_rejects_lambda(lam):
 
 def _grid_function_residual(op, lam, u, g):
     """interior_residual as written on GridFunctions: A u from the public
-    polyops.apply_operator, the same sums in the same order."""
+    polyops.apply_operator and the row magnitudes from a scipy CSR matrix,
+    the same sums in the same order."""
     au = polyops.apply_operator(u)
     res = lam * u.values + au.values - g.values
     absu = np.abs(u.values)
-    den = op.abs_csr @ absu
+    den = sparse.csr_array((np.abs(op.val), op.col, op.indptr), shape=(op.n, op.n)) @ absu
     den += lam * absu + np.abs(g.values) + 1e-300
     sl = slice(polyops.EDGE_SKIP, op.n - polyops.EDGE_SKIP)
     return float(np.max(np.abs(res[sl]) / den[sl]))
