@@ -212,11 +212,10 @@ def cmd_nonlinear_evolve(args):
     _check_snapshots(cfg)
     u0 = config.initial_profile(cfg, grid)
     s, nm = cfg["solver"], cfg["norms"]
-    model = nonlinear.NonlinearModel(nm["N"], nm["k"], nm["delta"])
-    _start(u0, nonlinear=model)
+    _start(u0, nonlinear=nonlinear.NonlinearModel(nm["N"], nm["k"], nm["delta"]))
     out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
-    state = evolution.run(resolvent.assemble(grid), u0, None, s["dt"], s["T"],
-                          store_every=s["store_every"], nonlinear=model)
+    state = nonlinear.run_nonlinear(u0, s["dt"], s["T"], norm_N=nm["N"], norm_k=nm["k"],
+                                    delta=nm["delta"], store_every=s["store_every"])
     counts = [0] + state.picard_counts  # of each step, read at the step of a stored time
     rows = [(t, norm, c[0], c[1], sup, y0, counts[round(t / s["dt"])])
             for (t, _), norm, c, sup, y0 in zip(state.steps, state.init_norm_track,

@@ -31,14 +31,9 @@ def apply_B(w):
 _TAIL_FLOOR = 1e-250  # below this the band is treated as identically zero
 
 
-def _tail_band(grid):
-    """The leftmost band s <= s_min + TAIL_BAND as a node slice (s ascends)."""
-    return slice(0, grid.s.searchsorted(grid.s_min + TAIL_BAND, side="right"))
-
-
 def decay_exponent(values, grid):
     """Fitted growth exponent of |values| on the leftmost band (inf if zero)."""
-    band = _tail_band(grid)
+    band = gridmod.node_slice(grid.s, -np.inf, grid.s_min + TAIL_BAND)
     v = values[band]
     if np.max(np.abs(v)) <= _TAIL_FLOOR:
         return np.inf
@@ -61,7 +56,7 @@ def _tail_closure(integrand, grid):
     the d e^{g d} term is the first-order correction in the exponent and
     removes the bias of the log-linear estimate of g.
     """
-    band = _tail_band(grid)
+    band = gridmod.node_slice(grid.s, -np.inf, grid.s_min + TAIL_BAND)
     v = integrand[band]
     if np.max(np.abs(v)) <= _TAIL_FLOOR:
         return 0.0
@@ -148,11 +143,9 @@ def hardy_check(g, gamma, variant):
     _require_compact_support(g)
     a, offset, const = _HARDY[variant]
     beta = gamma + offset
-    grid = g.grid
-    weight = grid.exp(-2.0 * beta)
     shifted = gridmod.shifted_derivative(g, a).values
-    lhs = stencils.trapezoid(weight * shifted * shifted, grid.h)
-    rhs = stencils.trapezoid(weight * g.values * g.values, grid.h)
+    lhs, rhs = gridmod._norm_sq(np.stack([shifted, g.values]), 0, g.grid.exp(-2.0 * beta),
+                                g.grid)
     return float(lhs), float(rhs), float(const(gamma))
 
 

@@ -135,14 +135,21 @@ class GridFunction:
 
 def _finite(compute, message, error=GridError):
     """compute() without numpy's overflow and invalid-value warnings, returned as it
-    is; error(message), a GridError, unless every entry is finite. The one finiteness
-    rule of every value a run records or a command reports: a weight or table that
-    overflows on a wide window, or a large k or alpha, is a typed error, not NaN data."""
+    is; error(message) (a GridError unless another error type is given) unless every
+    entry is finite. The one finiteness rule of every value a run records or a command
+    reports: a weight or table that overflows on a wide window, or a large k or alpha,
+    is a typed error, not NaN data."""
     with np.errstate(over="ignore", invalid="ignore"):
         result = compute()
     if not np.isfinite(result).all():
         raise error(message)
     return result
+
+
+def node_slice(s, lo, hi):
+    """The nodes lo <= s <= hi of the ascending nodes s, as a slice: the one node band
+    of every fit and tail read (an edge node is inside)."""
+    return slice(s.searchsorted(lo, side="left"), s.searchsorted(hi, side="right"))
 
 
 def require_grid(w, grid, name):
@@ -201,15 +208,14 @@ def _fit_matrix(s_min, s_max, n, lo, hi):
     """
     if s_min > RESOLVED_S_MIN:
         raise GridError(f"grid does not resolve x << 1 (need s_min <= {RESOLVED_S_MIN:g})")
-    s, x = _s(s_min, s_max, n), _exp_s(s_min, s_max, n, 1.0)
-    nodes = np.flatnonzero((s >= s_min + lo) & (s <= s_min + hi))
-    if nodes.size < 8:
+    sl = node_slice(_s(s_min, s_max, n), s_min + lo, s_min + hi)
+    x = _exp_s(s_min, s_max, n, 1.0)[sl]
+    if x.size < 8:
         where = ("near the contact line" if lo == -np.inf else
                  f"at {s_min + lo:g} <= s <= {s_min + hi:g} "
-                 f"({nodes.size} of the 8 nodes a fit needs)")
+                 f"({x.size} of the 8 nodes a fit needs)")
         raise GridError(f"fit band too coarse {where}")
-    sl = slice(nodes[0], nodes[-1] + 1)
-    a = x[sl, None] ** np.arange(FIT_TERMS)
+    a = x[:, None] ** np.arange(FIT_TERMS)
     scale = np.max(np.abs(a), axis=0)
     if not np.all(scale > 0) or np.linalg.matrix_rank(a / scale) < FIT_TERMS:
         raise GridError("singular fit matrix near the contact line")

@@ -225,11 +225,12 @@ def integrate_coefficients(cv0, dt, T):
     times = np.linspace(0.0, T, max(1, int(round(T / dt))) + 1)
     c = np.empty((J + 1, J))
     c[0] = cv0.u
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+
+    def trajectory():
         c[1] = cv0.f - m @ cv0.u
         for k in range(2, J + 1):
             c[k] = -(m @ c[k - 1]) / k
-        u = np.vander(times, J + 1, increasing=True) @ c
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite coefficients")
-    return CoefficientTrajectory(times, u)
+        return np.vander(times, J + 1, increasing=True) @ c
+
+    return CoefficientTrajectory(
+        times, gridmod._finite(trajectory, "non-finite coefficients", ValueError))

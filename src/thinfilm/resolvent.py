@@ -352,9 +352,7 @@ def far_field_rate(u, lam):
     if not 0 < lam < np.inf:
         raise SolverError("lambda must be positive and finite")
     grid = u.grid
-    s = grid.s
-    band = slice(s.searchsorted(grid.s_max - FAR_BAND[0], side="left"),
-                 s.searchsorted(grid.s_max - FAR_BAND[1], side="right"))
+    band = gridmod.node_slice(grid.s, grid.s_max - FAR_BAND[0], grid.s_max - FAR_BAND[1])
     vals = np.abs(u.values[band])
     if vals.size < FAR_MIN_NODES or vals.min() < 1e-280:  # a zero is below 1e-280 too
         return float("nan")

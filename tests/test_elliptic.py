@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_bump
-from thinfilm import elliptic, polyops
+from thinfilm import elliptic, evolution, polyops, resolvent, stencils
 from thinfilm import grid as gridmod
 from thinfilm.errors import DecayProbeError, SupportError
 
@@ -120,6 +120,25 @@ def test_hardy_examples(default_grid):
         elliptic.hardy_check(gridmod.monomial(default_grid, 1), 0.3, 1)
 
 
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_hardy_check_equals_its_two_trapezoid_form_bitwise(variant):
+    # hardy_check takes both squares from one grid._norm_sq call on the stacked pair
+    # (shifted, g); each keeps the bits of its own trapezoid of weight * f * f
+    a, offset, const = elliptic._HARDY[variant]
+    for n in (257, 1025, 4097):
+        grid = gridmod.LogGrid(-12.0, 4.0, n)
+        for width in (0.5, 2.0):
+            g = gaussian_bump(grid, center=-4.0, width=width)
+            shifted = gridmod.shifted_derivative(g, a).values
+            for gamma in (0.3, 1.7, 3.1):
+                weight = grid.exp(-2.0 * (gamma + offset))
+                want = (float(stencils.trapezoid(weight * shifted * shifted, grid.h)),
+                        float(stencils.trapezoid(weight * g.values * g.values, grid.h)),
+                        float(const(gamma)))
+                got = elliptic.hardy_check(g, gamma, variant)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_hardy_sharp_constants_never_violated(default_grid, rng):
     # best-possible constants (b - a)^2 at the variant weight b: zero
     # violations for any compactly supported data
@@ -215,11 +234,27 @@ def _mask_form_tail_closure(integrand, grid):
                  + coef[2] / (gamma + 1) + coef[3] / (gamma + 2))
 
 
-# h = 1/8 and 1/128 put a node on the band's edge s_min + 1.5; h = 16/999 does not
+# h = 1/8 and 1/128 put a node on every band edge; h = 16/999 puts none there
 @pytest.mark.parametrize("n", [129, 1000, 2049])
 def test_tail_band_slice_equals_its_mask_form_bitwise(monkeypatch, n):
     grid = gridmod.LogGrid(-12.0, 4.0, n)
-    x = grid.x
+    s, x = grid.s, grid.x
+    nodes = np.arange(n)
+    # every band the lab reads, as grid.node_slice gives it: the left fit band and the
+    # u2 and u3 fit bands (the slices _fit_matrix caches), the tail band, the far band
+    fit_bands = [(-np.inf, gridmod.FIT_BAND), evolution.U2_BAND, evolution.U3_BAND]
+    bands = [(gridmod._fit_matrix(grid.s_min, grid.s_max, n, lo, hi)[0],
+              grid.s_min + lo, grid.s_min + hi) for lo, hi in fit_bands]
+    bands += [(gridmod.node_slice(s, lo, hi), lo, hi) for lo, hi in
+              [(-np.inf, grid.s_min + elliptic.TAIL_BAND),
+               (grid.s_max - resolvent.FAR_BAND[0], grid.s_max - resolvent.FAR_BAND[1])]]
+    on_edges = 0
+    for sl, lo, hi in bands:
+        assert np.array_equal(nodes[sl], np.flatnonzero((s >= lo) & (s <= hi)))
+        edge = np.flatnonzero((s == lo) | (s == hi))
+        assert np.isin(edge, nodes[sl]).all()  # a node on an edge is inside the band
+        on_edges += edge.size
+    assert on_edges == (0 if n == 1000 else 8)  # each of the 8 finite edges, when h divides it
     integrands = []
     closure = elliptic._tail_closure
 

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -262,10 +263,15 @@ def test_integrate_rejects_bad_times(dt, T):
 
 
 def test_integrate_rejects_non_finite_result():
-    # finite data whose trajectory overflows: t^8 = 1e800 at t = 1e100
-    with pytest.raises(ValueError, match="non-finite"):
-        polyops.integrate_coefficients(
-            polyops.CoefficientVector(8, np.ones(8), np.zeros(8)), 1e100, 1e100)
+    # finite data whose trajectory overflows: t^8 = 1e800 at t = 1e100, and u = 1e300
+    # at J = 40, which overflows from the second Taylor term on. The trajectory is
+    # computed under grid._finite, so no numpy warning comes before the typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for J, u0, dt, T in [(8, 1.0, 1e100, 1e100), (40, 1e300, 1.0, 1e5)]:
+            with pytest.raises(ValueError, match="^non-finite coefficients$"):
+                polyops.integrate_coefficients(
+                    polyops.CoefficientVector(J, np.full(J, u0), np.zeros(J)), dt, T)
 
 
 def test_operator_inputs_outside_their_range_raise():
