@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 malformed config, flag, input file or output path,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -50,14 +51,26 @@ def _write_csv(path, header_cols, rows, cfg):
                               for v in row) + "\n")
 
 
-def _make_out_dir(path, key):
-    """Create the output directory path, after a command's checks and t = 0 work and
-    before its run; ConfigError keyed key."""
+@contextlib.contextmanager
+def _out_dir(path, key):
+    """Make the output directory path (ConfigError keyed key) around a command's run; if it
+    raises, remove each directory made here that holds no file, deepest first."""
+    made, head = [], path
+    while head and not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(key, f"cannot create directory {path!r}: {exc.strerror or exc}") from exc
-    return path
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(key, f"cannot create directory {path!r}: "
+                                   f"{exc.strerror or exc}") from exc
+        yield path
+    except BaseException:
+        for made_dir in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(made_dir)
+        raise
 
 
 def _snapshots(cfg, state):
@@ -133,15 +146,6 @@ def _check_snapshots(cfg):
                           f"(solver.dt={dt!r}, solver.store_every={every!r})")
 
 
-def _start(u0, **run_args):
-    """evolution.start, before a command makes its output directory; t = 0 energies that
-    are not finite (EnergyError) are a ConfigError keyed norms.alpha."""
-    try:
-        evolution.start(u0, **run_args)
-    except EnergyError as exc:
-        raise ConfigError("norms.alpha", str(exc)) from exc
-
-
 def cmd_norms(args):
     w = config.read_field(args.csv, "--csv")
     out = {}
@@ -161,23 +165,19 @@ def cmd_resolvent(args):
     if not 0 < args.lam < np.inf:
         raise ConfigError("--lambda", f"not a positive finite number: {args.lam!r}")
     rhs = config.read_field(args.g, "--g", grid)
-    # before the output directory: the right-hand side's compatibility (the probe
-    # resolvent.solve runs), and the report's fit bands, checked on a zero field
-    # (GridError when one of them is too coarse on this grid)
-    resolvent.require_compatible(rhs)
-    evolution.leading_coefficients(np.zeros(grid.n), grid)
-    out_dir = _make_out_dir(args.out or cfg["output"]["dir"],
-                            "--out" if args.out else "output.dir")
-    sol = resolvent.solve(resolvent.assemble(grid), args.lam, rhs)
-    coeffs = evolution.leading_coefficients(sol.solution.values, grid)  # GridError unless finite
-    _write_csv(os.path.join(out_dir, "resolvent_solution.csv"), ["s", "u"],
-               list(zip(grid.s.tolist(), sol.solution.values.tolist())), cfg)
-    _write_json(os.path.join(out_dir, "resolvent_report.json"), {
-        "lambda": args.lam,
-        "interior_residual": sol.residual_norm,
-        "decay_rate_fit": None if np.isnan(sol.decay_rate_fit) else sol.decay_rate_fit,
-        "coefficients": coeffs.tolist(),
-    }, cfg)
+    resolvent.require_compatible(rhs)  # the probe resolvent.solve runs, before the directory
+    with _out_dir(args.out or cfg["output"]["dir"],
+                  "--out" if args.out else "output.dir") as out_dir:
+        sol = resolvent.solve(resolvent.assemble(grid), args.lam, rhs)
+        coeffs = evolution.leading_coefficients(sol.solution.values, grid)  # finite, or GridError
+        _write_csv(os.path.join(out_dir, "resolvent_solution.csv"), ["s", "u"],
+                   list(zip(grid.s.tolist(), sol.solution.values.tolist())), cfg)
+        _write_json(os.path.join(out_dir, "resolvent_report.json"), {
+            "lambda": args.lam,
+            "interior_residual": sol.residual_norm,
+            "decay_rate_fit": None if np.isnan(sol.decay_rate_fit) else sol.decay_rate_fit,
+            "coefficients": coeffs.tolist(),
+        }, cfg)
     print(f"resolvent solve done: residual {sol.residual_norm:.3e}")
     return EXIT_OK
 
@@ -187,19 +187,17 @@ def cmd_linear_evolve(args):
     _check_steps(cfg, [cfg["solver"]["dt"]], "solver.dt")
     _check_snapshots(cfg)
     u0 = config.initial_profile(cfg, grid)
-    alpha, k = cfg["norms"]["alpha"], cfg["norms"]["k"]
-    _start(u0, alpha=alpha, k=k)
-    out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
-    s = cfg["solver"]
-    state = evolution.run(resolvent.assemble(grid), u0, None, s["dt"], s["T"],
-                          alpha=alpha, k=k, store_every=s["store_every"])
-    rows = [(t, e["tilde_sq"], e["tilde_dk_sq"], *c) for (t, _), e, c
-            in zip(state.steps, state.energy_log, state.coefficient_tracks)]
-    _write_csv(os.path.join(out_dir, "linear_trajectory.csv"),
-               ["t", "tilde_sq", "tilde_dk_sq", "u1", "u2", "u3"], rows, cfg)
-    for t, u in _snapshots(cfg, state):
-        _write_csv(os.path.join(out_dir, f"snapshot_t{t:g}.csv"), ["s", "u"],
-                   list(zip(grid.s.tolist(), u.values.tolist())), cfg)
+    s, nm = cfg["solver"], cfg["norms"]
+    with _out_dir(cfg["output"]["dir"], "output.dir") as out_dir:
+        state = evolution.run(resolvent.assemble(grid), u0, None, s["dt"], s["T"],
+                              alpha=nm["alpha"], k=nm["k"], store_every=s["store_every"])
+        rows = [(t, e["tilde_sq"], e["tilde_dk_sq"], *c) for (t, _), e, c
+                in zip(state.steps, state.energy_log, state.coefficient_tracks)]
+        _write_csv(os.path.join(out_dir, "linear_trajectory.csv"),
+                   ["t", "tilde_sq", "tilde_dk_sq", "u1", "u2", "u3"], rows, cfg)
+        for t, u in _snapshots(cfg, state):
+            _write_csv(os.path.join(out_dir, f"snapshot_t{t:g}.csv"), ["s", "u"],
+                       list(zip(grid.s.tolist(), u.values.tolist())), cfg)
     if state.flags:
         print(f"completed with {len(state.flags)} energy flags", file=sys.stderr)
     print(f"linear evolution done: {len(state.steps)} stored steps")
@@ -212,22 +210,21 @@ def cmd_nonlinear_evolve(args):
     _check_snapshots(cfg)
     u0 = config.initial_profile(cfg, grid)
     s, nm = cfg["solver"], cfg["norms"]
-    _start(u0, nonlinear=nonlinear.NonlinearModel(nm["N"], nm["k"], nm["delta"]))
-    out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
-    state = nonlinear.run_nonlinear(u0, s["dt"], s["T"], norm_N=nm["N"], norm_k=nm["k"],
-                                    delta=nm["delta"], store_every=s["store_every"])
-    counts = [0] + state.picard_counts  # of each step, read at the step of a stored time
-    rows = [(t, norm, c[0], c[1], sup, y0, counts[round(t / s["dt"])])
-            for (t, _), norm, c, sup, y0 in zip(state.steps, state.init_norm_track,
-                                                state.coefficient_tracks,
-                                                state.lipschitz_track, state.contact_line_track)]
-    _write_csv(os.path.join(out_dir, "nonlinear_trajectory.csv"),
-               ["t", "init_norm", "u1", "u2", "sup_vx", "Y0", "picard_iterations"],
-               rows, cfg)
-    for t, u in _snapshots(cfg, state):
-        film = nonlinear.reconstruct(u, t, np.linspace(6 * t - 0.5, 6 * t + 4.0, 600))
-        _write_csv(os.path.join(out_dir, f"film_t{t:g}.csv"), ["y", "h"],
-                   list(zip(film.y.tolist(), film.h.tolist())), cfg)
+    with _out_dir(cfg["output"]["dir"], "output.dir") as out_dir:
+        state = nonlinear.run_nonlinear(u0, s["dt"], s["T"], norm_N=nm["N"], norm_k=nm["k"],
+                                        delta=nm["delta"], store_every=s["store_every"])
+        counts = [0] + state.picard_counts  # of each step, read at the step of a stored time
+        rows = [(t, norm, c[0], c[1], sup, y0, counts[round(t / s["dt"])])
+                for (t, _), norm, c, sup, y0 in zip(
+                    state.steps, state.init_norm_track, state.coefficient_tracks,
+                    state.lipschitz_track, state.contact_line_track)]
+        _write_csv(os.path.join(out_dir, "nonlinear_trajectory.csv"),
+                   ["t", "init_norm", "u1", "u2", "sup_vx", "Y0", "picard_iterations"],
+                   rows, cfg)
+        for t, u in _snapshots(cfg, state):
+            film = nonlinear.reconstruct(u, t, np.linspace(6 * t - 0.5, 6 * t + 4.0, 600))
+            _write_csv(os.path.join(out_dir, f"film_t{t:g}.csv"), ["y", "h"],
+                       list(zip(film.y.tolist(), film.h.tolist())), cfg)
     rates = [r for r in state.picard_rates if r is not None]
     print(f"nonlinear evolution done: {len(state.steps)} stored steps, "
           f"max Picard count {max(state.picard_counts)}, "
@@ -236,39 +233,38 @@ def cmd_nonlinear_evolve(args):
 
 
 def cmd_validate(args):
-    if args.out:
-        _make_out_dir(os.path.dirname(args.out) or os.curdir, "--out")
-        if os.path.isdir(args.out):
+    with (_out_dir(os.path.dirname(args.out) or os.curdir, "--out") if args.out
+          else contextlib.nullcontext()):
+        if args.out and os.path.isdir(args.out):
             raise ConfigError("--out", f"{args.out!r} is a directory, not a file")
-    checks = {}
+        checks = {}
 
-    def residual_orders(h, t_span, y_span, base_dt, base_dy):
-        reports = [validation.tfe_residual(h, t_span, y_span, base_dt / r, base_dy / r)
-                   for r in (1, 2, 4)]
-        orders = [float(np.log2(reports[i].max_residual / reports[i + 1].max_residual))
-                  for i in range(2)]
-        return orders
+        def residual_orders(h, t_span, y_span, base_dt, base_dy):
+            reports = [validation.tfe_residual(h, t_span, y_span, base_dt / r, base_dy / r)
+                       for r in (1, 2, 4)]
+            return [float(np.log2(reports[i].max_residual / reports[i + 1].max_residual))
+                    for i in range(2)]
 
-    tw_orders = residual_orders(validation.traveling_wave, (0.0, 0.8), (1.0, 6.0), 0.05, 0.1)
-    checks["traveling_wave_order"] = {"orders": tw_orders,
-                                      "pass": all(o >= 1.8 for o in tw_orders)}
-    eq_reports = [validation.tfe_residual(validation.equilibrium, (0.0, 0.8), (0.5, 4.0),
-                                          0.05 / r, 0.1 / r) for r in (1, 2)]
-    # the profile is exactly stationary, so the residual is pure rounding
-    checks["equilibrium_residual"] = {
-        "max": [r.max_residual for r in eq_reports],
-        "pass": all(r.max_residual < 1e-6 for r in eq_reports)}
-    sh_orders = residual_orders(validation.smyth_hill, (0.0, 0.8), (-0.6, 0.6), 0.02, 0.02)
-    checks["smyth_hill_order"] = {"orders": sh_orders,
-                                  "pass": all(o >= 1.8 for o in sh_orders)}
-    x = np.linspace(0.0, 3.0, 301)
-    err = validation.tw_ode_check(6.0, 1.0, x)
-    checks["wave_profile_ode"] = {"max_error": err, "pass": err < 1e-7}
+        tw_orders = residual_orders(validation.traveling_wave, (0.0, 0.8), (1.0, 6.0), 0.05, 0.1)
+        checks["traveling_wave_order"] = {"orders": tw_orders,
+                                          "pass": all(o >= 1.8 for o in tw_orders)}
+        eq_reports = [validation.tfe_residual(validation.equilibrium, (0.0, 0.8), (0.5, 4.0),
+                                              0.05 / r, 0.1 / r) for r in (1, 2)]
+        # the profile is exactly stationary, so the residual is pure rounding
+        checks["equilibrium_residual"] = {
+            "max": [r.max_residual for r in eq_reports],
+            "pass": all(r.max_residual < 1e-6 for r in eq_reports)}
+        sh_orders = residual_orders(validation.smyth_hill, (0.0, 0.8), (-0.6, 0.6), 0.02, 0.02)
+        checks["smyth_hill_order"] = {"orders": sh_orders,
+                                      "pass": all(o >= 1.8 for o in sh_orders)}
+        x = np.linspace(0.0, 3.0, 301)
+        err = validation.tw_ode_check(6.0, 1.0, x)
+        checks["wave_profile_ode"] = {"max_error": err, "pass": err < 1e-7}
 
-    ok = all(c["pass"] for c in checks.values())
-    payload = {"checks": checks, "pass": ok}
-    if args.out:
-        _write_json(args.out, payload)
+        ok = all(c["pass"] for c in checks.values())
+        payload = {"checks": checks, "pass": ok}
+        if args.out:
+            _write_json(args.out, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -288,26 +284,25 @@ def cmd_sweep(args):
     _check_steps(cfg, values, "--values")
     T, alpha, k = cfg["solver"]["T"], cfg["norms"]["alpha"], cfg["norms"]["k"]
     u0 = config.initial_profile(cfg, grid)
-    _start(u0, alpha=alpha, k=k)
-    out_dir = _make_out_dir(cfg["output"]["dir"], "output.dir")
-    op = resolvent.assemble(grid)
-    # only the final state is read: store t = 0 and t = T, check the energy every step
-    states = [evolution.run(op, u0, None, dt, T, alpha=alpha, k=k,
-                            store_every=evolution.MAX_STEPS)
-              for dt in values]
-    for dt, state in zip(values, states):
-        if state.flags:
-            print(f"completed with {len(state.flags)} energy flags at dt={dt:g}",
-                  file=sys.stderr)
-    finals = [state.final().values for state in states]
-    diffs = [float(np.max(np.abs(finals[i] - finals[i + 1])))
-             for i in range(len(finals) - 1)]
-    # null where the finals coincide: strict JSON has no NaN or infinity
-    orders = [float(np.log2(diffs[i] / diffs[i + 1])) if diffs[i] > 0 and diffs[i + 1] > 0
-              else None for i in range(len(diffs) - 1)]
-    payload = {"param": "dt", "values": values, "final_state_diffs": diffs,
-               "richardson_orders": orders}
-    _write_json(os.path.join(out_dir, "sweep_summary.json"), payload, cfg)
+    with _out_dir(cfg["output"]["dir"], "output.dir") as out_dir:
+        op = resolvent.assemble(grid)
+        # only the final state is read: store t = 0 and t = T, check the energy every step
+        states = [evolution.run(op, u0, None, dt, T, alpha=alpha, k=k,
+                                store_every=evolution.MAX_STEPS)
+                  for dt in values]
+        for dt, state in zip(values, states):
+            if state.flags:
+                print(f"completed with {len(state.flags)} energy flags at dt={dt:g}",
+                      file=sys.stderr)
+        finals = [state.final().values for state in states]
+        diffs = [float(np.max(np.abs(finals[i] - finals[i + 1])))
+                 for i in range(len(finals) - 1)]
+        # null where the finals coincide: strict JSON has no NaN or infinity
+        orders = [float(np.log2(diffs[i] / diffs[i + 1])) if diffs[i] > 0 and diffs[i + 1] > 0
+                  else None for i in range(len(diffs) - 1)]
+        payload = {"param": "dt", "values": values, "final_state_diffs": diffs,
+                   "richardson_orders": orders}
+        _write_json(os.path.join(out_dir, "sweep_summary.json"), payload, cfg)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -364,6 +359,9 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except EnergyError as exc:  # the energies of a linear run overflow at norms.alpha
+        print(f"error: {ConfigError('norms.alpha', str(exc))}", file=sys.stderr)
         return EXIT_CONFIG
     except (GuardError, PicardError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)

@@ -209,11 +209,9 @@ def _record(state, stored, grid, alpha, k, nonlinear):
 
 
 def start(u0, alpha=0.25, k=2, nonlinear=None):
-    """A run's t = 0 work, the EvolutionState of t = 0 that ``run`` continues: GridError
-    unless k is an integer >= 0 and alpha finite, a nonlinear run's guard on u0
-    (GuardError) and the t = 0 records (GridError unless finite, EnergyError for a
-    linear run's energies). ``run`` calls it before it factorizes, the cli before it
-    makes an output directory, so no t = 0 failure leaves one."""
+    """The t = 0 work of ``run``, before it factorizes: the EvolutionState of t = 0. GridError
+    unless k is an integer >= 0 and alpha finite, a nonlinear run's guard on u0 (GuardError)
+    and the t = 0 records (GridError unless finite, EnergyError for a linear run's energies)."""
     if not isinstance(k, numbers.Integral) or k < 0:
         raise GridError(f"k must be an integer >= 0, got {k!r}")
     if not np.isfinite(alpha):

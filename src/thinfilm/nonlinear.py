@@ -43,9 +43,14 @@ def _mobility(grid):
     return out
 
 
+def _v(values, grid):
+    """The values of v = u / (3x^2 + 2x) from those of u: the one change of variables."""
+    return values / _mobility(grid)[0]
+
+
 def to_v(u):
     """Coordinate perturbation v = u / (3x^2 + 2x)."""
-    return gridmod.GridFunction(u.grid, u.values / _mobility(u.grid)[0])
+    return gridmod.GridFunction(u.grid, _v(u.values, u.grid))
 
 
 def _dx(values, grid):
@@ -57,7 +62,7 @@ def _dx(values, grid):
 
 def _vx(values, grid):
     """v_x of the coordinate perturbation v = u / (3x^2 + 2x), from the values of u."""
-    return _dx(values / _mobility(grid)[0], grid)
+    return _dx(_v(values, grid), grid)
 
 
 def lipschitz_guard(vx, where):
@@ -91,7 +96,7 @@ def _nonlinearity(values, grid):
     grouping of the written bracket, so the result does not depend on it.
     """
     mob, mob1, height = _mobility(grid)
-    vx = _dx(values / mob, grid)
+    vx = _vx(values, grid)
     lipschitz_guard(vx, "in N(u)")
     inv = 1.0 + vx
     np.divide(1.0, inv, out=inv)
@@ -195,8 +200,7 @@ def contact_line_shift(values, grid):
     """v(0+) of one field's values or of each row of a (steps, n) stack: the constant
     term of a quadratic-in-x fit of v = u/(3x^2 + 2x) on the left band; GridError
     unless it is finite (grid.fit_powers)."""
-    v = values / _mobility(grid)[0]
-    return gridmod.fit_powers(v, grid, -np.inf, gridmod.FIT_BAND)[..., 0]
+    return gridmod.fit_powers(_v(values, grid), grid, -np.inf, gridmod.FIT_BAND)[..., 0]
 
 
 def _locate(x, q):
@@ -249,7 +253,7 @@ def reconstruct(u, t, y_grid, upsample=8):
     if not np.isfinite(t):
         raise GridError(f"reconstruction time t must be finite, got {t!r}")
     grid = u.grid
-    v = u.values / _mobility(grid)[0]
+    v = _v(u.values, grid)
     vs = stencils.apply_derivative(v, 1, grid.h)
     lipschitz_guard(grid.inv_x * vs, "in the reconstruction (the height map may fold over)")
     x, i, d = _refined(grid, upsample)

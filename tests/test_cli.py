@@ -607,8 +607,8 @@ def test_sweep_command(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(evolution, "leading_coefficients", counted)
     assert cli.main(["sweep", "--param", "dt", "--values", "2e-2,1e-2,5e-3",
                      "--config", cfg_path]) == 0
-    # t = 0 in the start before the output directory, then t = 0 and t = T of each run
-    assert fits == [1] * 7
+    # t = 0 and t = T of each run
+    assert fits == [1] * 6
     monkeypatch.undo()
     results = _strict_json(tmp_path / "run" / "sweep_summary.json")["results"]
     orders = results["richardson_orders"]
@@ -716,8 +716,9 @@ _COARSE_WINDOW = "[grid]\ns_min = -140\ns_max = 140\nn = 64\n"  # h = 4.4: one f
 ], ids=["init-norm-overflow", "linear-coarse-fit", "sweep-coarse-fit", "initial-guard"])
 def test_a_t0_failure_makes_no_output_directory(tmp_path, capsys, monkeypatch, command,
                                                sections, u0, code, message):
-    # each exited the same way after making an empty output directory: the t = 0
-    # start (evolution.start) now runs before it, and before any factorization
+    # each exited the same way and left an empty output directory: the t = 0 start
+    # (evolution.start) runs before any factorization, and the cli removes the
+    # directories it made when a command fails
     cfg = write_config(tmp_path / "exp.ini", sections + f"""[solver]
 dt = 1e-2
 T = 2e-2
@@ -738,6 +739,67 @@ u0 = {u0}
         assert cli.main(argv) == code
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "run").exists()
+
+
+# two runs that fail after t = 0, each at step 1: the default data (x3_decay is O(1),
+# so the guard trips in N(u)) and a wave shift of amplitude 0.1, whose Picard
+# iteration stalls. Each left its output directory behind, empty
+_FAILS_AFTER_T0 = pytest.mark.parametrize("sections, message", [
+    ("[grid]\nn = 129\n[solver]\nT = 2e-2\n[output]\n",
+     "numerical guard: Lipschitz guard tripped in N(u): sup |v_x| = 0.5093 is not below 0.5"),
+    ("[grid]\nn = 257\n[solver]\nT = 0.1\n[nonlinear]\neps = 0.1\n[output]\n"
+     "u0 = wave_shift\n", "numerical guard: Picard stalled at step 1: "),
+], ids=["guard", "picard"])
+
+
+@_FAILS_AFTER_T0
+def test_a_run_that_fails_after_t0_leaves_no_directory_it_made(tmp_path, capsys, sections,
+                                                               message):
+    cfg = write_config(tmp_path / "exp.ini", sections + f"dir = {tmp_path / 'deep' / 'run'}\n")
+    assert cli.main(["nonlinear-evolve", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "deep").exists()
+
+
+@_FAILS_AFTER_T0
+def test_a_failed_run_leaves_a_directory_that_existed(tmp_path, capsys, sections, message):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n")
+    cfg = write_config(tmp_path / "exp.ini", sections + f"dir = {out}\n")
+    assert cli.main(["nonlinear-evolve", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith(message)
+    assert os.listdir(out) == ["kept.txt"] and (out / "kept.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (["linear-evolve"], 1),
+    (["nonlinear-evolve"], 1),
+    (["sweep", "--param", "dt", "--values", "1e-2,5e-3,2.5e-3"], 3),
+], ids=["linear-evolve", "nonlinear-evolve", "sweep"])
+def test_each_run_takes_one_t0_start(tmp_path, monkeypatch, argv, runs):
+    # the cli took a start of its own before each command's runs: 2, 2 and 4
+    cfg = write_config(tmp_path / "exp.ini", f"""
+[grid]
+n = 129
+[solver]
+T = 2e-2
+[output]
+dir = {tmp_path / 'run'}
+u0 = wave_shift
+""")
+    starts = []
+    start = evolution.start
+
+    def counted(*args, **kwargs):
+        starts.append(args[0])
+        return start(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "start", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--config", cfg]) == 0
+    assert len(starts) == runs
 
 
 @pytest.mark.parametrize("grid_lines", [f"s_min = {gridmod.S_MIN_LIMIT!r}",
