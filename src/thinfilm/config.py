@@ -64,12 +64,13 @@ class ExperimentConfig:
         for sec, entries in (values or {}).items():
             for key, val in entries.items():
                 self.values[sec][key] = val
-        self._validate()
+        self._validate(values or {})
 
     def __getitem__(self, section):
         return self.values[section]
 
-    def _validate(self):
+    def _validate(self, given):
+        """ConfigError for the first value out of range; ``given`` holds the set keys."""
         g = self.values["grid"]
         if not g["s_min"] < g["s_max"]:
             raise ConfigError("grid.s_min", "must be below grid.s_max")
@@ -98,6 +99,12 @@ class ExperimentConfig:
         out = self.values["output"]
         if out["u0"] not in _U0_PROFILES:
             raise ConfigError("output.u0", f"unknown profile (choose from {tuple(_U0_PROFILES)})")
+        # only the wave_shift profile reads eps: set for other initial data it would be ignored
+        if "eps" in given.get("nonlinear", ()) and (out["u0"] != "wave_shift" or out["u0_csv"]):
+            data = (f"output.u0_csv = {out['u0_csv']!r}" if out["u0_csv"]
+                    else f"output.u0 = {out['u0']}")
+            raise ConfigError("nonlinear.eps", "is read only by output.u0 = wave_shift without "
+                                               f"output.u0_csv, and {data} ignores it")
 
     def resolved(self):
         """Flat, JSON-friendly echo of every setting."""

@@ -13,7 +13,8 @@ difference, with its expansion subtracted) that one evaluator, _composite,
 sums; the initial-data norm sums the same series per step. Every weighted
 square comes from one series, _norm_series: the rows of one time difference
 and derivative count, one per (subtraction order, weight) and stored step,
-are differentiated as one stack, STEP_STACK stored steps at a time.
+are differentiated as one stack, STEP_STACK stored steps at a time, in work
+arrays kept across stacks (_series_work).
 Every fit and norm is evaluated under one finiteness rule, _finite: a value that
 overflows is a GridError, never NaN or inf data.
 """
@@ -43,7 +44,8 @@ S_MIN_LIMIT = -140.0
 S_MAX_LIMIT = 140.0
 # stored steps per stack of a norm series and of a run's stored-step records: one
 # stencil call per derivative order per stack (16 and 32 were not measurably faster,
-# and raised peak RSS by 0.8 and 3 MB)
+# with fresh arrays and with the norm series' work arrays, and raised peak RSS by
+# about 0.8 and 3 MB)
 STEP_STACK = 8
 
 
@@ -259,40 +261,56 @@ def extract_coefficients(w, order):
     return tuple(_fit_expansion(w.values, w.grid))[:order]
 
 
-def _minus_expansion(values, coeffs, grid):
+def _minus_expansion(values, coeffs, grid, out=None):
     """values - c_1 x - c_2 x^2 - ..., one term at a time; coeffs (..., sub) for
-    values (..., n), one row of coefficients per row of values."""
+    values (..., n), one row of coefficients per row of values. Written into ``out``
+    (an array of the shape of values) when given, else into a copy."""
     coeffs = np.asarray(coeffs)
-    out = values.copy()
+    if out is None:
+        out = values.copy()
+    else:
+        out[...] = values
     for j in range(coeffs.shape[-1]):
         out -= coeffs[..., j, None] * grid.exp(j + 1)
     return out
 
 
-def _ds_tower(values, k, h):
+def _ds_tower(values, k, h, work=None):
     """values, d/ds values, ..., d^k/ds^k values along the last axis.
 
     The one composition rule for orders above 4: D^4 first, the remainder
     last. The tower takes D^1..D^4, then D^1..D^4 of D^4, and so on, one
-    stencil call per order.
+    stencil call per order. With ``work``, three arrays of the shape of values
+    (level, base, second base), each order is written into one of them
+    (stencils.apply_derivative's ``out``) and overwritten by a later one, so read
+    each before taking the next. A D^4 that later orders read goes into the two
+    bases in turn (k >= 9 takes the second), any other order into the level array:
+    no order is written into the array it reads.
     """
     yield values
     base = values
     for j in range(1, k + 1):
-        dj = stencils.apply_derivative(base, (j - 1) % 4 + 1, h)
+        out = None
+        if work is not None:
+            out = work[2 - j // 4 % 2] if j % 4 == 0 and j < k else work[0]
+        dj = stencils.apply_derivative(base, (j - 1) % 4 + 1, h, out=out)
         yield dj
         if j % 4 == 0:
             base = dj
 
 
-def _norm_sq(values, k, weight, grid):
+def _norm_sq(values, k, weight, grid, work=None):
     """|row|_{k,alpha}^2 = sum_{j<=k} trapezoid(weight (d^j row/ds^j)^2) of each
     row of a (..., n) stack, in increasing j; weight = e^{-2 alpha s}, shared by
-    all rows or broadcast against the stack (one per (sub, alpha) row)."""
+    all rows or broadcast against the stack (one per (sub, alpha) row).
+
+    ``work``, four arrays of the shape of values, takes the tower's three
+    (_ds_tower) and the weighted square in place of fresh arrays, with the same
+    bits; the result never views them."""
     total = 0.0
-    for dj in _ds_tower(values, k, grid.h):
-        sq = weight * dj  # weight dj dj, squared in place
-        sq *= dj
+    for dj in _ds_tower(values, k, grid.h, None if work is None else work[:3]):
+        sq = np.multiply(weight, dj, out=None if work is None else work[3])
+        sq *= dj  # weight dj dj, squared in place
         total += stencils.trapezoid(sq, grid.h)
     return np.maximum(total, 0.0)
 
@@ -396,17 +414,31 @@ def _time_derivative(values, dt, order):
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _series_work(n, rows):
+    """Five (STEP_STACK, rows, n) work arrays of _norm_series on n nodes: the fields,
+    the tower's level and two bases, and the weighted square. Each stack writes a
+    slice of its height before it reads it, so they carry nothing from one call to
+    the next, and no array a call returns views them. Kept across calls so that a
+    run's stacks take no fresh pages; single-threaded scratch, like the lab."""
+    return tuple(np.empty((STEP_STACK, rows, n)) for _ in range(5))
+
+
 def _norm_series(values, coeffs, grid, kn, rows):
     """|w(t) - sum_{j<=sub} c_j(t) x^j|_{kn,alpha}^2 of each (sub, alpha) in rows at
     every stored step, shape (steps, rows). One tower per STEP_STACK steps takes
     their (steps, rows) fields as one stack; each entry equals its one-row value
-    bitwise."""
+    bitwise. The fields, the tower and the squares are written into the work arrays
+    of (n, rows) (_series_work), with the bits of fresh ones."""
     weights = np.array([grid.exp(-2.0 * alpha) for _, alpha in rows])
     out = np.empty((len(values), len(rows)))
+    work = _series_work(grid.n, len(rows))
     for i in range(0, len(values), STEP_STACK):
         v, c = values[i:i + STEP_STACK], coeffs[i:i + STEP_STACK]
-        fields = np.stack([_minus_expansion(v, c[:, :sub], grid) for sub, _ in rows], axis=1)
-        out[i:i + STEP_STACK] = _norm_sq(fields, kn, weights, grid)
+        fields, *rest = (w[:len(v)] for w in work)
+        for r, (sub, _) in enumerate(rows):
+            _minus_expansion(v, c[:, :sub], grid, out=fields[:, r])
+        out[i:i + STEP_STACK] = _norm_sq(fields, kn, weights, grid, rest)
     return out
 
 

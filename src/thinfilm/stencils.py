@@ -78,7 +78,7 @@ def _plan(n, m, h):
     return center, half, left, right
 
 
-def apply_derivative(values, m, h):
+def apply_derivative(values, m, h, out=None):
     """Fourth-order d^m/ds^m of uniformly sampled values, m in 1..4.
 
     ``values`` is one field or a (..., n) stack of fields, differentiated
@@ -88,6 +88,11 @@ def apply_derivative(values, m, h):
     stacked call equals its per-row calls bitwise. With 1/h^m in the weights,
     the result equals correlating with the h = 1 weights and dividing by h^m
     exactly when h is a power of two, and to the last bits otherwise.
+
+    ``out``, when given, is filled and returned with the bits of a fresh call: a
+    C-contiguous float64 array of the shape of ``values`` that shares no memory
+    with it (ValueError otherwise: the flat write needs a view of ``out``, and a
+    derivative written over its own input would read half-written values).
     """
     if m not in _CENTER_POINTS:
         raise ValueError(f"derivative order {m} not in 1..4")
@@ -95,7 +100,12 @@ def apply_derivative(values, m, h):
     n = values.shape[-1]
     w, half, left, right = _plan(n, m, h)
     span = left.shape[1]
-    out = np.empty(values.shape)
+    if out is None:
+        out = np.empty(values.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == float and out.shape == values.shape
+              and out.flags.c_contiguous) or np.shares_memory(out, values):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {values.shape} "
+                         f"that shares no memory with values")
     if values.ndim == 1:
         # one field: the same correlation and matrix-vector products, without the
         # stack's reshapes and broadcast matmul

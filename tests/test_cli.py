@@ -284,6 +284,29 @@ def test_unparsable_config_is_a_config_error(tmp_path, capsys, text, key):
     assert err.startswith("error: config key") and f"{key}'" in err
 
 
+@pytest.mark.parametrize("data, ignored_by", [
+    ("", "output.u0 = x3_decay"),  # the default profile
+    ("u0 = wave_shift\nu0_csv = u0.csv\n", "output.u0_csv = 'u0.csv'"),
+], ids=["x3_decay", "u0_csv"])
+@pytest.mark.parametrize("argv", [
+    ["resolvent", "--lambda", "1", "--g", "g.csv"], ["linear-evolve"], ["nonlinear-evolve"],
+    ["sweep", "--param", "dt", "--values", "1e-2,5e-3,2.5e-3"],
+], ids=["resolvent", "linear-evolve", "nonlinear-evolve", "sweep"])
+def test_eps_for_initial_data_that_ignore_it_is_a_config_error(tmp_path, capsys, argv, data,
+                                                              ignored_by):
+    # nonlinear.eps is the amplitude of the wave_shift profile alone; other initial
+    # data parsed it and ran as if it were unset
+    path = write_config(tmp_path / "eps.ini", f"[nonlinear]\neps = 1e-2\n[output]\n"
+                                              f"dir = {tmp_path / 'run'}\n{data}")
+    assert cli.main(argv + ["--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key 'nonlinear.eps': is read only by output.u0 = wave_shift without "
+        f"output.u0_csv, and {ignored_by} ignores it\n")
+    assert not (tmp_path / "run").exists()
+    assert config.ExperimentConfig({"nonlinear": {"eps": 1e-2},
+                                    "output": {"u0": "wave_shift"}})["nonlinear"]["eps"] == 1e-2
+
+
 def test_n2_norms_are_a_config_error(tmp_path, capsys):
     # the N = 2 norms subtract the expansion up to x^5; the lab fits it only up to x^3
     path = write_config(tmp_path / "n2.ini",

@@ -299,9 +299,9 @@ def test_composite_init_norm_takes_one_stencil_call_per_order(default_grid, monk
     shapes = []
     apply_derivative = stencils.apply_derivative
 
-    def counted(values, m, h):
+    def counted(values, m, h, out=None):
         shapes.append(np.shape(values))
-        return apply_derivative(values, m, h)
+        return apply_derivative(values, m, h, out=out)
 
     monkeypatch.setattr(stencils, "apply_derivative", counted)
     n, K = default_grid.n, gridmod.STEP_STACK
@@ -550,6 +550,91 @@ def test_norm_series_matches_per_step_ds_any(kn, sub):
     assert got.shape == (6, 3)
     for col, (row_sub, alpha) in zip(got.T, rows):
         assert np.array_equal(col, _per_row_series(values, coeffs, _COARSE, kn, alpha, row_sub))
+
+
+K = gridmod.STEP_STACK
+_ROWS = [(0, 0.25), (2, 0.75), (3, 1.25)]
+
+
+def _fresh_series(values, coeffs, grid, kn, rows):
+    """_norm_series as written before its work arrays: each stack's fields an
+    np.stack of _minus_expansion copies, differentiated into fresh arrays."""
+    weights = np.array([grid.exp(-2.0 * alpha) for _, alpha in rows])
+    out = np.empty((len(values), len(rows)))
+    for i in range(0, len(values), K):
+        v, c = values[i:i + K], coeffs[i:i + K]
+        fields = np.stack([gridmod._minus_expansion(v, c[:, :sub], grid) for sub, _ in rows],
+                          axis=1)
+        out[i:i + K] = gridmod._norm_sq(fields, kn, weights, grid)
+    return out
+
+
+def _series_input(grid, steps, seed):
+    """(values, coeffs) of steps perturbed copies of (0.4 x + 0.3 x^2 + x^3) e^{-x}."""
+    rng = np.random.default_rng(seed)
+    values = _BASES[1](grid.x) * (1.0 + 1e-3 * rng.standard_normal((steps, grid.n)))
+    values *= np.exp(-2.0 * np.linspace(0.0, 0.2, steps))[:, None]
+    return values, gridmod._fit_expansion(values, grid)
+
+
+@pytest.mark.parametrize("kn", range(14))
+def test_norm_series_work_arrays_hold_the_bits_of_fresh_arrays(kn):
+    # from kn = 8 a D^4 base is read, from kn = 9 a second one: D^8 written over
+    # the D^4 it reads moved kn = 9..11 and the N = 1, k = 3 norms of the parent
+    # loops (kn = 8 at sub = 3). Every stack height a run's records take
+    for steps in (1, K - 1, K, K + 1, 2 * K + 1):
+        values, coeffs = _series_input(_COARSE, steps, 100 * kn + steps)
+        got = gridmod._norm_series(values, coeffs, _COARSE, kn, _ROWS)
+        assert np.array_equal(got, _fresh_series(values, coeffs, _COARSE, kn, _ROWS)), steps
+
+
+def test_norm_series_stays_bitwise_after_calls_on_other_grids():
+    # the work arrays are kept per (n, rows): a call on another window of the same
+    # n with other (N, k, delta), and one on another n, leave nothing behind
+    values, coeffs = _series_input(_COARSE, 2 * K + 1, 5)
+    want = _fresh_series(values, coeffs, _COARSE, 8, _ROWS)
+    assert np.array_equal(gridmod._norm_series(values, coeffs, _COARSE, 8, _ROWS), want)
+    for other, (N, k, delta) in ((gridmod.LogGrid(-10.0, 3.0, _COARSE.n), (1, 1, 0.1)),
+                                 (gridmod.LogGrid(-12.0, 4.0, 129), (0, 3, 0.4))):
+        field = _BASES[0](other.x)
+        norms = gridmod.composite_init_norm(np.stack([field, 2.0 * field]), other, N, k, delta)
+        assert norms[0] == gridmod.composite_init_norm(field, other, N, k, delta)
+    assert np.array_equal(gridmod._norm_series(values[:K - 1], coeffs[:K - 1], _COARSE, 8, _ROWS),
+                          want[:K - 1])
+    assert np.array_equal(gridmod._norm_series(values, coeffs, _COARSE, 8, _ROWS), want)
+
+
+@pytest.mark.parametrize("rows", [1, K - 1, K, K + 1, 2 * K + 1])
+def test_init_norm_track_stacks_equal_per_step_norms(rows):
+    # t = 0 is recorded on its own, then the other stored steps fill stacks of up
+    # to K rows in the same work arrays; each entry is that of its step alone
+    x = _COARSE.x
+    u0 = gridmod.GridFunction(_COARSE, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    state = nonlinear.run_nonlinear(u0, 1e-2, rows * 1e-2)
+    assert len(state.init_norm_track) == len(state.steps) == rows + 1
+    for (_, u), norm in zip(state.steps, state.init_norm_track):
+        assert norm == gridmod.composite_init_norm(u.values, _COARSE, 1, 3, 0.25)
+
+
+def test_no_series_result_views_the_work_arrays():
+    values, coeffs = _series_input(_COARSE, K + 1, 9)
+    w = gridmod.GridFunction(_COARSE, values[0])
+    traj = [(0.1 * j, gridmod.GridFunction(_COARSE, v)) for j, v in enumerate(values)]
+    x = _COARSE.x
+    u0 = gridmod.GridFunction(_COARSE, 1e-3 * (3 * x * x + 2 * x) * np.exp(-x))
+    results = [gridmod._norm_series(values, coeffs, _COARSE, 8, _ROWS),
+               gridmod.composite_init_norm(values, _COARSE, 1, 3, 0.25),
+               gridmod.composite_init_norm(values[0], _COARSE, 1, 3, 0.25),
+               np.asarray(nonlinear.run_nonlinear(u0, 1e-2, 3e-2).init_norm_track)]
+    for rows in (1, 3):  # the work arrays of the N = 0 and N = 1 initial-data norms
+        fields, *work = (a[:2] for a in gridmod._series_work(_COARSE.n, rows))
+        fields[...] = values[:2, None, :]
+        results.append(gridmod._norm_sq(fields, 9, _COARSE.exp(-0.5), _COARSE, work))
+    assert gridmod.composite_sol_norm(traj, 1, 3, 0.25) > 0.0  # floats: they view nothing
+    assert gridmod.weighted_norm(w, gridmod.NormSpec(8, 0.25, 3)) > 0.0
+    for rows in (1, 3):
+        for scratch in gridmod._series_work(_COARSE.n, rows):
+            assert not any(np.shares_memory(scratch, r) for r in results)
 
 
 @pytest.mark.parametrize("N", [0, 1, 2])

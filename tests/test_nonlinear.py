@@ -85,9 +85,9 @@ def test_nonlinearity_matches_eleven_pass_form(default_grid, monkeypatch, eps):
     rows = []  # differentiated rows per stencil call
     apply_derivative = stencils.apply_derivative
 
-    def counted(values, m, h):
+    def counted(values, m, h, out=None):
         rows.append(np.size(values) // u.grid.n)
-        return apply_derivative(values, m, h)
+        return apply_derivative(values, m, h, out=out)
 
     monkeypatch.setattr(stencils, "apply_derivative", counted)
     got = nonlinear.eval_nonlinearity(u).values

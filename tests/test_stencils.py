@@ -147,6 +147,50 @@ def test_one_field_calls_on_views_match_stacked_rows(m, n):
     assert np.array_equal(stencils.apply_derivative(every_other.copy(), m, h), stacked[1])
 
 
+def _out_inputs(n, seed):
+    """One field and (..., n) stacks: contiguous, Fortran-ordered, strided and empty."""
+    rng = np.random.default_rng(seed)
+    big = rng.standard_normal((4, 6, 2 * n)) * np.exp(8.0 * rng.standard_normal((4, 6, 2 * n)))
+    fortran = np.asfortranarray(big[3, :4, :n])
+    return {"field": big[0, 0, :n].copy(), "strided field": big[1, 0, ::2],
+            "fortran row": fortran[1], "stack": big[0, :3, :n].copy(),
+            "stack of stacks": big[1:3, :3, :n].copy(), "empty stack": big[0, :0, :n].copy(),
+            "fortran stack": fortran, "strided stack": big[::2, ::2, 2:n + 2]}
+
+
+@pytest.mark.parametrize("n", [129, 1345])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_stencil_out_holds_the_bits_of_a_fresh_call(m, n):
+    # the norm's tower writes each order into a kept work array; every entry of
+    # out is written, with the bits of a call that makes its own array
+    h = 16.0 / (n - 1)
+    for name, values in _out_inputs(n, 11 * n + m).items():
+        out = np.full(values.shape, np.nan)
+        got = stencils.apply_derivative(values, m, h, out=out)
+        assert got is out, name
+        assert np.array_equal(out, stencils.apply_derivative(values, m, h)), name
+
+
+@pytest.mark.parametrize("case", ["short", "long", "row of a stack", "fortran", "strided",
+                                  "float32", "list", "values itself", "overlapping view"])
+def test_stencil_out_rejects_an_array_it_cannot_fill(case):
+    # a non-contiguous out would turn the flat write into one on a copy, and that
+    # write would be lost without an error; an out over values would be read
+    # half-written
+    n, h = 64, 0.25
+    buf = np.random.default_rng(3).standard_normal(3 * n + 8)
+    values = buf[:2 * n].reshape(2, n)
+    out = {"short": np.empty((2, n - 1)), "long": np.empty((3, n)), "row of a stack": np.empty(n),
+           "fortran": np.asfortranarray(np.empty((2, n))),
+           "strided": np.empty((2, 2 * n))[:, ::2], "float32": np.empty((2, n), np.float32),
+           "list": [[0.0] * n] * 2, "values itself": values,
+           "overlapping view": buf[n:3 * n].reshape(2, n)}[case]
+    before = np.array(out, copy=True)
+    with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+        stencils.apply_derivative(values, 2, h, out=out)
+    assert np.array_equal(np.asarray(out), before, equal_nan=True)  # nothing written
+
+
 @pytest.mark.parametrize("n", [16, 1025])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_edge_blocks_match_row_dot_products(m, n):
