@@ -9,17 +9,14 @@ positive. For a quartic that real part is a quadratic in mu = xi^2,
 with e2, e4 the elementary symmetric functions of the shifted roots a - r_j,
 so the minimum over xi is available in closed form. The admissible-weight
 window also has a closed form from the root mean and variance; both routes
-are implemented and compared.
+are implemented and compared. The discrete quadratic forms that these ranges
+bound are checked in the tests.
 """
 
 import numpy as np
 
-from . import grid as gridmod
-from . import polyops, stencils
-from .elliptic import _require_compact_support
+from . import polyops
 
-MARGIN_SCAN = 4001  # normalized_margin: linear scan points on mu = xi^2 in [0, 4],
-MARGIN_MU_MAX = 400.0  # then MARGIN_SCAN // 2 geometric ones up to this mu
 _SQRT3 = np.sqrt(3.0)
 
 
@@ -28,14 +25,6 @@ def _sym(p, alpha):
     e2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
     e4 = a[0] * a[1] * a[2] * a[3]
     return e2, e4
-
-
-def symbol(p, alpha, xi):
-    """Re prod(i xi + alpha - root), a real polynomial in xi^2."""
-    e2, e4 = _sym(p, alpha)
-    mu = np.asarray(xi, dtype=float) ** 2
-    out = mu * mu - e2 * mu + e4
-    return out if out.ndim else float(out)
 
 
 def symbol_margin(p, alpha):
@@ -49,22 +38,6 @@ def symbol_margin(p, alpha):
     if e2 > 0.0:
         margin = min(margin, e4 - 0.25 * e2 * e2)
     return float(margin)
-
-
-def normalized_margin(p, alpha):
-    """min over xi of Re P(i xi + alpha) / sum_{j<=2} (xi^2 + alpha^2)^j.
-
-    This is the constant that bounds the quadratic form against the full
-    two-derivative norm: in Fourier variables of e^{-alpha s} u the j-th
-    derivative term carries (xi^2 + alpha^2)^j, while the bare symbol margin
-    only controls the j = 0 part. Dense scan in mu = xi^2.
-    """
-    e2, e4 = _sym(p, alpha)
-    mu = np.concatenate([np.linspace(0.0, 4.0, MARGIN_SCAN),
-                         np.geomspace(4.0, MARGIN_MU_MAX, MARGIN_SCAN // 2)])
-    shifted = mu + alpha * alpha
-    ratio = (mu * mu - e2 * mu + e4) / (1.0 + shifted + shifted * shifted)
-    return float(min(ratio.min(), 1.0))
 
 
 def _intersect(intervals_a, intervals_b):
@@ -135,14 +108,3 @@ def composite_range(commutations):
     shifted_p = [(lo - 0.5, hi - 0.5) for lo, hi in range_closed_form(p)]
     shifted_q = [(lo - 1.0, hi - 1.0) for lo, hi in range_closed_form(q)]
     return _intersect(shifted_p, shifted_q)
-
-
-def quadratic_form_check(p, alpha, w):
-    """Discrete ((w, P(D) w)_alpha, |w|_{2,alpha}^2) for a compactly supported w."""
-    _require_compact_support(w)
-    grid = w.grid
-    weight = grid.exp(-2.0 * alpha)
-    pw = polyops.apply_symbol(p, w)
-    lhs = stencils.trapezoid(weight * w.values * pw.values, grid.h)
-    rhs = gridmod.weighted_norm(w, gridmod.NormSpec(2, alpha)) ** 2
-    return float(lhs), float(rhs)

@@ -1,7 +1,8 @@
 """Experiment configuration: INI-style key = value sections.
 
-Unknown sections or keys are rejected; every value is validated against the
-module preconditions before any run starts (the cli checks solver.T against
+Unknown sections or keys are rejected, in a file and in a programmatic
+configuration alike; every value is validated against the module
+preconditions before any run starts (the cli checks solver.T against
 the dt values a command runs). The resolved configuration is echoed into
 every output artifact together with its content hash.
 """
@@ -38,6 +39,15 @@ _U0_PROFILES = {
 }
 
 
+def _require_known(section, keys=()):
+    """ConfigError for a section, or the first of its keys, that the schema lacks."""
+    if section not in _SCHEMA:
+        raise ConfigError(section, "unknown section")
+    for key in keys:
+        if key not in _SCHEMA[section]:
+            raise ConfigError(f"{section}.{key}", "unknown key")
+
+
 def _parse_value(section, key, raw, kind):
     try:
         if kind == "floats":
@@ -62,8 +72,8 @@ class ExperimentConfig:
         self.values = {sec: {key: default for key, (_, default) in keys.items()}
                        for sec, keys in _SCHEMA.items()}
         for sec, entries in (values or {}).items():
-            for key, val in entries.items():
-                self.values[sec][key] = val
+            _require_known(sec, entries)
+            self.values[sec].update(entries)
         self._validate(values or {})
 
     def __getitem__(self, section):
@@ -135,12 +145,10 @@ def load(path):
         raise ConfigError(str(path), "cannot read configuration file")
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(section, "unknown section")
+        _require_known(section)
         values[section] = {}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{section}.{key}", "unknown key")
+            _require_known(section, (key,))
             values[section][key] = _parse_value(section, key, raw, _SCHEMA[section][key][0])
     return ExperimentConfig(values)
 

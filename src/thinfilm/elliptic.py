@@ -6,13 +6,15 @@ smooth inverse S is four nested integrals. All integrals carry the measure
 dx/x and are therefore evaluated in s = ln x where they are regular. The
 grid cannot reach x = 0, so every cumulative integral is closed below s_min
 by fitting the integrand to e^{g s} (c0 + c1 e^s + c2 e^{2s}) on the
-leftmost band and integrating that tail analytically.
+leftmost band and integrating that tail analytically. The weighted Hardy
+inequalities are evaluated here; their sharp constants and the elliptic
+equivalence |w|_{k+4} ~ |P(D) w|_k are checked in the tests.
 """
 
 import numpy as np
 
 from . import grid as gridmod
-from . import polyops, stencils
+from . import stencils
 from .errors import DecayProbeError, SupportError
 
 TAIL_BAND = 1.5
@@ -147,27 +149,3 @@ def hardy_check(g, gamma, variant):
     lhs, rhs = gridmod._norm_sq(np.stack([shifted, g.values]), 0, g.grid.exp(-2.0 * beta),
                                 g.grid)
     return float(lhs), float(rhs), float(const(gamma))
-
-
-def sharp_hardy_constant(gamma, variant):
-    """Best possible constant for compactly supported data.
-
-    |(D-a) g|^2_b = |d/ds ghat|^2 + (b-a)^2 |ghat|^2 with ghat = e^{-bs} g,
-    so the optimal factor is (b-a)^2 at the variant's weight b.
-    """
-    a, offset, _ = _HARDY[variant]
-    return float((gamma + offset - a) ** 2)
-
-
-def polynomial_elliptic_check(p, w, rho, k=0):
-    """(|w|_{k+4,rho}, |P(D) w|_{k,rho}) for equivalence-ratio logging.
-
-    w must be supported in the interior and pass the o(x^rho) probe at the
-    left edge.
-    """
-    _require_decay(w, rho)
-    _require_compact_support(w)
-    lhs = gridmod.weighted_norm(w, gridmod.NormSpec(k + 4, rho))
-    pw = polyops.apply_symbol(p, w)
-    rhs = gridmod.weighted_norm(pw, gridmod.NormSpec(k, rho))
-    return float(lhs), float(rhs)

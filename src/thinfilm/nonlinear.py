@@ -48,11 +48,6 @@ def _v(values, grid):
     return values / _mobility(grid)[0]
 
 
-def to_v(u):
-    """Coordinate perturbation v = u / (3x^2 + 2x)."""
-    return gridmod.GridFunction(u.grid, _v(u.values, u.grid))
-
-
 def _dx(values, grid):
     # d/dx = e^{-s} d/ds
     d = stencils.apply_derivative(values, 1, grid.h)

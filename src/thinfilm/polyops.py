@@ -4,7 +4,8 @@ The linearized film operator splits as x^{-1} p(D) + x^{-2} q(D) where p and
 q are quartics in D = x d/dx. Conjugating by (D-1) and then (D-2) shifts the
 root patterns; those shifted families are what the coercivity analysis
 consumes. Polynomials are stored by their real root multisets so that root
-statistics are exact; the expanded form is derived on demand.
+statistics are exact; the expanded form is derived on demand. The
+commutation identities with (D-1) and (D-2) are checked in the tests.
 """
 
 import functools
@@ -14,10 +15,8 @@ import numpy as np
 
 from . import grid as gridmod
 from . import stencils
-from .errors import GridError
 
 MAX_INTERVALS = 10**6  # sampling intervals of one integrate_coefficients trajectory
-EDGE_SKIP = 8  # nodes at each end that commutation_residual and interior_residual leave out
 
 # Root multisets of the canonical quartics. Index = number of (D-1)/(D-2)
 # conjugations applied to the full operator: 0 the operator itself, 1 once
@@ -82,18 +81,6 @@ def symbol_pair(commutations=0):
             PolynomialOperator(_QUAD_ROOTS[commutations]))
 
 
-def shifted_pair(k):
-    """Symbol pair of the operator conjugated with d^k/dx^k.
-
-    Root multisets {0, -k, 1-k, 2-k} and {0, 1, 1-k, 2-k}.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a non-negative integer")
-    k = float(k)
-    return (PolynomialOperator((0.0, -k, 1.0 - k, 2.0 - k)),
-            PolynomialOperator((0.0, 1.0, 1.0 - k, 2.0 - k)))
-
-
 def monomial_action(j):
     """Coefficients (a, b) with (operator) x^j = a x^{j-1} + b x^{j-2}."""
     p, q = symbol_pair(0)
@@ -118,11 +105,6 @@ def _symbol_values(values, h, *polys):
     return outs
 
 
-def apply_symbol(p, w):
-    """P(D) w on the grid, built from the expanded monomial form."""
-    return gridmod.GridFunction(w.grid, _symbol_values(w.values, w.grid.h, p)[0])
-
-
 def _operator_values(values, grid, commutations=0):
     """e^{-s} P(D) w + e^{-2s} Q(D) w of the values of w on grid, as values:
     the one implementation of the (commuted) operator on the stencils."""
@@ -136,26 +118,6 @@ def _operator_values(values, grid, commutations=0):
 def apply_operator(w, commutations=0):
     """(commuted) operator applied on the grid: the public form of ``_operator_values``."""
     return gridmod.GridFunction(w.grid, _operator_values(w.values, w.grid, commutations))
-
-
-def commutation_residual(variant, w):
-    """Interior max-norm of the commutation defect of the discrete operators.
-
-    variant "tilde": (D-1) A - A~ (D-1) applied to w.
-    variant "check": (D-2) A~ - A^ (D-2) applied to w.
-    Exact analytically; the discrete residual is pure stencil truncation.
-    """
-    if variant not in ("tilde", "check"):
-        raise ValueError("variant must be 'tilde' or 'check'")
-    n = w.grid.n
-    if n < 4 * EDGE_SKIP:
-        raise GridError("grid too coarse for the commutation stencil")
-    level = 0 if variant == "tilde" else 1
-    a = 1.0 if variant == "tilde" else 2.0
-    lhs = gridmod.shifted_derivative(apply_operator(w, level), a)
-    rhs = apply_operator(gridmod.shifted_derivative(w, a), level + 1)
-    interior = slice(EDGE_SKIP, n - EDGE_SKIP)
-    return float(np.max(np.abs(lhs.values[interior] - rhs.values[interior])))
 
 
 @dataclass

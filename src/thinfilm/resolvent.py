@@ -31,6 +31,7 @@ KL = 5  # sub-diagonals: widest shifted interior stencil
 KU = 6  # super-diagonals: left closure row reaches node 6
 FAR_BAND = (3.5, 1.5)  # far_field_rate's band below s_max, kept clear of the clamp rows
 FAR_MIN_NODES = 10  # fewest tail nodes far_field_rate fits a slope to
+EDGE_SKIP = 8  # nodes at each end that interior_residual leaves out
 
 _gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0, dtype=np.float64),))
 
@@ -312,7 +313,7 @@ def interior_residual(op, lam, u, g):
     den += np.abs(g.values)
     den += 1e-300
     den += csr_product(op.indptr, op.col, op.abs_val, absu)
-    sl = slice(polyops.EDGE_SKIP, op.n - polyops.EDGE_SKIP)
+    sl = slice(EDGE_SKIP, op.n - EDGE_SKIP)
     ratio = np.abs(res[sl])
     ratio /= den[sl]
     return float(ratio.max())

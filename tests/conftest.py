@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thinfilm import grid as gridmod
-from thinfilm import stencils
+from thinfilm import polyops, stencils
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +30,18 @@ def ds_any(values, j, h):
     if j > 0:
         out = stencils.apply_derivative(out, j, h)
     return out
+
+
+def shifted_pair(k):
+    """Symbol pair of the operator conjugated with d^k/dx^k.
+
+    Root multisets {0, -k, 1-k, 2-k} and {0, 1, 1-k, 2-k}.
+    """
+    if k < 0 or k != int(k):
+        raise ValueError("k must be a non-negative integer")
+    k = float(k)
+    return (polyops.PolynomialOperator((0.0, -k, 1.0 - k, 2.0 - k)),
+            polyops.PolynomialOperator((0.0, 1.0, 1.0 - k, 2.0 - k)))
 
 
 def _smoothstep(t):

@@ -1062,6 +1062,23 @@ def test_config_defaults_and_validation():
         config.ExperimentConfig({"output": {"u0": "mystery"}})
 
 
+@pytest.mark.parametrize("section, key, name", [("solver", "T0", "solver.T0"),
+                                                ("solvr", "T", "solvr")],
+                         ids=["unknown key", "unknown section"])
+def test_a_programmatic_config_rejects_what_a_file_does(tmp_path, section, key, name):
+    # the same ConfigError as config.load gives for the same entry, where the
+    # class once echoed an unknown key into resolved() and the content hash,
+    # and raised a bare KeyError for an unknown section
+    path = tmp_path / "c.ini"
+    path.write_text(f"[{section}]\n{key} = 1.0\n")
+    with pytest.raises(ConfigError) as from_file:
+        config.load(path)
+    with pytest.raises(ConfigError) as from_values:
+        config.ExperimentConfig({section: {key: 1.0}})
+    assert from_values.value.key == from_file.value.key == name
+    assert str(from_values.value) == str(from_file.value)
+
+
 def test_config_load_rejects_a_missing_file():
     with pytest.raises(ConfigError, match="cannot read configuration file") as exc:
         config.load("/nonexistent.ini")

@@ -1,27 +1,64 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_bump
-from thinfilm import coercivity, polyops
+from conftest import gaussian_bump, shifted_pair
+from thinfilm import coercivity, elliptic, polyops, stencils
 from thinfilm import grid as gridmod
 from thinfilm.errors import SupportError
 
 SQ11_3 = np.sqrt(11.0 / 3.0)
+MARGIN_SCAN = 4001  # normalized_margin: linear scan points on mu = xi^2 in [0, 4],
+MARGIN_MU_MAX = 400.0  # then MARGIN_SCAN // 2 geometric ones up to this mu
+
+
+def symbol(p, alpha, xi):
+    """Re prod(i xi + alpha - root), a real polynomial in xi^2."""
+    e2, e4 = coercivity._sym(p, alpha)
+    mu = np.asarray(xi, dtype=float) ** 2
+    out = mu * mu - e2 * mu + e4
+    return out if out.ndim else float(out)
+
+
+def normalized_margin(p, alpha):
+    """min over xi of Re P(i xi + alpha) / sum_{j<=2} (xi^2 + alpha^2)^j.
+
+    This is the constant that bounds the quadratic form against the full
+    two-derivative norm: in Fourier variables of e^{-alpha s} u the j-th
+    derivative term carries (xi^2 + alpha^2)^j, while the bare symbol margin
+    only controls the j = 0 part. Dense scan in mu = xi^2.
+    """
+    e2, e4 = coercivity._sym(p, alpha)
+    mu = np.concatenate([np.linspace(0.0, 4.0, MARGIN_SCAN),
+                         np.geomspace(4.0, MARGIN_MU_MAX, MARGIN_SCAN // 2)])
+    shifted = mu + alpha * alpha
+    ratio = (mu * mu - e2 * mu + e4) / (1.0 + shifted + shifted * shifted)
+    return float(min(ratio.min(), 1.0))
+
+
+def quadratic_form_check(p, alpha, w):
+    """Discrete ((w, P(D) w)_alpha, |w|_{2,alpha}^2) for a compactly supported w."""
+    elliptic._require_compact_support(w)
+    grid = w.grid
+    weight = grid.exp(-2.0 * alpha)
+    pw, = polyops._symbol_values(w.values, grid.h, p)
+    lhs = stencils.trapezoid(weight * w.values * pw, grid.h)
+    rhs = gridmod.weighted_norm(w, gridmod.NormSpec(2, alpha)) ** 2
+    return float(lhs), float(rhs)
 
 
 def test_symbol_quadratic_part_at_weight_one():
     # the x^{-2}-part symbol at weight 1 is xi^2 + xi^4
     _, q = polyops.symbol_pair(0)
     xi = np.linspace(-5, 5, 101)
-    assert np.allclose(coercivity.symbol(q, 1.0, xi), xi**2 + xi**4, atol=1e-12)
+    assert np.allclose(symbol(q, 1.0, xi), xi**2 + xi**4, atol=1e-12)
 
 
 def test_symbol_special_values():
     quad = polyops.PolynomialOperator((0, 0, 0, 0))
     xi = np.linspace(-3, 3, 61)
-    assert np.allclose(coercivity.symbol(quad, 0.0, xi), xi**4, atol=1e-13)
+    assert np.allclose(symbol(quad, 0.0, xi), xi**4, atol=1e-13)
     p, _ = polyops.symbol_pair(0)
-    assert coercivity.symbol(p, 0.5, 0.0) == pytest.approx(3.0 / 16.0)
+    assert symbol(p, 0.5, 0.0) == pytest.approx(3.0 / 16.0)
 
 
 def test_symbol_matches_complex_product(rng):
@@ -31,7 +68,7 @@ def test_symbol_matches_complex_product(rng):
         alpha = rng.normal()
         xi = rng.normal() * 3
         direct = np.prod([1j * xi + alpha - r for r in roots]).real
-        got = coercivity.symbol(poly, alpha, xi)
+        got = symbol(poly, alpha, xi)
         assert got == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -63,7 +100,7 @@ def test_numeric_range_contains_closed_form():
     # positivity throughout and may extend further where the root-mean
     # band is not the binding constraint
     for k in range(4):
-        for poly in polyops.shifted_pair(k):
+        for poly in shifted_pair(k):
             closed = coercivity.range_closed_form(poly)
             if not closed:
                 continue
@@ -147,20 +184,20 @@ def test_quadratic_form_positivity(default_grid):
     p1, _ = polyops.symbol_pair(1)
     alpha = 0.75
     w = gaussian_bump(default_grid, center=-3.0, width=0.7)
-    lhs, rhs = coercivity.quadratic_form_check(p1, alpha, w)
-    margin = coercivity.normalized_margin(p1, alpha)
+    lhs, rhs = quadratic_form_check(p1, alpha, w)
+    margin = normalized_margin(p1, alpha)
     assert margin > 0
     assert lhs >= 0.95 * margin * rhs
 
     zero = gridmod.zero(default_grid)
-    assert coercivity.quadratic_form_check(p1, alpha, zero) == (0.0, 0.0)
+    assert quadratic_form_check(p1, alpha, zero) == (0.0, 0.0)
 
 
 def test_quadratic_form_weight_one_identity(default_grid):
     # at weight 1 the quadratic-part form equals the shifted-derivative energies
     _, q = polyops.symbol_pair(0)
     w = gaussian_bump(default_grid, center=-4.0, width=0.6)
-    lhs, _ = coercivity.quadratic_form_check(q, 1.0, w)
+    lhs, _ = quadratic_form_check(q, 1.0, w)
     d1 = gridmod.shifted_derivative(w, 1.0)
     d2 = gridmod.shifted_derivative(d1, 1.0)
     target = (gridmod.weighted_norm(d1, gridmod.NormSpec(0, 1.0)) ** 2
@@ -174,11 +211,11 @@ def test_quadratic_form_interior_windows(default_grid, rng):
         numeric = coercivity.range_numeric(poly, -1.0, 3.0, n_scan=400)
         lo, hi = numeric[0]
         for alpha in (lo + 0.05, hi - 0.05, 0.5 * (lo + hi)):
-            margin = coercivity.normalized_margin(poly, alpha)
+            margin = normalized_margin(poly, alpha)
             for _ in range(3):
                 w = gaussian_bump(default_grid, center=rng.uniform(-7, -1),
                                   width=rng.uniform(0.4, 1.2))
-                lhs, rhs = coercivity.quadratic_form_check(poly, alpha, w)
+                lhs, rhs = quadratic_form_check(poly, alpha, w)
                 assert lhs >= 0.95 * margin * rhs
 
 
@@ -186,7 +223,7 @@ def test_quadratic_form_rejects_boundary_support(default_grid):
     p, _ = polyops.symbol_pair(0)
     w = gridmod.monomial(default_grid, 1)
     with pytest.raises(SupportError):
-        coercivity.quadratic_form_check(p, 0.5, w)
+        quadratic_form_check(p, 0.5, w)
 
 
 def test_report_fields():

@@ -620,14 +620,14 @@ def test_picard_rates_are_recorded_per_step(small_wave_run):
 
 
 def _vx(u):
-    """v_x of v = to_v(u): the x-derivative of the GridFunction to_v(u)."""
-    return nonlinear._dx(nonlinear.to_v(u).values, u.grid)
+    """v_x of v = u / (3x^2 + 2x): the x-derivative of the values nonlinear._v gives."""
+    return nonlinear._dx(nonlinear._v(u.values, u.grid), u.grid)
 
 
 def _public_call_run(op, u0, f, dt, T):
     """The nonlinear time loop of evolution.run, every field a GridFunction: each
     iterate from eval_nonlinearity and evolution.step, each step's guard from
-    lipschitz_guard of v_x, v = to_v(u), with run's extrapolant and stop rule. Every step is
+    lipschitz_guard of v_x, v = u / (3x^2 + 2x), with run's extrapolant and stop rule. Every step is
     stored; returns (states, picard counts, picard rates, sup |v_x| per state)."""
     grid, model = op.grid, nonlinear.NonlinearModel()
     fac = resolvent.Factorization(op, 1.0 / dt)

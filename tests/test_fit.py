@@ -40,7 +40,7 @@ def _old_leading_coefficients(u):
 
 def _old_contact_line_shift(u, band=2.0):
     grid = u.grid
-    v = nonlinear.to_v(u).values
+    v = nonlinear._v(u.values, grid)
     mask = grid.s <= grid.s_min + band
     xb = grid.x[mask]
     a = np.stack([np.ones_like(xb), xb, xb * xb], axis=1)

@@ -22,10 +22,10 @@ def wave_shaped(grid, eps, taper=True):
 def test_to_v(default_grid):
     x = default_grid.x
     u = gridmod.GridFunction(default_grid, 3 * x * x + 2 * x)
-    assert np.allclose(nonlinear.to_v(u).values, 1.0)
-    assert np.max(np.abs(nonlinear.to_v(gridmod.zero(default_grid)).values)) == 0.0
+    assert np.allclose(nonlinear._v(u.values, default_grid), 1.0)
+    assert np.max(np.abs(nonlinear._v(gridmod.zero(default_grid).values, default_grid))) == 0.0
     u = gridmod.monomial(default_grid, 1)
-    v = nonlinear.to_v(u).values
+    v = nonlinear._v(u.values, default_grid)
     assert np.allclose(v, 1.0 / (3 * x + 2), rtol=1e-12)
     assert nonlinear.contact_line_shift(u.values, default_grid) == pytest.approx(0.5, abs=1e-6)
     for cached in nonlinear._mobility(default_grid):
@@ -67,7 +67,7 @@ def _eleven_pass_nonlinearity(u):
         return grid.inv_x2 * (d2 - d1)
 
     x = grid.x
-    vx = dx(nonlinear.to_v(u).values)
+    vx = dx(nonlinear._v(u.values, grid))
     mob = 3.0 * x * x + 2.0 * x
     mob1 = 6.0 * x + 2.0
     w = vx * (1.0 / (1.0 + vx))
@@ -321,7 +321,7 @@ def _full_sample_heights(u, t, y, upsample):
     grid = u.grid
     s = np.linspace(grid.s_min, grid.s_max, upsample * (grid.n - 1) + 1)
     x = np.exp(s)
-    v = nonlinear.to_v(u).values
+    v = nonlinear._v(u.values, grid)
     v_of_s = CubicHermiteSpline(grid.s, v, stencils.apply_derivative(v, 1, grid.h))
     film = CubicHermiteSpline(x + 6.0 * t + v_of_s(s), x**3 + x * x,
                               (3 * x**3 + 2 * x * x) / (x + v_of_s(s, 1)), extrapolate=False)

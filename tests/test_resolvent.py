@@ -508,7 +508,7 @@ def _grid_function_residual(op, lam, u, g):
     absu = np.abs(u.values)
     den = sparse.csr_array((np.abs(op.val), op.col, op.indptr), shape=(op.n, op.n)) @ absu
     den += lam * absu + np.abs(g.values) + 1e-300
-    sl = slice(polyops.EDGE_SKIP, op.n - polyops.EDGE_SKIP)
+    sl = slice(resolvent.EDGE_SKIP, op.n - resolvent.EDGE_SKIP)
     return float(np.max(np.abs(res[sl]) / den[sl]))
 
 
