@@ -1,15 +1,22 @@
 """Experiment configuration: INI-style key = value sections.
 
-Unknown sections or keys are rejected, in a file and in a programmatic
-configuration alike; every value is validated against the module
-preconditions before any run starts (the cli checks solver.T against
-the dt values a command runs). The resolved configuration is echoed into
-every output artifact together with its content hash.
+``ExperimentConfig`` is the one place that parses and checks a value,
+whatever its source: ``load`` only reads a file's text and hands it over.
+Unknown sections or keys are rejected; text is parsed as a file's value is,
+and any other value must already have the schema's kind (an int for an int
+key, a real for a float key, a list or tuple of reals for ``output.snapshots``,
+never a bool), with every float finite. Each failure is a ``ConfigError``
+keyed ``section.key``, and then the range and cross-key rules run (the cli
+checks solver.T against the dt values a command runs). So a dict and a file
+holding the same entries resolve alike; the resolved configuration is echoed
+into every output artifact together with its content hash.
 """
 
 import configparser
 import hashlib
 import json
+import math
+import numbers
 import warnings
 
 import numpy as np
@@ -17,7 +24,7 @@ import numpy as np
 from . import grid as gridmod
 from .errors import ConfigError, GridError
 
-# {section: {key: (kind, default)}}; kind "floats" is a comma-separated list
+# {section: {key: (kind, default)}}; kind "floats" is a tuple of floats, comma-separated in text
 _SCHEMA = {
     "grid": {"s_min": (float, gridmod.DEFAULT_S_MIN), "s_max": (float, gridmod.DEFAULT_S_MAX),
              "n": (int, gridmod.DEFAULT_N)},
@@ -39,41 +46,68 @@ _U0_PROFILES = {
 }
 
 
-def _require_known(section, keys=()):
-    """ConfigError for a section, or the first of its keys, that the schema lacks."""
-    if section not in _SCHEMA:
-        raise ConfigError(section, "unknown section")
-    for key in keys:
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"{section}.{key}", "unknown key")
+# kind -> what a value of that kind given in code must be, as its error says
+_KINDS = {int: "an integer", float: "a real number", "floats": "a list or tuple of real numbers",
+          str: "text"}
 
 
-def _parse_value(section, key, raw, kind):
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _float(value):
+    """float(value) of a real; inf for one beyond the float range (a large int)."""
     try:
-        if kind == "floats":
-            value = tuple(float(p) for p in raw.split(",") if p.strip() != "")
-        elif kind is int:
-            value = int(raw)
-        elif kind is float:
-            value = float(raw)
-        else:
-            value = raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from exc
-    if kind in (float, "floats") and not np.all(np.isfinite(value)):
-        raise ConfigError(f"{section}.{key}", f"must be finite, got {raw!r}")
-    return value
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _coerce(section, key, value):
+    """The stored value of ``section.key``: text parsed as a file's value is, or a value
+    of the schema's kind (int, float, a list or tuple of floats, str; never a bool).
+    ConfigError unless it parses, has that kind and, for a float or a snapshot time,
+    is finite."""
+    kind, name = _SCHEMA[section][key][0], f"{section}.{key}"
+    if isinstance(value, str):
+        try:
+            if kind == "floats":
+                parsed = tuple(float(p) for p in value.split(",") if p.strip() != "")
+            elif kind is int:
+                parsed = int(value)
+            elif kind is float:
+                parsed = float(value)
+            else:
+                parsed = value.strip()
+        except ValueError as exc:
+            raise ConfigError(name, f"cannot parse {value!r}") from exc
+    elif kind is int and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        parsed = int(value)
+    elif kind is float and _is_real(value):
+        parsed = _float(value)
+    elif kind == "floats" and isinstance(value, (list, tuple)) and all(map(_is_real, value)):
+        parsed = tuple(map(_float, value))
+    else:
+        raise ConfigError(name, f"must be {_KINDS[kind]}, got {value!r}")
+    if kind in (float, "floats") and not np.all(np.isfinite(parsed)):
+        raise ConfigError(name, f"must be finite, got {value!r}")
+    return parsed
 
 
 class ExperimentConfig:
-    """Validated configuration with defaults filled in."""
+    """Validated configuration with defaults filled in. Each given entry, in order: its
+    section, its key, then its value (``_coerce``) must pass; then ``_validate``."""
 
     def __init__(self, values=None):
         self.values = {sec: {key: default for key, (_, default) in keys.items()}
                        for sec, keys in _SCHEMA.items()}
         for sec, entries in (values or {}).items():
-            _require_known(sec, entries)
-            self.values[sec].update(entries)
+            if sec not in _SCHEMA:
+                raise ConfigError(sec, "unknown section")
+            for key, value in entries.items():
+                if key not in _SCHEMA[sec]:
+                    raise ConfigError(f"{sec}.{key}", "unknown key")
+                self.values[sec][key] = _coerce(sec, key, value)
         self._validate(values or {})
 
     def __getitem__(self, section):
@@ -133,7 +167,7 @@ class ExperimentConfig:
 
 
 def load(path):
-    """Read and validate an INI-style configuration file."""
+    """ExperimentConfig of an INI-style file's text, each section's entries in file order."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (T vs t)
     try:
@@ -143,14 +177,8 @@ def load(path):
         raise ConfigError(key or str(path), " ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(str(path), "cannot read configuration file")
-    values = {}
-    for section in parser.sections():
-        _require_known(section)
-        values[section] = {}
-        for key, raw in parser.items(section):
-            _require_known(section, (key,))
-            values[section][key] = _parse_value(section, key, raw, _SCHEMA[section][key][0])
-    return ExperimentConfig(values)
+    return ExperimentConfig({section: dict(parser.items(section))
+                             for section in parser.sections()})
 
 
 def read_field(path, key, grid=None):

@@ -40,10 +40,6 @@ class PolynomialOperator:
         """Monomial coefficients c[m] of sum c_m zeta^m, ascending; read-only."""
         return _coefficients(self.roots)
 
-    def shifted(self, c):
-        """Polynomial with every root moved by c."""
-        return PolynomialOperator(tuple(r + c for r in self.roots))
-
     def mean(self):
         return float(np.mean(self.roots))
 

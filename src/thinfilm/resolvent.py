@@ -7,9 +7,9 @@ contact-line behavior), and the last two clamp the super-algebraically
 decaying far field to zero. The operator is its (row, column, value) arrays
 and its row pointer. One product, `csr_product`, multiplies a vector by the
 operator's pattern with any entries, each row summed left to right from 0.0:
-`DiscreteOperator.apply` (its entries), the refinement of the banded solves
-(the scaled entries each factorization gathers once) and the row magnitudes
-of `interior_residual` (the cached |entries|). It calls scipy's compiled CSR
+the refinement of the banded solves (the scaled entries each factorization
+gathers once) and the row magnitudes of `interior_residual` (the cached
+|entries|). It calls scipy's compiled CSR
 kernel with no matrix object. Solves go through a banded LU factorization
 reusable across right-hand sides; each one starts from the operator's band
 template, the lambda-free LAPACK band built once per operator.
@@ -124,13 +124,6 @@ class DiscreteOperator:
         for a in (band, index, row_max):
             a.flags.writeable = False
         return band, index, row_max
-
-    def apply(self, w):
-        """Row-wise product; closure rows evaluate their residual relation.
-        GridError unless w lies on the operator's grid."""
-        gridmod.require_grid(w, self.grid, "the field w")
-        return gridmod.GridFunction(self.grid,
-                                    csr_product(self.indptr, self.col, self.val, w.values))
 
 
 def _left_closure_weights(grid):

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinfilm import cli, config, evolution, nonlinear, resolvent, validation
@@ -1062,21 +1062,92 @@ def test_config_defaults_and_validation():
         config.ExperimentConfig({"output": {"u0": "mystery"}})
 
 
-@pytest.mark.parametrize("section, key, name", [("solver", "T0", "solver.T0"),
-                                                ("solvr", "T", "solvr")],
-                         ids=["unknown key", "unknown section"])
-def test_a_programmatic_config_rejects_what_a_file_does(tmp_path, section, key, name):
+@pytest.mark.parametrize("section, key, text, value, name, message", [
+    ("solver", "T0", "1.0", 1.0, "solver.T0", None),
+    ("solvr", "T", "1.0", 1.0, "solvr", None),
+    # a value from code once skipped the kind and finiteness rules of a file's text
+    ("solver", "T", "nan", float("nan"), "solver.T", "must be finite, got nan"),
+    ("norms", "k", "2.5", 2.5, "norms.k", "must be an integer, got 2.5"),
+    ("output", "snapshots", "1.0, inf", [1.0, float("inf")], "output.snapshots",
+     "must be finite, got [1.0, inf]"),
+    ("solver", "store_every", "True", True, "solver.store_every",
+     "must be an integer, got True"),
+], ids=["unknown key", "unknown section", "nan T", "fractional k", "inf snapshot",
+        "bool store_every"])
+def test_a_programmatic_config_rejects_what_a_file_does(tmp_path, section, key, text, value,
+                                                        name, message):
     # the same ConfigError as config.load gives for the same entry, where the
     # class once echoed an unknown key into resolved() and the content hash,
-    # and raised a bare KeyError for an unknown section
+    # and raised a bare KeyError for an unknown section; the file's text given
+    # in code gives the file's message, a value of another kind its own (None:
+    # the file's message too)
     path = tmp_path / "c.ini"
-    path.write_text(f"[{section}]\n{key} = 1.0\n")
+    path.write_text(f"[{section}]\n{key} = {text}\n")
     with pytest.raises(ConfigError) as from_file:
         config.load(path)
     with pytest.raises(ConfigError) as from_values:
-        config.ExperimentConfig({section: {key: 1.0}})
-    assert from_values.value.key == from_file.value.key == name
-    assert str(from_values.value) == str(from_file.value)
+        config.ExperimentConfig({section: {key: value}})
+    with pytest.raises(ConfigError) as from_text:
+        config.ExperimentConfig({section: {key: text}})
+    assert from_values.value.key == from_file.value.key == from_text.value.key == name
+    assert str(from_text.value) == str(from_file.value)
+    want = str(from_file.value) if message is None else f"config key '{name}': {message}"
+    assert str(from_values.value) == want
+
+
+_REALS = st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6)  # an int is a float key's value too
+_TEXT = st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True)
+# {section: {key: strategy}}: entries that pass every rule of ExperimentConfig, apart from
+# nonlinear.eps, which the draw below sets only with output.u0 = wave_shift and no u0_csv
+_VALID = {
+    "grid": {"s_min": st.floats(gridmod.S_MIN_LIMIT, gridmod.RESOLVED_S_MIN)
+             | st.integers(int(gridmod.S_MIN_LIMIT), int(gridmod.RESOLVED_S_MIN)),
+             "s_max": st.floats(-5.0, gridmod.S_MAX_LIMIT), "n": st.integers(64, 10**5)},
+    "solver": {"dt": st.floats(1e-6, 1.0), "T": st.floats(0.0, 100.0) | st.integers(0, 100),
+               "store_every": st.integers(1, 1000)},
+    "norms": {"N": st.sampled_from([0, 1]), "k": st.integers(0, 20),
+              "delta": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+              "alpha": _REALS},
+    "output": {"dir": _TEXT, "snapshots": st.lists(_REALS, max_size=4),
+               "u0": st.sampled_from(sorted(config._U0_PROFILES)), "u0_csv": _TEXT},
+}
+
+
+@st.composite
+def _valid_entries(draw):
+    entries = {}
+    for sec, keys in _VALID.items():
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
+        if chosen:
+            entries[sec] = {key: draw(keys[key], label=f"{sec}.{key}") for key in chosen}
+    if draw(st.booleans()):
+        entries["nonlinear"] = {"eps": draw(st.floats(0.0, 1.0) | st.integers(0, 1))}
+        entries.setdefault("output", {}).update(u0="wave_shift", u0_csv="")
+    return entries
+
+
+def _text(value):
+    """A value as a file writes it."""
+    if isinstance(value, list):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(entries=_valid_entries())
+@example(entries={"solver": {"T": 1}})  # hashed e350118d... where a file read 1f485060...
+@example(entries={"grid": {"n": 129}})  # "129" given in code was a bare TypeError
+def test_values_their_text_and_a_file_resolve_alike(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("alike") / "c.ini"
+    path.write_text("".join(f"[{sec}]\n" + "".join(f"{key} = {_text(v)}\n" for key, v in
+                                                   keys.items())
+                            for sec, keys in entries.items()))
+    from_values = config.ExperimentConfig(entries)
+    from_text = config.ExperimentConfig({sec: {key: _text(v) for key, v in keys.items()}
+                                         for sec, keys in entries.items()})
+    from_file = config.load(path)
+    assert from_values.resolved() == from_text.resolved() == from_file.resolved()
+    assert from_values.content_hash() == from_text.content_hash() == from_file.content_hash()
 
 
 def test_config_load_rejects_a_missing_file():

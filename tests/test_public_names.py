@@ -6,10 +6,13 @@ of ``ast.Attribute`` nodes, plus the functions that ``perfbench/spans.py``
 traces by name. Docstrings and comments do not count. A module-level public
 name (a function, a class or an assigned constant) that none of them uses is
 a test oracle that belongs in its test module, unless ``KEPT`` names why it
-stays. Methods are out of scope.
+stays. A public method or property of a package class counts when an
+``ast.Attribute`` load outside its own ``def`` reads its name, or the spans
+trace it as ``Class.member``.
 """
 
 import ast
+import collections
 import importlib.util
 from pathlib import Path
 
@@ -37,15 +40,16 @@ def _tree(path):
 
 
 def _traced():
+    """The traced attributes: module-level names and ``Class.member`` names."""
     spec = importlib.util.spec_from_file_location("perfbench_spans",
                                                   ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return {attr for _, attr, _ in spans.TRACED if "." not in attr}
+    return {attr for _, attr, _ in spans.TRACED}
 
 
 def _used_names():
-    used = _traced()
+    used = {attr for attr in _traced() if "." not in attr}
     for path in SCANNED:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -68,6 +72,21 @@ def _public_names(path):
         yield from (name for name in names if not name.startswith("_"))
 
 
+def _attribute_loads(node):
+    return collections.Counter(n.attr for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _public_methods(path):
+    """(Class.member, its def) of each public method or property of a module-level class."""
+    for cls in _tree(path).body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    yield f"{cls.name}.{node.name}", node
+
+
 def _package_imports(path):
     """The package modules that one module imports, from ``from . import m`` and
     ``from .m import name``."""
@@ -84,6 +103,17 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                     if name not in used}
     assert unreferenced == set(KEPT), (
         f"unreferenced public names {sorted(unreferenced)}, KEPT {sorted(KEPT)}")
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    loads = sum((_attribute_loads(_tree(path)) for path in SCANNED), collections.Counter())
+    traced = _traced()
+    # a read inside the method's own def (a recursion) is no caller
+    unreferenced = {f"{path.stem}.{name}" for path in PACKAGE
+                    for name, node in _public_methods(path)
+                    if name not in traced
+                    and loads[node.name] == _attribute_loads(node)[node.name]}
+    assert unreferenced == set(), f"unreferenced public methods {sorted(unreferenced)}"
 
 
 def test_package_import_edges():
