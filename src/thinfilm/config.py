@@ -2,7 +2,8 @@
 
 ``ExperimentConfig`` is the one place that parses and checks a value,
 whatever its source: ``load`` only reads a file's text and hands it over.
-Unknown sections or keys are rejected; text is parsed as a file's value is,
+Unknown sections or keys, a section that is not a mapping and a file's
+[DEFAULT] entries are rejected; text is parsed as a file's value is,
 and any other value must already have the schema's kind (an int for an int
 key, a real for a float key, a list or tuple of reals for ``output.snapshots``,
 never a bool), with every float finite. Each failure is a ``ConfigError``
@@ -18,6 +19,7 @@ import json
 import math
 import numbers
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -95,8 +97,9 @@ def _coerce(section, key, value):
 
 
 class ExperimentConfig:
-    """Validated configuration with defaults filled in. Each given entry, in order: its
-    section, its key, then its value (``_coerce``) must pass; then ``_validate``."""
+    """Validated configuration with defaults filled in. Each given section must be known
+    and a mapping; each of its entries, in order: its key, then its value (``_coerce``)
+    must pass; then ``_validate``."""
 
     def __init__(self, values=None):
         self.values = {sec: {key: default for key, (_, default) in keys.items()}
@@ -104,6 +107,8 @@ class ExperimentConfig:
         for sec, entries in (values or {}).items():
             if sec not in _SCHEMA:
                 raise ConfigError(sec, "unknown section")
+            if not isinstance(entries, Mapping):
+                raise ConfigError(sec, f"must be a mapping of keys to values, got {entries!r}")
             for key, value in entries.items():
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"{sec}.{key}", "unknown key")
@@ -167,7 +172,8 @@ class ExperimentConfig:
 
 
 def load(path):
-    """ExperimentConfig of an INI-style file's text, each section's entries in file order."""
+    """ExperimentConfig of an INI-style file's text, each section's entries in file order.
+    ConfigError naming the first entry of a [DEFAULT] section, which no key reads."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (T vs t)
     try:
@@ -177,6 +183,11 @@ def load(path):
         raise ConfigError(key or str(path), " ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(str(path), "cannot read configuration file")
+    # configparser would copy these into every section, or drop them when there is none
+    defaults = list(parser.defaults())
+    if defaults:
+        raise ConfigError(f"{parser.default_section}.{defaults[0]}",
+                          "a [DEFAULT] entry belongs to no section; set it in its own section")
     return ExperimentConfig({section: dict(parser.items(section))
                              for section in parser.sections()})
 

@@ -8,11 +8,15 @@ starts from the extrapolant 2u^n - u^(n-1) (Ascher, Ruuth & Wetton 1995,
 SIAM J. Numer. Anal. 32:797) and stops when its increment, or the error
 estimate theta/(1 - theta) times it with the contraction rate theta carried
 over from step to step (Hairer & Wanner, Solving ODEs II, IV.8), is below
-PICARD_TOL; on small data that is one solve per step. The iteration runs on
-value arrays (the model's N takes and returns values) with the operands and
-order of the GridFunction calls, so its iterates equal theirs bitwise, and it
-builds one GridFunction per solve, which checks the solve output is finite.
-The linear step stays evolution.step. Every run records the expansion
+PICARD_TOL; on small data that is one solve per step. Each solve corrects the
+iterate against the operator in one back-substitution (the solve's guess)
+whenever the iterate is built from solve outputs alone: every iteration but the
+first of steps 1 and 2, whose iterates hold u0. The iteration runs on value
+arrays (the model's N takes and returns values) with the operands and order of
+the GridFunction calls, so its iterates equal theirs bitwise under the same
+guess rule, and it builds one GridFunction per solve, which checks the solve
+output is finite. The linear step stays evolution.step, a refined solve with
+no guess. Every run records the expansion
 coefficients of its stored steps, and a linear run the energy pair
 |(D-1)u|_{a}^2, |D^k (D-1)u|_{a}^2; without forcing it also flags each step at
 which |(D-1)u|_{a}^2 rises. Each piece of this bookkeeping has one implementation:
@@ -138,9 +142,13 @@ def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
     The iteration runs on value arrays: the extrapolant 2 u_prev - u_older
     (u_prev when u_older is None), model.N(values, grid), the right-hand side
     lambda u_prev + (f_avg + N(u)) with lambda u_prev taken once per step, each
-    sum with the operands and grouping of ``step``, so an iterate equals the
-    step of the GridFunction calls bitwise. The one GridFunction of an
-    iteration is its solve output, which checks that the iterate is finite.
+    sum with the operands and grouping of ``step``. The iterate is the solve's
+    guess (one back-substitution, ``Factorization.solve_values``) once it is
+    built from solve outputs alone: from step j = 3 on, and after the first
+    iteration of steps 1 and 2, whose first iterates hold u0, which need not
+    satisfy the closure rows. Those two take ``step``'s refined solve, which
+    an iterate then equals bitwise. The one GridFunction of an iteration is
+    its solve output, which checks that the iterate is finite.
     The iteration measures the contraction rate delta_k / delta_(k-1) of its
     max-norm increments; until it has two increments it uses ``rate``, the
     last rate measured (None: none yet). It stops when delta < model.picard_tol,
@@ -159,7 +167,8 @@ def _picard_step(op, u_prev, u_older, f_avg, dt, fac, model, j, rate):
         if f_avg is not None:
             np.add(f_avg.values, rhs, out=rhs)
         rhs += base
-        u_next = gridmod.GridFunction(grid, fac.solve_values(rhs))
+        warm = count > 1 or j > 2  # the iterate is built from solve outputs alone
+        u_next = gridmod.GridFunction(grid, fac.solve_values(rhs, iterate if warm else None))
         increment = u_next.values - iterate
         delta = float(np.abs(increment, out=increment).max())
         iterate = u_next.values

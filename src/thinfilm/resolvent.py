@@ -224,19 +224,24 @@ class Factorization:
             raise SolverError(f"banded back-substitution failed (info={info})")
         return y
 
-    def solve_values(self, rhs_interior):
+    def solve_values(self, rhs_interior, guess=None):
         """The solution's values for the right-hand side values ``rhs_interior``,
-        a new array; the argument is not changed.
+        a new array; the arguments are not changed.
 
         The right-hand side is scaled by the row scales, and its closure rows
-        (0, 1, n-2 and n-1) are set to zero as two slices. The scaled system
-        is solved by back-substitution with one step of iterative refinement in
-        working precision, and the result is scaled back by the column scales.
+        (0, 1, n-2 and n-1) are set to zero as two slices. Without a guess the
+        scaled system is solved by back-substitution with one step of iterative
+        refinement in working precision. With one (values on the grid, such as
+        an earlier solve's output) the solve is that refinement step alone,
+        started from the guess scaled by the column scales: one back-substitution
+        of the scaled residual. Either result is scaled back by the column scales.
+        One correction shrinks the guess's error only by the LU's accuracy, so a
+        guess that misses the closure rows by O(1) keeps a trace of that error.
         """
         b = rhs_interior * self._row_scale
         b[:2] = 0.0
         b[-2:] = 0.0
-        y = self._back_substitute(b)
+        y = self._back_substitute(b) if guess is None else guess / self._col_scale
         op = self.op
         y += self._back_substitute(b - csr_product(op.indptr, op.col, self._entries, y),
                                    overwrite_b=1)  # a temporary

@@ -1095,6 +1095,28 @@ def test_a_programmatic_config_rejects_what_a_file_does(tmp_path, section, key, 
     assert str(from_values.value) == want
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nn = 129\n",
+                                  "[DEFAULT]\nn = 129\n[solver]\nT = 1\n"],
+                         ids=["alone", "with a section"])
+def test_a_default_section_entry_is_a_config_error(tmp_path, text):
+    # alone it was dropped and the run took n = 1025; beside a section it was copied
+    # into it and read as that section's unknown key ('solver.n')
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="a \\[DEFAULT\\] entry belongs to no section") as err:
+        config.load(path)
+    assert err.value.key == "DEFAULT.n"
+
+
+@pytest.mark.parametrize("entries", [None, [("n", 129)], "n = 129"],
+                         ids=["None", "pairs", "text"])
+def test_a_section_that_is_not_a_mapping_is_a_config_error(entries):
+    # entries.items() raised a bare AttributeError
+    with pytest.raises(ConfigError, match="must be a mapping of keys to values") as err:
+        config.ExperimentConfig({"grid": entries})
+    assert err.value.key == "grid"
+
+
 _REALS = st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6)  # an int is a float key's value too
 _TEXT = st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True)
 # {section: {key: strategy}}: entries that pass every rule of ExperimentConfig, apart from
