@@ -79,10 +79,11 @@ def cumulative_from_zero(integrand, grid):
     return _tail_closure(integrand, grid) + stencils.cumulative_integral(integrand, grid.h)
 
 
-def _require_decay(w, rho=PROBE_MIN_EXPONENT):
-    """DecayProbeError unless w vanishes like o(x^rho) at the contact line (leftmost band)."""
+def _require_decay(w):
+    """DecayProbeError unless w vanishes like o(x^PROBE_MIN_EXPONENT) at the contact line
+    (leftmost band)."""
     gamma = decay_exponent(w.values, w.grid)
-    if gamma <= rho:
+    if gamma <= PROBE_MIN_EXPONENT:
         raise DecayProbeError(f"decay probe failed (fitted exponent {gamma:.3f})")
 
 
@@ -145,7 +146,7 @@ def hardy_check(g, gamma, variant):
     _require_compact_support(g)
     a, offset, const = _HARDY[variant]
     beta = gamma + offset
-    shifted = gridmod.shifted_derivative(g, a).values
+    shifted = gridmod._shifted(g.values, a, g.grid.h)
     lhs, rhs = gridmod._norm_sq(np.stack([shifted, g.values]), 0, g.grid.exp(-2.0 * beta),
                                 g.grid)
     return float(lhs), float(rhs), float(const(gamma))

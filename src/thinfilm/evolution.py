@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as gridmod
-from . import resolvent, stencils
+from . import resolvent
 from .errors import EnergyError, GridError, PicardError
 
 ENERGY_SLACK = 1e-10
@@ -48,7 +48,7 @@ class EvolutionState:
 
     steps: list                 # (t, GridFunction), including t = 0
     energy_log: list = field(default_factory=list)  # dicts: tilde_sq, tilde_dk_sq
-    coefficient_tracks: np.ndarray = field(default_factory=list)  # (len(steps), 3): u1..u3
+    coefficient_tracks: np.ndarray = None  # (len(steps), 3): u1..u3
     flags: list = field(default_factory=list)
     picard_counts: list = field(default_factory=list)
     picard_rates: list = field(default_factory=list)  # contraction rate used; None: unknown
@@ -205,9 +205,10 @@ def is_stored(j, n_steps, store_every):
 
 
 def _record(state, stored, grid, alpha, k, nonlinear):
-    """Append to state the records of the stored (t, u) pairs ``stored``, taken as one stack."""
+    """Append to state the records of the stored (t, u) pairs ``stored``, taken as one
+    stack, but for their expansion coefficients, which it returns: shape (len(stored), 3)."""
     values = np.array([u.values for _, u in stored])
-    state.coefficient_tracks.append(leading_coefficients(values, grid))
+    coefficients = leading_coefficients(values, grid)
     if nonlinear is None:
         state.energy_log += [{"tilde_sq": e0, "tilde_dk_sq": ek} for e0, ek
                              in tilde_energies(values, grid, alpha, k).tolist()]
@@ -215,6 +216,7 @@ def _record(state, stored, grid, alpha, k, nonlinear):
         init_norm, y0 = nonlinear.records([t for t, _ in stored], values, grid)
         state.init_norm_track += init_norm.tolist()
         state.contact_line_track += y0.tolist()
+    return coefficients
 
 
 def start(u0, alpha=0.25, k=2, nonlinear=None):
@@ -228,7 +230,7 @@ def start(u0, alpha=0.25, k=2, nonlinear=None):
     state = EvolutionState(steps=[(0.0, u0)])
     if nonlinear is not None:
         state.lipschitz_track.append(nonlinear.guard(u0, 0))
-    _record(state, state.steps, u0.grid, alpha, k, nonlinear)
+    state.coefficient_tracks = _record(state, state.steps, u0.grid, alpha, k, nonlinear)
     return state
 
 
@@ -295,7 +297,9 @@ def run(op, u0, f, dt, T, alpha=0.25, k=2, store_every=1, nonlinear=None):
             state.steps.append((j * dt, u))
             if nonlinear is not None:
                 state.lipschitz_track.append(sup_vx)
+    tracks = [state.coefficient_tracks]
     for i in range(1, len(state.steps), gridmod.STEP_STACK):
-        _record(state, state.steps[i:i + gridmod.STEP_STACK], op.grid, alpha, k, nonlinear)
-    state.coefficient_tracks = np.concatenate(state.coefficient_tracks)
+        tracks.append(_record(state, state.steps[i:i + gridmod.STEP_STACK], op.grid, alpha, k,
+                              nonlinear))
+    state.coefficient_tracks = np.concatenate(tracks)
     return state

@@ -195,11 +195,6 @@ def _shifted(values, a, h):
     return stencils.apply_derivative(values, 1, h) - a * values
 
 
-def shifted_derivative(w, a):
-    """(D - a) w."""
-    return GridFunction(w.grid, _shifted(w.values, a, w.grid.h))
-
-
 @functools.lru_cache(maxsize=64)
 def _fit_matrix(s_min, s_max, n, lo, hi):
     """Band s_min+lo <= s <= s_min+hi as a node slice, and the read-only L with

@@ -30,7 +30,6 @@ class FilmReconstruction:
 
     y: np.ndarray
     h: np.ndarray
-    contact_line: float  # Y0
 
 
 @functools.lru_cache(maxsize=16)
@@ -240,8 +239,7 @@ def reconstruct(u, t, y_grid, upsample=8):
     with the fourth-order D^1 stencil slopes. h is then the cubic Hermite
     interpolant in y through those samples with the exact slopes
     dh/dy = (3x^3 + 2x^2) / (dy/ds), dy/ds = x + v_s. Below the first sample,
-    past the last and at a NaN y the film height is reported as zero. The
-    contact line is Y0 = 6t + v(0+).
+    past the last and at a NaN y the film height is reported as zero.
     """
     if not isinstance(upsample, numbers.Integral) or upsample < 1:
         raise GridError(f"upsample must be an integer >= 1, got {upsample!r}")
@@ -267,5 +265,4 @@ def reconstruct(u, t, y_grid, upsample=8):
         xw = x[w]
         h[inside] = _hermite(y_param[w], xw**3 + xw * xw, (3.0 * xw**3 + 2.0 * xw * xw) / dy_ds[w],
                              i - w.start, d)[0]
-    return FilmReconstruction(y=y, h=h,
-                              contact_line=6.0 * t + float(contact_line_shift(u.values, grid)))
+    return FilmReconstruction(y=y, h=h)

@@ -101,19 +101,19 @@ def _symbol_values(values, h, *polys):
     return outs
 
 
-def _operator_values(values, grid, commutations=0):
-    """e^{-s} P(D) w + e^{-2s} Q(D) w of the values of w on grid, as values:
-    the one implementation of the (commuted) operator on the stencils."""
-    pw, qw = _symbol_values(values, grid.h, *symbol_pair(commutations))
+def _operator_values(values, grid):
+    """e^{-s} p(D) w + e^{-2s} q(D) w of the values of w on grid, as values:
+    the one implementation of the operator on the stencils."""
+    pw, qw = _symbol_values(values, grid.h, *symbol_pair(0))
     pw *= grid.inv_x
     qw *= grid.inv_x2
     pw += qw
     return pw
 
 
-def apply_operator(w, commutations=0):
-    """(commuted) operator applied on the grid: the public form of ``_operator_values``."""
-    return gridmod.GridFunction(w.grid, _operator_values(w.values, w.grid, commutations))
+def apply_operator(w):
+    """The operator applied on the grid: the public form of ``_operator_values``."""
+    return gridmod.GridFunction(w.grid, _operator_values(w.values, w.grid))
 
 
 @dataclass
@@ -135,18 +135,11 @@ class CoefficientVector:
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.f))):
             raise ValueError("u and f must be finite")
 
-    @classmethod
-    def zeros(cls, J):
-        return cls(J, np.zeros(J), np.zeros(J))
-
 
 @dataclass
 class CoefficientTrajectory:
     times: np.ndarray
     u: np.ndarray  # shape (steps, J)
-
-    def final(self):
-        return self.u[-1]
 
 
 def coefficient_matrix(J):

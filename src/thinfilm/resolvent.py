@@ -248,11 +248,6 @@ class Factorization:
         y *= self._col_scale
         return y
 
-    def solve(self, g):
-        """The solution on the operator's grid; GridError unless g lies on it."""
-        gridmod.require_grid(g, self.op.grid, "the right-hand side g")
-        return gridmod.GridFunction(self.op.grid, self.solve_values(g.values))
-
 
 def factorization_for(op, lam, factorization=None):
     """``factorization``, or a new Factorization(op, lam) when it is None.
@@ -324,7 +319,7 @@ def solve(op, lam, g, factorization=None):
     gridmod.require_grid(g, op.grid, "the right-hand side g")
     require_compatible(g)
     fac = factorization_for(op, lam, factorization)
-    u = fac.solve(g)
+    u = gridmod.GridFunction(op.grid, fac.solve_values(g.values))
     res = interior_residual(op, lam, u, g)
     rate = far_field_rate(u, lam)
     return ResolventSolve(solution=u, residual_norm=res, decay_rate_fit=rate)

@@ -198,8 +198,8 @@ def test_quadratic_form_weight_one_identity(default_grid):
     _, q = polyops.symbol_pair(0)
     w = gaussian_bump(default_grid, center=-4.0, width=0.6)
     lhs, _ = quadratic_form_check(q, 1.0, w)
-    d1 = gridmod.shifted_derivative(w, 1.0)
-    d2 = gridmod.shifted_derivative(d1, 1.0)
+    d1 = gridmod.GridFunction(w.grid, gridmod._shifted(w.values, 1.0, w.grid.h))
+    d2 = gridmod.GridFunction(w.grid, gridmod._shifted(d1.values, 1.0, w.grid.h))
     target = (gridmod.weighted_norm(d1, gridmod.NormSpec(0, 1.0)) ** 2
               + gridmod.weighted_norm(d2, gridmod.NormSpec(0, 1.0)) ** 2)
     assert lhs == pytest.approx(target, rel=1e-6)

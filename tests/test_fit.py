@@ -31,10 +31,10 @@ def _old_leading_coefficients(u):
         return coef[0]
 
     u1 = _old_fit_expansion(u.values, grid, 3, 2.0)[0]
-    tu = gridmod.shifted_derivative(u, 1.0)
-    u2 = band_fit(tu.values, 2.0, 3.0, 6.0)
-    cu = gridmod.shifted_derivative(tu, 2.0)
-    u3 = band_fit(cu.values, 3.0, 7.0, 9.5) / 2.0
+    tu = gridmod._shifted(u.values, 1.0, grid.h)
+    u2 = band_fit(tu, 2.0, 3.0, 6.0)
+    cu = gridmod._shifted(tu, 2.0, grid.h)
+    u3 = band_fit(cu, 3.0, 7.0, 9.5) / 2.0
     return u1, u2, u3
 
 

@@ -222,7 +222,6 @@ def test_reconstruct_traveling_wave(default_grid):
     film = nonlinear.reconstruct(gridmod.zero(default_grid), t, y)
     exact = validation.traveling_wave(t, y)
     assert np.max(np.abs(film.h - exact)) < 1e-6
-    assert film.contact_line == pytest.approx(6 * t, abs=1e-10)
     below = np.linspace(0.0, 2.9, 30)
     film2 = nonlinear.reconstruct(gridmod.zero(default_grid), t, below)
     assert np.allclose(film2.h, 0.0)
@@ -236,15 +235,27 @@ def test_contact_line_shift_rejects_an_overflowing_input(default_grid):
 
 
 def test_reconstruct_contact_line_shift(default_grid):
-    u = wave_shaped(default_grid, 0.01)  # u1 = 0.02
-    film = nonlinear.reconstruct(u, 0.0, np.linspace(0.0, 1.0, 20))
-    assert film.contact_line == pytest.approx(0.01, abs=1e-6)
+    # u1 = 0.02: the film starts at Y0 = v(0+) = 0.01, its first sample at
+    # x = e^{s_min} (6.1e-6) to the right of it: the pair below pins Y0 within 1e-5
+    u = wave_shaped(default_grid, 0.01)
+    h = nonlinear.reconstruct(u, 0.0, np.array([0.01 - 1e-6, 0.01 + 1e-5])).h
+    assert h[0] == 0.0 < h[1]
+
+
+def test_reconstruct_takes_no_contact_line_fit():
+    # on s_min = -5 the contact-line fit is a GridError, and the film needs none
+    g = gridmod.LogGrid(-5.0, 4.0, 129)
+    y = np.linspace(0.0, 5.0, 11)
+    film = nonlinear.reconstruct(gridmod.zero(g), 0.0, y)
+    assert np.max(np.abs(film.h - validation.traveling_wave(0.0, y))) < 1e-6
+    with pytest.raises(GridError, match="does not resolve"):
+        nonlinear.contact_line_shift(g.x, g)
 
 
 def test_reconstruct_near_contact_expansion(default_grid):
     u = wave_shaped(default_grid, 0.01)
     u1, u2 = gridmod.extract_coefficients(u, 2)
-    y0 = nonlinear.reconstruct(u, 0.0, np.linspace(0.0, 1.0, 20)).contact_line
+    y0 = float(nonlinear.contact_line_shift(u.values, default_grid))
     yq = y0 + np.linspace(1e-4, 1e-2, 50)
     film = nonlinear.reconstruct(u, 0.0, yq)
     denom = 1 + 0.5 * u2 - 0.75 * u1
@@ -260,12 +271,13 @@ def test_reconstruct_invariants(default_grid):
     film = nonlinear.reconstruct(u, t, y)
     assert np.all(film.h >= 0.0)
     assert np.all(np.diff(film.y) > 0)
-    at_y0 = nonlinear.reconstruct(u, t, np.array([film.contact_line])).h[0]
+    y0 = 6.0 * t + float(nonlinear.contact_line_shift(u.values, default_grid))
+    at_y0 = nonlinear.reconstruct(u, t, np.array([y0])).h[0]
     assert at_y0 <= 1e-10
     # zero contact angle: cubic fit of h on [Y0, Y0 + 1e-2]
-    yq = film.contact_line + np.linspace(0.0, 1e-2, 60)
+    yq = y0 + np.linspace(0.0, 1e-2, 60)
     hq = nonlinear.reconstruct(u, t, yq).h
-    dy = yq - film.contact_line
+    dy = yq - y0
     a = np.stack([np.ones_like(dy), dy, dy * dy, dy**3], axis=1)
     coef, _, _, _ = np.linalg.lstsq(a, hq, rcond=None)
     assert abs(coef[1]) < 1e-6

@@ -261,7 +261,7 @@ def test_failed_refinement_raises(fine_grid, monkeypatch):
 
     monkeypatch.setattr(resolvent, "_gbtrs", fail_second)
     with pytest.raises(SolverError, match="back-substitution"):
-        fac.solve(g)
+        fac.solve_values(g.values)
     assert len(calls) == 2
 
 

@@ -14,17 +14,22 @@ def orders_of(fn, t_span, y_span, dt, dy, levels=3):
 def test_traveling_wave_residual_order():
     orders, reports = orders_of(validation.traveling_wave, (0.0, 0.8), (1.0, 6.0), 0.05, 0.1)
     assert all(o >= 1.8 for o in orders)
-    assert all(r.n_centers > 0 for r in reports)
 
 
 def test_traveling_wave_contact_stencils_skipped():
-    # the window crosses the contact line; degenerate stencils are dropped
+    # the window crosses the contact line; degenerate stencils are dropped, so it reads
+    # the residual of the smooth window (0.0600 both); with them kept it reads 0.2267
     rep = validation.tfe_residual(validation.traveling_wave, (0.0, 0.4), (-1.0, 4.0),
                                   0.05, 0.1)
     full = validation.tfe_residual(validation.traveling_wave, (0.0, 0.4), (3.0, 8.0),
                                    0.05, 0.1)
-    assert rep.n_centers < full.n_centers
-    assert rep.max_residual < 10 * full.max_residual
+    assert rep.max_residual < 1.5 * full.max_residual
+
+
+def test_a_window_without_positive_stencils_raises():
+    # the film is zero on y < 0 at t = 0..0.4: every stencil sits on the floor
+    with pytest.raises(ValueError, match="no stencil lies inside the positivity region"):
+        validation.tfe_residual(validation.traveling_wave, (0.0, 0.4), (-2.0, -1.0), 0.05, 0.1)
 
 
 def test_equilibrium_residual_is_rounding():
